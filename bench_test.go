@@ -141,6 +141,16 @@ func benchKernelDecode(b *testing.B, beam, subpasses int, kernel spinal.Kernel) 
 	p := spinal.DefaultParams()
 	p.B = beam
 	p.Kernel = kernel
+	dec := benchParamsDecode(b, p, subpasses)
+	if dec.KernelUsed() != kernel && kernel != spinal.KernelAuto {
+		b.Fatalf("decode ran on kernel %v, want %v", dec.KernelUsed(), kernel)
+	}
+}
+
+// benchParamsDecode measures one full decode of a noiseless 256-bit
+// message under p from the given number of stored subpasses, and
+// returns the decoder.
+func benchParamsDecode(b *testing.B, p spinal.Params, subpasses int) *spinal.Decoder {
 	msg := make([]byte, 32)
 	for i := range msg {
 		msg[i] = byte(i*73 + 11)
@@ -158,9 +168,7 @@ func benchKernelDecode(b *testing.B, beam, subpasses int, kernel spinal.Kernel) 
 		dec.Decode()
 	}
 	b.StopTimer()
-	if dec.KernelUsed() != kernel && kernel != spinal.KernelAuto {
-		b.Fatalf("decode ran on kernel %v, want %v", dec.KernelUsed(), kernel)
-	}
+	return dec
 }
 
 // BenchmarkDecodeQuantized is a line-rate operating point: a streaming
@@ -169,8 +177,9 @@ func benchKernelDecode(b *testing.B, beam, subpasses int, kernel spinal.Kernel) 
 // width 32 — between the Appendix B hardware's B=4 and the software
 // evaluation's B=256, and per the Figure 8-6 compute-budget curve
 // (fig8-6: k=4, budget 128) still at ~90% of the wide-beam fraction of
-// capacity. The bench_check.sh gate holds this under 1 ms per 256-bit
-// decode at zero steady-state allocations.
+// capacity. The bench_check.sh gate holds its latency within 20% of the
+// newest BENCH_*.json snapshot (on a matching CPU) and its steady-state
+// allocations at zero.
 func BenchmarkDecodeQuantized(b *testing.B) {
 	benchKernelDecode(b, 32, 8, spinal.KernelQuantized)
 }
@@ -187,6 +196,15 @@ func BenchmarkDecodeQuantized256(b *testing.B) {
 // quantized kernel became the default.
 func BenchmarkDecodeFloat256(b *testing.B) {
 	benchKernelDecode(b, 256, 16, spinal.KernelFloat)
+}
+
+// BenchmarkDecodeLookahead runs the float search with subtree depth
+// D=2 (§4.3) at B=64 on the same two-pass workload; lookahead decodes
+// never take the fixed-point kernel.
+func BenchmarkDecodeLookahead(b *testing.B) {
+	p := spinal.DefaultParams()
+	p.B, p.D = 64, 2
+	benchParamsDecode(b, p, 16)
 }
 
 // BenchmarkHWModel regenerates the Appendix B throughput/area model.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"runtime"
 
 	"spinal/internal/hashfn"
 )
@@ -28,8 +27,6 @@ type BSCDecoder struct {
 	bs     beamSearch
 	eval   *evaluator
 	msgBuf []byte
-	parMsg []byte
-	par    parPool
 }
 
 // NewBSCDecoder creates a BSC decoder for nBits-bit messages.
@@ -53,15 +50,7 @@ func NewBSCDecoder(nBits int, p Params) *BSCDecoder {
 }
 
 func (d *BSCDecoder) newEvaluator() *evaluator {
-	e := &evaluator{
-		children: d.bs.children,
-		nBits:    d.nBits,
-		k:        d.p.K,
-		ns:       d.ns,
-	}
-	if d.p.D > 1 {
-		e.memo = make(map[uint64]float64)
-	}
+	e := d.bs.newEvaluator()
 	var (
 		ts   []uint32
 		bits []byte
@@ -94,16 +83,10 @@ func (d *BSCDecoder) newEvaluator() *evaluator {
 	}
 	oaat, isOAAT := hashfn.AsOneAtATime(d.p.Hash)
 	if !isOAAT {
-		e.expand = func(parent uint32, kb int, _ float64, childs []uint32, costs []float64) {
-			e.children(parent, kb, childs)
-			for j, s := range childs {
-				costs[j] = e.cost(s)
-			}
-		}
 		return e
 	}
 	var pre, wrow []uint32
-	e.expand = func(parent uint32, kb int, budget float64, childs []uint32, costs []float64) {
+	e.expand = func(parent uint32, kb int, base, tau float64, childs []uint32, costs []float64) {
 		nc := len(childs)
 		if cap(pre) < nc {
 			pre = make([]uint32, nc)
@@ -132,7 +115,7 @@ func (d *BSCDecoder) newEvaluator() *evaluator {
 					mn = c
 				}
 			}
-			if mn >= budget {
+			if base+mn >= tau {
 				return
 			}
 		}
@@ -171,32 +154,11 @@ func (d *BSCDecoder) Reset() {
 	d.nsyms = 0
 }
 
-// Close releases the persistent worker pool, if any (see Decoder.Close).
-func (d *BSCDecoder) Close() { d.par.close() }
-
 // Decode runs the bubble decoder and returns the most likely message and
 // its Hamming path cost. The returned slice is owned by the decoder and
 // overwritten by the next Decode call; copy it if it must be retained.
 func (d *BSCDecoder) Decode() ([]byte, float64) {
 	msg, cost := d.bs.run(d.eval, d.msgBuf)
 	d.msgBuf = msg
-	return msg, cost
-}
-
-// DecodeParallel is Decode with candidate expansion sharded across a
-// persistent worker pool (workers ≤ 0 means GOMAXPROCS); results match
-// Decode up to cost ties.
-func (d *BSCDecoder) DecodeParallel(workers int) ([]byte, float64) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 {
-		return d.Decode()
-	}
-	if d.par.ensure(workers, d.newEvaluator) {
-		runtime.AddCleanup(d, func(p *workerPool) { p.stop() }, d.par.pool)
-	}
-	msg, cost := d.bs.runParallel(d.par.pool, d.par.evals, d.parMsg)
-	d.parMsg = msg
 	return msg, cost
 }

@@ -57,8 +57,7 @@ func (c *Codec) Decoder(nBits int) *Decoder {
 // Codec. Callers that route related work (all attempts for one code
 // block, say) to a stable shard get the same warmed codecs every time,
 // while independent shards run concurrently — the multi-flow link engine
-// pattern, generalizing the per-worker codec reuse of sim.ParallelWith
-// and the persistent expansion pool of parallel.go.
+// pattern, generalizing the per-worker codec reuse of sim.ParallelWith.
 type CodecPool struct {
 	w        *codecWorkers
 	encBuilt *atomic.Int64
@@ -117,9 +116,6 @@ func NewCodecPool(p Params, shards int) *CodecPool {
 			for job := range jobs {
 				job(c)
 			}
-			for _, d := range c.decs {
-				d.Close()
-			}
 		}()
 	}
 	runtime.AddCleanup(cp, func(w *codecWorkers) { w.stop() }, cp.w)
@@ -137,8 +133,8 @@ func (cp *CodecPool) Submit(shard int, fn func(*Codec)) {
 	cp.w.jobs[shard%len(cp.w.jobs)] <- fn
 }
 
-// Close stops the workers after draining queued jobs and releases their
-// decoders' search pools. Idempotent; Submit after Close panics.
+// Close stops the workers after draining queued jobs. Idempotent; Submit
+// after Close panics.
 func (cp *CodecPool) Close() { cp.w.stop() }
 
 // CodecPoolStats counts codec constructions since the pool started —

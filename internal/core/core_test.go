@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -461,34 +463,40 @@ func TestSeedMismatchFailsToDecode(t *testing.T) {
 	}
 }
 
-func TestSelectBest(t *testing.T) {
+// TestSelectCands: selectCands keeps exactly the k smallest candidates
+// by (score, org) — the same set a full sort puts first — and returns the
+// k-th smallest score, and sortCands reproduces the full sort. Scores
+// are drawn from a small range, so ties are everywhere and only the
+// origin decides them.
+func TestSelectCands(t *testing.T) {
 	err := quick.Check(func(seed int64, k8 uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(300)
 		k := 1 + int(k8)%n
 		cands := make([]candidate, n)
-		for i := range cands {
-			cands[i].score = float64(rng.Intn(50))
+		for i, o := range rng.Perm(n) {
+			cands[i] = candidate{score: scoreKey(float64(rng.Intn(50))), org: uint32(o)}
 		}
-		sorted := make([]float64, n)
-		for i := range cands {
-			sorted[i] = cands[i].score
-		}
-		// Selection correctness: max of kept ≤ min of dropped.
-		var bs beamSearch
-		bs.selectBest(cands, k)
-		maxKept := cands[0].score
-		for _, c := range cands[:k] {
-			if c.score > maxKept {
-				maxKept = c.score
+		sorted := slices.Clone(cands)
+		slices.SortFunc(sorted, func(a, b candidate) int {
+			if a.before(&b) {
+				return -1
 			}
+			return 1
+		})
+		mine := slices.Clone(cands)
+		sortCands(mine)
+		if !slices.Equal(mine, sorted) {
+			return false
 		}
-		for _, c := range cands[k:] {
-			if c.score < maxKept {
-				return false
-			}
+		if selectCands(cands, k) != sorted[k-1].score {
+			return false
 		}
-		return true
+		byOrg := func(a, b candidate) int { return cmp.Compare(a.org, b.org) }
+		kept, want := cands[:k], sorted[:k]
+		slices.SortFunc(kept, byOrg)
+		slices.SortFunc(want, byOrg)
+		return slices.Equal(kept, want)
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
 		t.Fatal(err)

@@ -54,11 +54,8 @@ type Decoder struct {
 	lastKernel  Kernel
 
 	bs     beamSearch
-	eval   *evaluator // serial-path evaluator
-	msgBuf []byte     // Decode result buffer
-	parMsg []byte     // DecodeParallel result buffer (kept separate so a
-	// serial result survives a subsequent parallel decode)
-	par parPool
+	eval   *evaluator
+	msgBuf []byte // Decode result buffer
 }
 
 // NewDecoder creates a decoder for nBits-bit messages with the given code
@@ -101,26 +98,16 @@ func NewDecoder(nBits int, p Params) *Decoder {
 	return d
 }
 
-// newEvaluator builds a branch-cost evaluator with its own scratch (and
-// lookahead memo when D > 1). The serial decode path keeps one;
-// DecodeParallel keeps one per pool worker.
+// newEvaluator builds the decoder's branch-cost evaluator.
 //
-// bind loads one chunk's stored planes into closure variables once per
-// spine step; cost then scores a candidate state with no per-candidate
-// slice chasing: one batched, devirtualized WordsFunc call fills a
-// cache-resident word buffer (for OneAtATime the per-state prefix is
-// mixed once and each index costs four mixed bytes plus the avalanche),
-// and the ℓ2 loop runs over dense I/Q planes.
+// bind loads one chunk's stored planes into closure variables; cost
+// then scores a candidate state with no per-candidate slice chasing: one
+// batched, devirtualized WordsFunc call fills a cache-resident word
+// buffer (for OneAtATime the per-state prefix is mixed once and each
+// index costs four mixed bytes plus the avalanche), and the ℓ2 loop runs
+// over dense I/Q planes.
 func (d *Decoder) newEvaluator() *evaluator {
-	e := &evaluator{
-		children: d.bs.children,
-		nBits:    d.nBits,
-		k:        d.p.K,
-		ns:       d.ns,
-	}
-	if d.p.D > 1 {
-		e.memo = make(map[uint64]float64)
-	}
+	e := d.bs.newEvaluator()
 	var (
 		ts     []uint32
 		yI, yQ []float64
@@ -176,12 +163,6 @@ func (d *Decoder) newEvaluator() *evaluator {
 	}
 	oaat, isOAAT := hashfn.AsOneAtATime(d.p.Hash)
 	if !isOAAT {
-		e.expand = func(parent uint32, kb int, _ float64, childs []uint32, costs []float64) {
-			e.children(parent, kb, childs)
-			for j, s := range childs {
-				costs[j] = e.cost(s)
-			}
-		}
 		return e
 	}
 	// OneAtATime (the paper's production hash): score the whole batch in
@@ -204,10 +185,14 @@ func (d *Decoder) newEvaluator() *evaluator {
 		if e.boundChunk == chunk {
 			return
 		}
+		if e.boundChunk < 0 {
+			// A fresh decode: Add may have grown the stored planes.
+			// Within one, lookahead's rebinding leaves dtab valid.
+			dtabFor = -1
+		}
 		bindInner(chunk)
-		dtabFor = -1
 	}
-	e.expand = func(parent uint32, kb int, budget float64, childs []uint32, costs []float64) {
+	e.expand = func(parent uint32, kb int, base, tau float64, childs []uint32, costs []float64) {
 		nc := len(childs)
 		n := len(ts)
 		if cap(pre) < nc {
@@ -273,7 +258,7 @@ func (d *Decoder) newEvaluator() *evaluator {
 					}
 				}
 			}
-			if mn >= budget {
+			if base+mn >= tau {
 				// Every candidate in the batch already meets the
 				// rejection bound; the caller discards them all, so the
 				// remaining symbols need not be hashed.
@@ -324,7 +309,7 @@ func (d *Decoder) newEvaluator() *evaluator {
 					}
 				}
 			}
-			if mn >= budget {
+			if base+mn >= tau {
 				// Every candidate in the batch already meets the
 				// rejection bound; the caller discards them all, so the
 				// remaining symbols need not be hashed.
@@ -399,13 +384,6 @@ func (d *Decoder) Reset() {
 	d.nsyms = 0
 }
 
-// Close releases the persistent worker pool, if any. The decoder remains
-// usable afterwards; a later DecodeParallel call recreates the pool.
-// Close is optional — an unreachable decoder's pool is reclaimed by a
-// runtime cleanup — but deterministic release is friendlier to tests and
-// long-running servers.
-func (d *Decoder) Close() { d.par.close() }
-
 // Decode runs the bubble decoder over all stored symbols and returns the
 // most likely message and its path cost. The caller checks correctness
 // (via CRC at the link layer, §6, or direct comparison in simulations) and
@@ -435,7 +413,6 @@ func (d *Decoder) Decode() ([]byte, float64) {
 
 // KernelUsed reports the arithmetic the most recent Decode ran on:
 // KernelQuantized or KernelFloat (KernelAuto before the first decode).
-// DecodeParallel always uses the float path and does not update it.
 func (d *Decoder) KernelUsed() Kernel { return d.lastKernel }
 
 // QuantTolerance bounds the absolute cost error of the most recent

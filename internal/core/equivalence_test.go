@@ -14,15 +14,20 @@ import (
 // refDecoder is a self-contained reimplementation of the seed repo's
 // bubble decoder: array-of-structs symbol storage, interface-dispatched
 // hashing, full candidate materialization and sort-based selection. The
-// optimized Decoder must return messages with the same path cost (§4.3
-// permits arbitrary tie-breaking, so the messages themselves may differ
-// on exact cost ties).
+// stable sort breaks score ties by encounter order, which is the
+// optimized search's origin order, so at D=1 both return the same
+// message, ties included; with lookahead the beams are ordered
+// differently (by score here, by cost there) and only the path costs
+// must agree.
 type refDecoder struct {
 	p     Params
 	nBits int
 	rng   hashfn.RNG
 	cmask uint32
 	table []float64
+	// hamming selects the BSC metric: received bits sit in the real
+	// part of ys, and each stored bit that differs from w&1 costs 1.
+	hamming bool
 
 	ts [][]uint32
 	ys [][]complex128
@@ -67,6 +72,15 @@ func (d *refDecoder) addFaded(ids []SymbolID, y, h []complex128) {
 	}
 }
 
+// addBits stores received BSC bits for a hamming reference decoder.
+func (d *refDecoder) addBits(ids []SymbolID, bits []byte) {
+	y := make([]complex128, len(bits))
+	for i, b := range bits {
+		y[i] = complex(float64(b&1), 0)
+	}
+	d.addFaded(ids, y, nil)
+}
+
 func (d *refDecoder) branchCost(chunk int, state uint32) float64 {
 	ts := d.ts[chunk]
 	ys := d.ys[chunk]
@@ -75,6 +89,12 @@ func (d *refDecoder) branchCost(chunk int, state uint32) float64 {
 	var sum float64
 	for i, t := range ts {
 		w := d.rng.Word(state, t)
+		if d.hamming {
+			if float64(w&1) != real(ys[i]) {
+				sum++
+			}
+			continue
+		}
 		x := complex(d.table[w&d.cmask], d.table[w>>c&d.cmask])
 		if hs != nil {
 			x *= hs[i]
@@ -188,11 +208,40 @@ func relClose(a, b float64) bool {
 	return diff <= 1e-9*scale+1e-12
 }
 
+// checkAgainstRef holds a decode to the reference decoder: equal path
+// cost, a reported cost consistent with the returned message, and at
+// D=1 the reference's exact message.
+func checkAgainstRef(t *testing.T, trial int, p Params, ref *refDecoder, gotMsg []byte, gotCost float64) {
+	t.Helper()
+	wantMsg, wantCost := ref.decode()
+	if !relClose(wantCost, gotCost) {
+		t.Fatalf("trial %d (%+v): ref cost %g, Decode cost %g", trial, p, wantCost, gotCost)
+	}
+	if !relClose(gotCost, ref.pathCost(gotMsg)) {
+		t.Fatalf("trial %d: Decode cost %g inconsistent with its message (path cost %g)",
+			trial, gotCost, ref.pathCost(gotMsg))
+	}
+	if !relClose(wantCost, ref.pathCost(wantMsg)) {
+		t.Fatalf("trial %d: reference decoder inconsistent with itself", trial)
+	}
+	if p.D == 1 && !bytes.Equal(wantMsg, gotMsg) {
+		t.Fatalf("trial %d (%+v): D=1 message differs from the reference", trial, p)
+	}
+	// With lookahead, different messages must still be exact-cost ties.
+	if !bytes.Equal(wantMsg, gotMsg) && !relClose(ref.pathCost(wantMsg), ref.pathCost(gotMsg)) {
+		t.Fatalf("trial %d: different messages with different costs", trial)
+	}
+}
+
 // TestDecodeEquivalence: across random parameter draws (k, B, D, ways,
-// fading on/off, noise level), the optimized serial decoder, the
-// parallel decoder and the seed-style reference decoder must all return
-// messages of identical cost (up to ties), and each reported cost must
-// equal the recomputed path cost of the returned message.
+// fading on/off, noise level), the optimized decoder and the seed-style
+// reference decoder must return messages of identical cost — identical
+// messages at D=1 — and the reported cost must equal the recomputed
+// path cost of the returned message. At D=1 both also decode after the
+// first subpass, where punctured chunks make every sibling an exact cost
+// tie, so the tie-breaking itself is compared. (With lookahead the two
+// break ties differently, which on tie-heavy early decodes can
+// legitimately keep different beams.)
 func TestDecodeEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 30; trial++ {
@@ -234,47 +283,18 @@ func TestDecodeEquivalence(t *testing.T) {
 				dec.Add(ids, y)
 				ref.addFaded(ids, y, nil)
 			}
-		}
-
-		wantMsg, wantCost := ref.decode()
-		gotMsg, gotCost := dec.Decode()
-		if !relClose(wantCost, gotCost) {
-			t.Fatalf("trial %d (%+v): ref cost %g, Decode cost %g", trial, p, wantCost, gotCost)
-		}
-		if !relClose(gotCost, ref.pathCost(gotMsg)) {
-			t.Fatalf("trial %d: Decode cost %g inconsistent with its message (path cost %g)",
-				trial, gotCost, ref.pathCost(gotMsg))
-		}
-		if !relClose(wantCost, ref.pathCost(wantMsg)) {
-			t.Fatalf("trial %d: reference decoder inconsistent with itself", trial)
-		}
-
-		workers := 2 + rng.Intn(4)
-		parMsg, parCost := dec.DecodeParallel(workers)
-		if !relClose(wantCost, parCost) {
-			t.Fatalf("trial %d (%+v): ref cost %g, DecodeParallel(%d) cost %g",
-				trial, p, wantCost, workers, parCost)
-		}
-		if !relClose(parCost, ref.pathCost(parMsg)) {
-			t.Fatalf("trial %d: DecodeParallel cost inconsistent with its message", trial)
-		}
-		// The serial result must have survived the parallel decode: the
-		// two paths use separate result buffers.
-		if !relClose(gotCost, ref.pathCost(gotMsg)) {
-			t.Fatalf("trial %d: serial result clobbered by parallel decode", trial)
-		}
-		dec.Close()
-
-		// On equal costs with no ties the messages agree outright; when
-		// they differ, both must still be exact-cost ties.
-		if !bytes.Equal(wantMsg, gotMsg) && !relClose(ref.pathCost(wantMsg), ref.pathCost(gotMsg)) {
-			t.Fatalf("trial %d: different messages with different costs", trial)
+			if sub == 2*p.Ways-1 || sub == 0 && p.D == 1 {
+				gotMsg, gotCost := dec.Decode()
+				checkAgainstRef(t, trial, p, ref, gotMsg, gotCost)
+			}
 		}
 	}
 }
 
 // TestBSCDecodeEquivalence mirrors the equivalence check for the Hamming
-// metric decoder, including its parallel path.
+// metric decoder against the reference decoder's Hamming mode. At D=1 it
+// decodes after every pass: integer costs tie often, most of all early
+// on.
 func TestBSCDecodeEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	for trial := 0; trial < 10; trial++ {
@@ -290,20 +310,19 @@ func TestBSCDecodeEquivalence(t *testing.T) {
 		msg := randomMessage(rng, nBits)
 		enc := NewEncoder(msg, nBits, p)
 		dec := NewBSCDecoder(nBits, p)
+		ref := newRefDecoder(nBits, p)
+		ref.hamming = true
 		sched := enc.NewSchedule()
 		ch := channel.NewBSC(0.03, int64(3000+trial))
 		for sub := 0; sub < 6*p.Ways; sub++ {
 			ids := sched.NextSubpass()
-			dec.Add(ids, ch.Transmit(enc.Bits(ids)))
+			bits := ch.Transmit(enc.Bits(ids))
+			dec.Add(ids, bits)
+			ref.addBits(ids, bits)
+			if sub == 6*p.Ways-1 || (sub+1)%p.Ways == 0 && p.D == 1 {
+				gotMsg, gotCost := dec.Decode()
+				checkAgainstRef(t, trial, p, ref, gotMsg, gotCost)
+			}
 		}
-		gotMsg, gotCost := dec.Decode()
-		parMsg, parCost := dec.DecodeParallel(3)
-		if gotCost != parCost {
-			t.Fatalf("trial %d: BSC serial cost %g != parallel cost %g", trial, gotCost, parCost)
-		}
-		if !bytes.Equal(gotMsg, parMsg) && gotCost != parCost {
-			t.Fatalf("trial %d: BSC messages differ with different costs", trial)
-		}
-		dec.Close()
 	}
 }

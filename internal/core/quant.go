@@ -19,9 +19,9 @@ import (
 // cost<<32|origin keys. Selection runs whenever the survivor pool
 // doubles past 2B and once at the end of the step; each select trims
 // back to B and re-tightens the pruning bound to the exact running
-// B-th-best (the select pivot), replacing the float path's
-// histogram-estimated threshold. The float path in search.go is
-// retained, bit-for-bit untouched, as the reference implementation.
+// B-th-best (the select pivot). The float path in search.go selects the
+// same way over (score, origin) pairs and remains the reference
+// implementation.
 //
 // Beam order is an invariant: each step emits its survivors sorted by
 // packed key (cost, then origin), so the next step expands parents in

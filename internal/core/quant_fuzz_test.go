@@ -13,7 +13,9 @@ import (
 // saturation contract: never panic, never overflow (the reported cost is
 // finite and non-negative no matter the input), and on inputs inside
 // the quantizer's representable range stay within quantization
-// tolerance of the float64 reference path.
+// tolerance of the float64 reference path. The float path runs on every
+// input too and must return a full-length message without panicking,
+// however non-finite its costs.
 // raw is consumed 8 bytes at a time as IEEE-754 bit patterns
 // overriding the clean channel outputs, so the interesting encodings
 // (0x7ff0... = +Inf, 0x7ff8... = NaN) are reachable by bit flips.
@@ -88,13 +90,17 @@ func FuzzQuantizedDecode(f *testing.F) {
 			t.Fatalf("fuzz input unexpectedly fell back to kernel %d", decQ.KernelUsed())
 		}
 
+		msgF, costF := decF.Decode() // must not panic on any input either
+		if len(msgF) != len(msg) {
+			t.Fatalf("float decode returned %d bytes for a %d-bit message", len(msgF), nBits)
+		}
+
 		if !inContract {
 			return
 		}
 		// In-range inputs: the kernels must agree up to quantization
 		// error, measured in the float reference metric (see
 		// quant_equivalence_test.go for the contract).
-		msgF, costF := decF.Decode()
 		if math.IsNaN(costF) || math.IsInf(costF, 0) {
 			return
 		}
@@ -120,4 +126,31 @@ func FuzzQuantizedDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestFloatDecodeNonFinitePlanes: the float search keeps min(B,
+// candidates) at every step whatever the costs, so received planes that
+// drive every branch cost to NaN, +Inf or an overflowed square still
+// decode to a full-length message, with and without lookahead.
+func TestFloatDecodeNonFinitePlanes(t *testing.T) {
+	for _, plane := range []float64{math.NaN(), math.Inf(1), 1e308} {
+		for _, depth := range []int{1, 2} {
+			p := Params{K: 3, B: 8, D: depth, C: 6, Tail: 2, Ways: 2, Kernel: KernelFloat}
+			nBits := 40
+			enc := NewEncoder(make([]byte, nBits/8), nBits, p)
+			dec := NewDecoder(nBits, p)
+			sched := enc.NewSchedule()
+			for sub := 0; sub < 2*p.Ways; sub++ {
+				ids := sched.NextSubpass()
+				y := make([]complex128, len(ids))
+				for i := range y {
+					y[i] = complex(plane, plane)
+				}
+				dec.Add(ids, y)
+			}
+			if msg, cost := dec.Decode(); len(msg) != nBits/8 {
+				t.Fatalf("plane %g, D=%d: %d-byte message (cost %g), want %d", plane, depth, len(msg), cost, nBits/8)
+			}
+		}
+	}
 }

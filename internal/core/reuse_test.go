@@ -113,8 +113,8 @@ func TestEncoderResetMatchesFresh(t *testing.T) {
 }
 
 // TestDecodeSteadyStateAllocs: after warmup, Decode must not allocate at
-// all — the scratch beam, candidate, filter and result buffers are all
-// owned by the decoder.
+// all — the scratch beam, candidate and result buffers are all owned by
+// the decoder.
 func TestDecodeSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	p := Params{K: 4, B: 256, D: 1, C: 6, Tail: 2, Ways: 8}
@@ -186,32 +186,4 @@ func TestAppendSymbolsMatchesSymbols(t *testing.T) {
 			t.Fatal("AppendBits mismatch")
 		}
 	}
-}
-
-// TestDecoderCloseAndReuse: Close releases the worker pool; the decoder
-// keeps working and can rebuild it.
-func TestDecoderCloseAndReuse(t *testing.T) {
-	rng := rand.New(rand.NewSource(96))
-	p := testParams()
-	nBits := 64
-	msg := randomMessage(rng, nBits)
-	enc := NewEncoder(msg, nBits, p)
-	dec := NewDecoder(nBits, p)
-	sched := enc.NewSchedule()
-	for sub := 0; sub < 2*p.Ways; sub++ {
-		ids := sched.NextSubpass()
-		dec.Add(ids, enc.Symbols(ids))
-	}
-	if got, _ := dec.DecodeParallel(4); !bytes.Equal(got, msg) {
-		t.Fatal("parallel decode failed")
-	}
-	dec.Close()
-	if got, _ := dec.Decode(); !bytes.Equal(got, msg) {
-		t.Fatal("serial decode failed after Close")
-	}
-	if got, _ := dec.DecodeParallel(2); !bytes.Equal(got, msg) {
-		t.Fatal("parallel decode failed after Close")
-	}
-	dec.Close()
-	dec.Close() // double Close is fine
 }

@@ -7,15 +7,14 @@ import (
 )
 
 // evaluator computes branch costs and lookahead scores with private
-// scratch. One evaluator serves the serial search; the parallel search
-// owns one per worker so branch evaluation never shares mutable state.
+// scratch; each decoder owns one.
 //
 // Branch evaluation is split into bind(chunk), which loads a chunk's
 // stored-symbol slices into the closure, and cost(state), which scores
 // one candidate spine state against the bound chunk. The split lets the
-// expansion loop bind once per spine step and then evaluate B·2^k
-// candidates with no per-candidate slice chasing. bind is idempotent
-// (it tracks boundChunk), so lookahead recursion can rebind freely.
+// expansion loop bind a chunk once and then evaluate many candidates
+// with no per-candidate slice chasing. bind is idempotent (it tracks
+// boundChunk), so lookahead recursion can rebind freely.
 type evaluator struct {
 	bind func(chunk int)
 	cost func(state uint32) float64
@@ -23,11 +22,12 @@ type evaluator struct {
 	// them against the bound chunk into costs, in transposed order — all
 	// children against one stored symbol, then the next — so the
 	// independent hash chains overlap in the pipeline instead of running
-	// back to back. budget is an exact rejection bound: once every
-	// partial cost in the batch reaches it, the remaining symbols may be
-	// skipped (costs stay ≥ budget, which is all the caller's threshold
-	// test needs).
-	expand   func(parent uint32, kb int, budget float64, childs []uint32, costs []float64)
+	// back to back. base is the parent's path cost and tau the caller's
+	// rejection threshold: once base plus every partial cost in the batch
+	// reaches tau, the remaining symbols may be skipped (path costs only
+	// grow, and the caller drops every candidate scoring at or above
+	// tau). A NaN tau never triggers the skip.
+	expand   func(parent uint32, kb int, base, tau float64, childs []uint32, costs []float64)
 	children hashfn.ChildrenFunc
 	nBits    int
 	k        int
@@ -43,43 +43,32 @@ type evaluator struct {
 	// childBuf holds expanded child states (a stack of windows during
 	// explore recursion).
 	childBuf []uint32
-	// filter tracks the running selection threshold for the current
-	// spine step.
-	filter scoreFilter
-	// out collects this evaluator's surviving candidates for one spine
-	// step of a parallel decode.
-	out []candidate
-	// memo caches per-(chunk, state) branch costs within one decode
-	// attempt (non-nil only when D > 1): sibling candidates at step p
-	// explore subtrees whose nodes the beam re-expands at step p+1, so
-	// without the cache every D-deep subtree is hashed D times.
-	memo map[uint64]float64
+}
+
+// newEvaluator returns an evaluator over bs's code tree. The decoder
+// supplies the metric: bind and cost, plus a batched expand for the
+// one-at-a-time hash in place of the generic expandEach.
+func (bs *beamSearch) newEvaluator() *evaluator {
+	e := &evaluator{
+		children: bs.children,
+		nBits:    bs.nBits,
+		k:        bs.p.K,
+		ns:       numSpine(bs.nBits, bs.p.K),
+	}
+	e.expand = e.expandEach
+	return e
+}
+
+// expandEach derives parent's children and scores each with cost.
+func (e *evaluator) expandEach(parent uint32, kb int, _, _ float64, childs []uint32, costs []float64) {
+	e.children(parent, kb, childs)
+	for j, s := range childs {
+		costs[j] = e.cost(s)
+	}
 }
 
 // begin prepares the evaluator for a fresh decode attempt.
-func (e *evaluator) begin() {
-	e.boundChunk = -1
-	if e.memo != nil {
-		clear(e.memo)
-	}
-}
-
-// branch returns the branch cost of (chunk, state), consulting the memo
-// when lookahead is enabled.
-func (e *evaluator) branch(chunk int, state uint32) float64 {
-	if e.memo == nil {
-		e.bind(chunk)
-		return e.cost(state)
-	}
-	key := uint64(chunk)<<32 | uint64(state)
-	if c, ok := e.memo[key]; ok {
-		return c
-	}
-	e.bind(chunk)
-	c := e.cost(state)
-	e.memo[key] = c
-	return c
-}
+func (e *evaluator) begin() { e.boundChunk = -1 }
 
 // explore returns the minimum additional path cost over all descendants
 // depth levels below (state, chunk); this is the subtree score used to
@@ -101,7 +90,8 @@ func (e *evaluator) explore(state uint32, chunk, depth int) float64 {
 
 	best := math.Inf(1)
 	for _, cs := range window {
-		c := e.branch(chunk, cs)
+		e.bind(chunk) // deeper recursion rebinds
+		c := e.cost(cs)
 		if depth > 1 && chunk+1 < e.ns {
 			c += e.explore(cs, chunk+1, depth-1)
 		}
@@ -113,29 +103,21 @@ func (e *evaluator) explore(state uint32, chunk, depth int) float64 {
 	return best
 }
 
-// expandChildren fills the evaluator's scratch window with the fan child
-// states of state and returns it. explore windows stack above it.
-func (e *evaluator) expandChildren(state uint32, kb, fan int) []uint32 {
-	if cap(e.childBuf) < fan {
-		e.childBuf = make([]uint32, fan)
-	}
-	e.childBuf = e.childBuf[:fan]
-	e.children(state, kb, e.childBuf)
-	return e.childBuf
-}
-
 type beamNode struct {
 	state uint32
 	back  int32
 	cost  float64
 }
 
+// candidate is one expanded child of a spine step. Selection orders
+// candidates totally by (score, org): score is scoreKey(cost +
+// lookahead), and org = parentIndex<<kb | branchBits is unique within a
+// step (B·2^K < 2^32 for any beam that fits in memory).
 type candidate struct {
-	state  uint32
-	parent int32 // index into current beam
-	bits   uint16
-	cost   float64 // accumulated true path cost
-	score  float64 // cost + best lookahead cost to depth d
+	score uint64
+	cost  float64 // accumulated true path cost
+	org   uint32
+	state uint32
 }
 
 type backRec struct {
@@ -143,203 +125,115 @@ type backRec struct {
 	bits   uint16
 }
 
-// scoreFilter tracks a running upper bound on the B-th lowest candidate
-// score of one spine step, the threshold (tau) expansion prunes against.
-// Once B scores arrive, it spreads a 256-bucket histogram over the
-// observed range; every further accept is one bucket increment, and tau
-// is refreshed every few accepts by walking the cumulative counts to the
-// bucket whose upper edge covers B scores. That edge is always at or
-// above the true B-th smallest, so rejection stays exact, while the
-// refresh makes tau chase the true threshold closely — which matters
-// because score distributions here are bottom-heavy: a loose threshold
-// admits thousands of candidates that a near-final one rejects.
-type scoreFilter struct {
-	s     []float64 // every accepted score, for the exact final pivot
-	tmp   []float64 // threshold drill-down scratch
-	b     int
-	tau   float64
-	lo    float64 // bucket range start: a lower bound on all scores
-	scale float64 // buckets per score unit
-	since int     // accepts since the last tau refresh
-	ready bool    // histogram initialized (B scores seen)
-	hist  [256]int32
+// scoreKey maps a path cost to its selection key, its IEEE-754 bit
+// pattern. Costs are non-negative, so the keys sort numerically, with
+// +Inf and then every NaN last; Abs folds negative-signed NaNs onto the
+// positive ones, which also keeps every key below noThreshold.
+func scoreKey(x float64) uint64 { return math.Float64bits(math.Abs(x)) }
+
+// noThreshold is the rejection threshold before a step's first select:
+// no candidate is dropped.
+const noThreshold = math.MaxUint64
+
+func (a *candidate) before(b *candidate) bool {
+	return a.score < b.score || a.score == b.score && a.org < b.org
 }
 
-// reset prepares the filter for one spine step. lo must lower-bound
-// every score the step can produce (the minimum parent cost serves: all
-// branch costs are non-negative).
-func (f *scoreFilter) reset(b int, lo float64) {
-	f.s = f.s[:0]
-	f.b = b
-	f.tau = math.Inf(1)
-	f.lo = lo
-	f.ready = false
+// partitionCands is one Hoare partition pass over c (len(c) ≥ 3) around
+// a median-of-three pivot, which also serves as the inner scans'
+// sentinel. On return c[:j+1] precede the pivot, c[i:] follow it, and
+// anything between is the pivot itself.
+func partitionCands(c []candidate) (i, j int, pivot candidate) {
+	lo, hi := 0, len(c)-1
+	mid := hi / 2
+	if c[mid].before(&c[lo]) {
+		c[mid], c[lo] = c[lo], c[mid]
+	}
+	if c[hi].before(&c[lo]) {
+		c[hi], c[lo] = c[lo], c[hi]
+	}
+	if c[hi].before(&c[mid]) {
+		c[hi], c[mid] = c[mid], c[hi]
+	}
+	pivot = c[mid]
+	i, j = lo, hi
+	for i <= j {
+		for c[i].before(&pivot) {
+			i++
+		}
+		for pivot.before(&c[j]) {
+			j--
+		}
+		if i <= j {
+			c[i], c[j] = c[j], c[i]
+			i++
+			j--
+		}
+	}
+	return i, j, pivot
 }
 
-// accept records a score the caller has already checked against tau.
-func (f *scoreFilter) accept(v float64) {
-	f.s = append(f.s, v)
-	if !f.ready {
-		if len(f.s) == f.b {
-			f.init()
+// insertionSortCands sorts a short c by (score, org).
+func insertionSortCands(c []candidate) {
+	for a := 1; a < len(c); a++ {
+		v := c[a]
+		b := a - 1
+		for b >= 0 && v.before(&c[b]) {
+			c[b+1] = c[b]
+			b--
 		}
-		return
-	}
-	idx := int((v - f.lo) * f.scale)
-	if idx > 255 {
-		idx = 255
-	} else if idx < 0 {
-		idx = 0
-	}
-	f.hist[idx]++
-	f.since++
-	if f.since >= 8 {
-		f.refresh()
-	}
-}
-
-// init seeds tau and the histogram from the first B scores.
-func (f *scoreFilter) init() {
-	mx := f.s[0]
-	for _, x := range f.s[1:] {
-		if x > mx {
-			mx = x
-		}
-	}
-	f.tau = mx
-	span := mx - f.lo
-	if span <= 0 {
-		// Degenerate step (every score equals the bound): tau = mx
-		// already rejects everything else; leave the histogram unused.
-		f.scale = 0
-	} else {
-		f.scale = 255 / span
-	}
-	clear(f.hist[:])
-	for _, x := range f.s {
-		idx := int((x - f.lo) * f.scale)
-		if idx > 255 {
-			idx = 255
-		} else if idx < 0 {
-			idx = 0
-		}
-		f.hist[idx]++
-	}
-	f.ready = true
-	f.since = 0
-}
-
-// refresh walks the histogram to the bucket whose upper edge covers the
-// B lowest scores and tightens tau to that edge.
-func (f *scoreFilter) refresh() {
-	f.since = 0
-	if f.scale == 0 {
-		return
-	}
-	cum := int32(0)
-	for i := range f.hist {
-		cum += f.hist[i]
-		if cum >= int32(f.b) {
-			edge := f.lo + float64(i+1)/f.scale
-			if edge < f.tau {
-				f.tau = edge
-			}
-			return
-		}
+		c[b+1] = v
 	}
 }
 
-// threshold returns the exact B-th smallest score accepted this step.
-// Callers must only invoke it when the filter is full. When the
-// histogram is live it narrows the search to the single bucket the B-th
-// rank falls in — one pass over the accepted scores plus a quickselect
-// over that bucket's few members.
-func (f *scoreFilter) threshold() float64 {
-	if !f.ready || f.scale == 0 {
-		return quickselectFloat(f.s, f.b)
-	}
-	cum := int32(0)
-	u := 255
-	for i := range f.hist {
-		cum += f.hist[i]
-		if cum >= int32(f.b) {
-			u = i
-			break
-		}
-	}
-	below := 0
-	bucket := f.tmp[:0]
-	for _, x := range f.s {
-		idx := int((x - f.lo) * f.scale)
-		if idx > 255 {
-			idx = 255
-		} else if idx < 0 {
-			idx = 0
-		}
-		if idx < u {
-			below++
-		} else if idx == u {
-			bucket = append(bucket, x)
-		}
-	}
-	f.tmp = bucket
-	return quickselectFloat(bucket, f.b-below)
-}
-
-// quickselectFloat partially sorts s and returns its k-th smallest value
-// (k ≥ 1), leaving k elements that include every value strictly below it
-// in s[:k]. The three-way (fat-pivot) partition matters here: branch
-// metrics over small discrete constellations produce heavily duplicated
-// scores, which collapse an equal-to-pivot run in one pass where a
-// two-way partition would keep shuffling it.
-func quickselectFloat(s []float64, k int) float64 {
-	lo, hi := 0, len(s)-1
-	for lo < hi {
-		// Median-of-three pivot to avoid quadratic behaviour on sorted
-		// input.
-		mid := lo + (hi-lo)/2
-		if s[mid] < s[lo] {
-			s[mid], s[lo] = s[lo], s[mid]
-		}
-		if s[hi] < s[lo] {
-			s[hi], s[lo] = s[lo], s[hi]
-		}
-		if s[hi] < s[mid] {
-			s[hi], s[mid] = s[mid], s[hi]
-		}
-		pivot := s[mid]
-		// Dutch-flag partition: s[lo..lt) < pivot, s[lt..i) == pivot,
-		// s(gt..hi] > pivot.
-		lt, i, gt := lo, lo, hi
-		for i <= gt {
-			v := s[i]
-			switch {
-			case v < pivot:
-				s[lt], s[i] = s[i], s[lt]
-				lt++
-				i++
-			case v > pivot:
-				s[i], s[gt] = s[gt], s[i]
-				gt--
-			default:
-				i++
-			}
-		}
+// selectCands rearranges c so its k smallest candidates by (score, org)
+// occupy c[:k] (in arbitrary order) and returns the k-th smallest score,
+// the step's exact running threshold. It is the float twin of
+// hw.SelectKeys: the same median-of-three Hoare partition, finished by
+// insertion sort on short ranges. Origins are unique, so the order is
+// total and the kept set is deterministic. Requires 1 ≤ k ≤ len(c).
+func selectCands(c []candidate, k int) uint64 {
+	lo, hi := 0, len(c)
+	for hi-lo > 13 {
+		i, j, pivot := partitionCands(c[lo:hi])
 		switch {
-		case k-1 < lt:
-			hi = lt - 1
-		case k-1 <= gt:
-			return pivot
+		case k-1 <= lo+j:
+			hi = lo + j + 1
+		case k-1 >= lo+i:
+			lo += i
 		default:
-			lo = gt + 1
+			return pivot.score
 		}
 	}
-	return s[k-1]
+	insertionSortCands(c[lo:hi])
+	return c[k-1].score
+}
+
+// sortCands sorts c by (score, org): quicksort over partitionCands,
+// recursing into the shorter side.
+func sortCands(c []candidate) {
+	for len(c) > 13 {
+		i, j, _ := partitionCands(c)
+		if j+1 < len(c)-i {
+			sortCands(c[:j+1])
+			c = c[i:]
+		} else {
+			sortCands(c[i:])
+			c = c[:j+1]
+		}
+	}
+	insertionSortCands(c)
 }
 
 // beamSearch is the bubble decoder's search core, shared by the AWGN and
 // BSC decoders. All working storage lives on the struct and is reused
 // across runs, so a warmed-up decoder searches without allocating.
+//
+// It selects like the fixed-point kernel (quant.go): each step expands
+// the beam's parents in ascending cost order, trims the candidate pool
+// back to the best B by (score, origin) whenever it reaches 2B, and ends
+// with one select plus a sort by (cost, origin) that fixes the survivor
+// order and the next step's ascending-cost parent invariant.
 type beamSearch struct {
 	nBits    int
 	p        Params
@@ -348,57 +242,11 @@ type beamSearch struct {
 	beam     []beamNode
 	nextBeam []beamNode
 	cands    []candidate
-	scores   []float64
 	arena    []backRec
-	job      stepJob
 }
 
 func newBeamSearch(nBits int, p Params) beamSearch {
 	return beamSearch{nBits: nBits, p: p, children: hashfn.CompileChildren(p.Hash)}
-}
-
-// minBeamCost returns the lowest path cost in the beam — a lower bound
-// on every next-step score, used to anchor the score filter's histogram.
-func minBeamCost(beam []beamNode) float64 {
-	mn := beam[0].cost
-	for _, n := range beam[1:] {
-		if n.cost < mn {
-			mn = n.cost
-		}
-	}
-	return mn
-}
-
-// frontLoadBeam moves the q lowest-cost parents to beam[:q] (order among
-// them arbitrary). Expanding the strongest parents first lets the score
-// filter find a near-final threshold within the first few parents, so
-// the rest of the step mostly rejects — and parents the threshold
-// dominates outright are skipped without hashing.
-func (bs *beamSearch) frontLoadBeam(beam []beamNode, q int) {
-	if q >= len(beam) {
-		return
-	}
-	if cap(bs.scores) < len(beam) {
-		bs.scores = make([]float64, len(beam))
-	}
-	s := bs.scores[:len(beam)]
-	for i := range beam {
-		s[i] = beam[i].cost
-	}
-	pivot := quickselectFloat(s, q)
-	lt := 0
-	for i := range beam {
-		if beam[i].cost < pivot {
-			beam[lt], beam[i] = beam[i], beam[lt]
-			lt++
-		}
-	}
-	for i := lt; i < len(beam) && lt < q; i++ {
-		if beam[i].cost == pivot {
-			beam[lt], beam[i] = beam[i], beam[lt]
-			lt++
-		}
-	}
 }
 
 // lookahead returns the effective subtree depth at step p: the configured
@@ -411,22 +259,20 @@ func (bs *beamSearch) lookahead(p, ns int) int {
 	return dd
 }
 
-// expandPruned expands parents lo, lo+stride, lo+2·stride, … of beam at
-// spine step p into dst and returns it. The evaluator's score heap —
-// reset by the caller once per step — prunes as it goes: a candidate
-// whose score cannot make the B best seen so far is dropped before it is
-// materialized, and when D > 1 a candidate whose base cost already
-// exceeds the threshold skips subtree exploration entirely (lookahead
-// only adds cost).
-//
-// A parent whose own path cost already reaches the threshold is skipped
-// outright — branch costs are non-negative, so none of its children can
-// score strictly below a threshold the parent itself meets. Skipped
-// parents cost no hashing at all.
-func (bs *beamSearch) expandPruned(e *evaluator, beam []beamNode, lo, stride, p, kb, fan, dd int, dst []candidate) []candidate {
-	f := &e.filter
-	fast := e.memo == nil // D == 1: no lookahead, no memo indirection
-	e.bind(p)
+// expand expands the beam's parents at spine step p into dst and
+// returns the candidates that can still make the B best: at least
+// min(B, all children), so a step never comes back empty, whatever the
+// costs. Whenever the pool reaches 2B it is trimmed to the B best, which
+// sets tau to the exact running B-th score. A candidate scoring at or
+// above tau is dropped before it is materialized (one tied with tau
+// loses on origin, which only grows in expansion order), and when D > 1
+// one whose base cost already reaches tau skips lookahead. The first
+// parent whose own cost reaches tau ends the step: branch costs are
+// non-negative, so neither its children nor any later parent's can
+// score below tau.
+func (bs *beamSearch) expand(e *evaluator, beam []beamNode, p, kb, dd int, dst []candidate) []candidate {
+	fan := 1 << uint(kb)
+	tau := uint64(noThreshold)
 	if cap(e.costs) < fan {
 		e.costs = make([]float64, fan)
 	}
@@ -434,129 +280,36 @@ func (bs *beamSearch) expandPruned(e *evaluator, beam []beamNode, lo, stride, p,
 	if cap(e.childBuf) < fan {
 		e.childBuf = make([]uint32, fan)
 	}
-	if fast {
+	// The children's window is the bottom of the stack explore pushes
+	// its windows onto.
+	e.childBuf = e.childBuf[:fan]
+	for bi := range beam {
+		node := &beam[bi]
+		if scoreKey(node.cost) >= tau {
+			break
+		}
+		org := uint32(bi) << uint(kb)
 		childs := e.childBuf[:fan]
-		for bi := lo; bi < len(beam); bi += stride {
-			node := &beam[bi]
-			if node.cost >= f.tau {
-				continue
+		e.bind(p) // explore rebinds deeper chunks
+		e.expand(node.state, kb, node.cost, math.Float64frombits(tau), childs, costs)
+		for m, bc := range costs {
+			base := node.cost + bc
+			score := base
+			if dd > 1 && scoreKey(base) < tau {
+				score += e.explore(childs[m], p+1, dd-1)
 			}
-			e.expand(node.state, kb, f.tau-node.cost, childs, costs)
-			for m, bc := range costs {
-				score := node.cost + bc
-				if score >= f.tau {
-					continue
-				}
-				f.accept(score)
+			if sk := scoreKey(score); sk < tau {
 				dst = append(dst, candidate{
-					state: childs[m], parent: int32(bi), bits: uint16(m),
-					cost: score, score: score,
+					score: sk, cost: base, org: org | uint32(m), state: childs[m],
 				})
 			}
 		}
-		return dst
-	}
-	for bi := lo; bi < len(beam); bi += stride {
-		node := &beam[bi]
-		if node.cost >= f.tau {
-			continue
-		}
-		childs := e.expandChildren(node.state, kb, fan)
-		for m, cs := range childs {
-			base := node.cost + e.branch(p, cs)
-			score := base
-			if score >= f.tau {
-				continue
-			}
-			if dd > 1 {
-				score += e.explore(cs, p+1, dd-1)
-				if score >= f.tau {
-					continue
-				}
-			}
-			f.accept(score)
-			dst = append(dst, candidate{
-				state: cs, parent: int32(bi), bits: uint16(m),
-				cost: base, score: score,
-			})
+		if len(dst) >= 2*bs.p.B {
+			tau = selectCands(dst, bs.p.B)
+			dst = dst[:bs.p.B]
 		}
 	}
 	return dst
-}
-
-// expandFallback materializes the fan children of the beam's cheapest
-// parent with no pruning, truncated to keep. A spine step can come back
-// empty only when branch costs go non-finite — corrupt stored samples
-// overflow squared distances, +Inf scores meet even the infinite initial
-// threshold, and NaN scores can poison the trim pivot so the trim keeps
-// nothing. The decode must still consume the chunk, so the search
-// advances the strongest parent's subtree and reports its honestly
-// non-finite cost instead of dropping to an empty beam. Any keep-subset
-// is a valid selection here: no candidate scores below another, the
-// latitude §4.3 already grants.
-func (bs *beamSearch) expandFallback(e *evaluator, beam []beamNode, p, kb, fan, keep int, dst []candidate) []candidate {
-	bi := 0
-	for i := 1; i < len(beam); i++ {
-		if beam[i].cost < beam[bi].cost {
-			bi = i
-		}
-	}
-	node := beam[bi]
-	childs := e.expandChildren(node.state, kb, fan)
-	for m, cs := range childs {
-		base := node.cost + e.branch(p, cs)
-		dst = append(dst, candidate{
-			state: cs, parent: int32(bi), bits: uint16(m),
-			cost: base, score: base,
-		})
-	}
-	if len(dst) > keep {
-		dst = dst[:keep]
-	}
-	return dst
-}
-
-// trimToBeam moves the keep candidates with the lowest scores to
-// cands[:keep] and returns that prefix. pivot must be the exact keep-th
-// smallest score (the final heap threshold); ties at the pivot are kept
-// in encounter order, dropping the excess (§4.3 permits any
-// tie-breaking).
-func trimToBeam(cands []candidate, keep int, pivot float64) []candidate {
-	if keep >= len(cands) {
-		return cands
-	}
-	lt := 0
-	for i := range cands {
-		if cands[i].score < pivot {
-			cands[lt], cands[i] = cands[i], cands[lt]
-			lt++
-		}
-	}
-	for i := lt; i < len(cands) && lt < keep; i++ {
-		if cands[i].score == pivot {
-			cands[lt], cands[i] = cands[i], cands[lt]
-			lt++
-		}
-	}
-	return cands[:lt]
-}
-
-// selectBest rearranges cands so the k lowest-score candidates occupy
-// cands[:k] (ties broken arbitrarily, as §4.3 permits). Used to merge
-// the per-worker survivor lists of a parallel step; the serial path
-// prunes during expansion instead.
-func (bs *beamSearch) selectBest(cands []candidate, k int) []candidate {
-	if k >= len(cands) {
-		return cands
-	}
-	if cap(bs.scores) < len(cands) {
-		bs.scores = make([]float64, len(cands))
-	}
-	s := bs.scores[:len(cands)]
-	for i := range cands {
-		s[i] = cands[i].score
-	}
-	return trimToBeam(cands, k, quickselectFloat(s, k))
 }
 
 // run executes the search and returns the best message with its path
@@ -570,55 +323,43 @@ func (bs *beamSearch) run(e *evaluator, dst []byte) ([]byte, float64) {
 	beam := append(bs.beam[:0], beamNode{state: bs.p.Seed, back: -1, cost: 0})
 	next := bs.nextBeam[:0]
 	arena := bs.arena[:0]
+	cands := bs.cands[:0]
 
 	for p := 0; p < ns; p++ {
-		dd := bs.lookahead(p, ns)
 		kb := chunkBits(bs.nBits, k, p)
-		fan := 1 << uint(kb)
-		bs.frontLoadBeam(beam, (bs.p.B+fan-1)/fan)
-		e.filter.reset(bs.p.B, minBeamCost(beam))
-		cands := bs.expandPruned(e, beam, 0, 1, p, kb, fan, dd, bs.cands[:0])
-		keep := bs.p.B
-		if len(cands) > keep {
-			cands = trimToBeam(cands, keep, e.filter.threshold())
+		cands = bs.expand(e, beam, p, kb, bs.lookahead(p, ns), cands[:0])
+		if len(cands) > bs.p.B {
+			selectCands(cands, bs.p.B)
+			cands = cands[:bs.p.B]
 		}
-		if len(cands) == 0 {
-			cands = bs.expandFallback(e, beam, p, kb, fan, keep, cands[:0])
+		// The survivors become the next step's parents, in ascending
+		// (cost, org) order. With lookahead their scores exceed their
+		// costs, so re-key them by cost first.
+		if bs.p.D > 1 {
+			for i := range cands {
+				cands[i].score = scoreKey(cands[i].cost)
+			}
 		}
-		if keep > len(cands) {
-			keep = len(cands)
-		}
+		sortCands(cands)
 		next = next[:0]
-		for i := 0; i < keep; i++ {
+		for _, c := range cands {
 			arena = append(arena, backRec{
-				parent: beam[cands[i].parent].back, bits: cands[i].bits,
+				parent: beam[c.org>>uint(kb)].back, bits: uint16(c.org & (1<<uint(kb) - 1)),
 			})
-			next = append(next, beamNode{
-				state: cands[i].state,
-				back:  int32(len(arena) - 1),
-				cost:  cands[i].cost,
-			})
+			next = append(next, beamNode{state: c.state, back: int32(len(arena) - 1), cost: c.cost})
 		}
-		bs.cands = cands
 		beam, next = next, beam
 	}
 
 	// Store the (possibly grown) buffers back for reuse.
-	bs.beam, bs.nextBeam, bs.arena = beam, next, arena
-	msg, cost := bs.backtrack(beam, arena, dst)
-	return msg, cost
+	bs.beam, bs.nextBeam, bs.arena, bs.cands = beam, next, arena, cands
+	return bs.backtrack(beam, arena, dst)
 }
 
-// backtrack walks the arena from the cheapest final beam entry and
-// reconstructs the message into dst (§4.4: with tail symbols the correct
-// candidate has the lowest cost).
+// backtrack walks the arena from beam[0], the cheapest final candidate
+// (ascending order invariant), and reconstructs the message into dst
+// (§4.4: with tail symbols the correct candidate has the lowest cost).
 func (bs *beamSearch) backtrack(beam []beamNode, arena []backRec, dst []byte) ([]byte, float64) {
-	best := 0
-	for i := 1; i < len(beam); i++ {
-		if beam[i].cost < beam[best].cost {
-			best = i
-		}
-	}
 	n := (bs.nBits + 7) / 8
 	if cap(dst) < n {
 		dst = make([]byte, n)
@@ -626,10 +367,10 @@ func (bs *beamSearch) backtrack(beam []beamNode, arena []backRec, dst []byte) ([
 	msg := dst[:n]
 	k := bs.p.K
 	ns := numSpine(bs.nBits, k)
-	idx := beam[best].back
+	idx := beam[0].back
 	for j := ns - 1; j >= 0; j-- {
 		setChunk(msg, bs.nBits, k, j, uint32(arena[idx].bits))
 		idx = arena[idx].parent
 	}
-	return msg, beam[best].cost
+	return msg, beam[0].cost
 }

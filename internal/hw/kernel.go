@@ -177,7 +177,8 @@ func CompactBelow(tau int32, cost []int32, pre, org []uint32) int {
 // cost-tied candidates that survive are those with the smallest origins
 // (§4.3 permits any tie-breaking). Requires 1 ≤ k ≤ len(keys). This is
 // the software form of the Appendix B selection unit: an in-place
-// partial select instead of the float path's histogram-threshold pass.
+// partial select, which the float decode path mirrors over
+// (score, origin) pairs.
 func SelectKeys(keys []uint64, k int) uint64 {
 	lo, hi := 0, len(keys)-1
 	for hi-lo > 12 {

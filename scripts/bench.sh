@@ -11,10 +11,8 @@ tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
 go test -run '^$' \
-    -bench 'BenchmarkDecode$|BenchmarkEncoder$|BenchmarkDecodeQuantized$|BenchmarkDecodeQuantized256$|BenchmarkDecodeFloat256$' \
+    -bench 'BenchmarkDecode$|BenchmarkEncoder$|BenchmarkDecodeQuantized$|BenchmarkDecodeQuantized256$|BenchmarkDecodeFloat256$|BenchmarkDecodeLookahead$' \
     -benchtime "$benchtime" -benchmem . >"$tmp"
-go test -run '^$' -bench 'BenchmarkDecodeSerial$|BenchmarkDecodeParallel4$' \
-    -benchtime "$benchtime" -benchmem ./internal/core/ >>"$tmp"
 go test -run '^$' -bench 'BenchmarkLinkEngine$' \
     -benchtime "$benchtime" -benchmem ./internal/link/ >>"$tmp"
 go test -run '^$' -bench 'BenchmarkFetchPipeline$' \
