@@ -7,9 +7,11 @@ package spinal_test
 // and cmd/spinalsim for the standalone runner (including -full scale).
 
 import (
+	"bytes"
 	"testing"
 
 	"spinal"
+	"spinal/channel"
 	"spinal/internal/experiments"
 )
 
@@ -206,6 +208,47 @@ func BenchmarkDecodeLookahead(b *testing.B) {
 	p.B, p.D = 64, 2
 	benchParamsDecode(b, p, 16)
 }
+
+// benchNoisyDecode measures one decode of an nBits message received
+// over 10 dB AWGN at beam width beam: subpasses are added until the
+// first correct decode, and that decode is timed. Unlike the noiseless
+// benchmarks, costs near the beam boundary are close, so selection does
+// the work it does in a receiver.
+func benchNoisyDecode(b *testing.B, nBits, beam int) {
+	p := spinal.DefaultParams()
+	p.B = beam
+	msg := make([]byte, nBits/8)
+	for i := range msg {
+		msg[i] = byte(i*73 + 11)
+	}
+	enc := spinal.NewEncoder(msg, nBits, p)
+	dec := spinal.NewDecoder(nBits, p)
+	sched := enc.NewSchedule()
+	ch := channel.NewAWGN(10, 1)
+	for sub := 0; ; sub++ {
+		if sub == 64*sched.Subpasses() {
+			b.Fatal("no correct decode within 64 passes")
+		}
+		ids := sched.NextSubpass()
+		dec.Add(ids, ch.Transmit(enc.Symbols(ids)))
+		if got, _ := dec.Decode(); bytes.Equal(got, msg) {
+			break
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dec.Decode()
+	}
+}
+
+// BenchmarkDecodeNoisyPaper is spinald's daemon-paper operating point:
+// a 528-bit block (64-byte flow) at B=256 and 10 dB.
+func BenchmarkDecodeNoisyPaper(b *testing.B) { benchNoisyDecode(b, 528, 256) }
+
+// BenchmarkDecodeNoisySmall is spinald's daemon-small operating point:
+// a 144-bit block (16-byte flow) at B=16 and 10 dB.
+func BenchmarkDecodeNoisySmall(b *testing.B) { benchNoisyDecode(b, 144, 16) }
 
 // BenchmarkHWModel regenerates the Appendix B throughput/area model.
 func BenchmarkHWModel(b *testing.B) { runExperiment(b, "hw-model") }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"slices"
 
 	"spinal/internal/hashfn"
 	"spinal/internal/hw"
@@ -15,20 +14,22 @@ import (
 // contiguous candidates (one ChildrenPrefixes call per parent, one
 // hashfn.FinishWords + hw.AccumulateCompact pass per stored symbol —
 // scoring and the drop of dominated candidates fused into a single
-// sweep), and keeps the best B via in-place hw.SelectKeys over packed
-// cost<<32|origin keys. Selection runs whenever the survivor pool
-// doubles past 2B and once at the end of the step; each select trims
-// back to B and re-tightens the pruning bound to the exact running
-// B-th-best (the select pivot). The float path in search.go selects the
-// same way over (score, origin) pairs and remains the reference
-// implementation.
+// sweep; both hash batches run four candidates per SSE2 instruction on
+// amd64), and keeps the best B via in-place hw.SelectKeys over packed
+// cost<<32|origin keys: quickselect over a branchless Lomuto partition.
+// Selection runs whenever the survivor pool doubles past 2B and once at
+// the end of the step; each select trims back to B and re-tightens the
+// pruning bound to the exact running B-th-best (the select pivot). The
+// float path in search.go selects the same way over (score, origin)
+// pairs and remains the reference implementation.
 //
 // Beam order is an invariant: each step emits its survivors sorted by
-// packed key (cost, then origin), so the next step expands parents in
-// ascending cost order and stops at the first parent the running
-// threshold dominates. Selection over unique packed keys makes the
-// survivor set — and therefore the decode — fully deterministic,
-// independent of block boundaries.
+// packed key (cost, then origin; hw.SortKeys, a quicksort over the same
+// partition), so the next step expands parents in ascending cost order
+// and stops at the first parent the running threshold dominates.
+// Selection over unique packed keys makes the survivor set — and
+// therefore the decode — fully deterministic, independent of block
+// boundaries and of the selection algorithm.
 
 // quantMaxStates bounds B·2^K on the quantized path: child states are
 // stashed densely by origin (parentRank<<kb | branchBits), so the stash
@@ -200,9 +201,10 @@ func (d *Decoder) decodeQuantized(dst []byte) ([]byte, float64, bool) {
 				}
 				og := uint32(pi) << uint(kb)
 				d.oaat.ChildrenPrefixes(bState[pi], kb, q.sByOrg[og:og+uint32(fan)], q.pre[w:w+fan])
-				for m := 0; m < fan; m++ {
-					q.cost[w+m] = pc
-					q.org[w+m] = og | uint32(m)
+				cost, org := q.cost[w:w+fan], q.org[w:w+fan]
+				for m := range cost {
+					cost[m] = pc
+					org[m] = og | uint32(m)
 				}
 				w += fan
 			}
@@ -230,8 +232,12 @@ func (d *Decoder) decodeQuantized(dst []byte) ([]byte, float64, bool) {
 				// unchanged; only the threshold filters.
 				bn = hw.CompactBelow(tau, q.cost[:bn], q.pre, q.org)
 			}
-			for j := 0; j < bn; j++ {
-				keys = append(keys, uint64(uint32(q.cost[j]))<<32|uint64(q.org[j]))
+			// Fewer than 2B keys are held here and a block adds at most
+			// blockCand, within the capacity reserved above.
+			nk := len(keys)
+			keys = keys[:nk+bn]
+			for j, c := range q.cost[:bn] {
+				keys[nk+j] = uint64(uint32(c))<<32 | uint64(q.org[j])
 			}
 			bi = bend
 			// Re-select once the survivor pool doubles: trimming back to B
@@ -260,7 +266,7 @@ func (d *Decoder) decodeQuantized(dst []byte) ([]byte, float64, bool) {
 		// Sorting the packed keys both fixes the survivor order
 		// deterministically and establishes the next step's
 		// ascending-cost parent invariant.
-		slices.Sort(keys)
+		hw.SortKeys(keys)
 		for j, key := range keys {
 			og := uint32(key)
 			arena = append(arena, backRec{

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -118,6 +119,75 @@ func TestQuantFloatEquivalenceGrid(t *testing.T) {
 	}
 	t.Logf("grid: %d cells, %d bit-identical, float-only correct %d, quant-only correct %d",
 		cells, agreeN, floatWins, quantWins)
+}
+
+// TestQuantFloatExhaustiveML pins kernel agreement where it is a
+// theorem. With B = 2^nBits neither search ever prunes, so both are
+// exhaustive maximum-likelihood decoders: the float search must return
+// a message of minimum float path cost over all 2^nBits messages (found
+// here by brute force), and the quantized one a message within 2·tol of
+// that minimum — its quantized cost is at most the float winner's, and
+// each message's quantized cost is within tol of its float path cost.
+// (For B-limited searches no such bound holds: beams that differ near
+// the B-th boundary can end anywhere; see FuzzQuantizedDecode.) Low
+// SNRs and near-zero planes, the fuzz counterexample's flavour, make
+// near-ties common.
+func TestQuantFloatExhaustiveML(t *testing.T) {
+	rng := rand.New(rand.NewSource(503))
+	seed := int64(9500)
+	for _, nBits := range []int{3, 6, 9} {
+		for k := 1; k <= 4; k++ {
+			for _, snr := range []float64{-3, 3, 10} {
+				for _, nearZero := range []bool{false, true} {
+					seed++
+					pF := Params{K: k, B: 1 << nBits, D: 1, C: 6, Tail: 2, Ways: 8, Seed: rng.Uint32(), Kernel: KernelFloat}
+					pQ := pF
+					pQ.Kernel = KernelQuantized
+					enc := NewEncoder(randomMessage(rng, nBits), nBits, pF)
+					decF := NewDecoder(nBits, pF)
+					decQ := NewDecoder(nBits, pQ)
+					ref := newRefDecoder(nBits, pF)
+					sched := enc.NewSchedule()
+					ch := channel.NewAWGN(snr, seed)
+					zeroPending := nearZero
+					for sub := 0; sub < pF.Ways; sub++ {
+						ids := sched.NextSubpass()
+						y := ch.Transmit(enc.Symbols(ids))
+						if zeroPending && len(y) > 0 {
+							y[0] = complex(1e-76, 1e-76)
+							zeroPending = false
+						}
+						decF.Add(ids, y)
+						decQ.Add(ids, y)
+						ref.addFaded(ids, y, nil)
+					}
+
+					best := math.Inf(1)
+					cand := make([]byte, (nBits+7)/8)
+					for m := 0; m < 1<<nBits; m++ {
+						for i := range cand {
+							cand[i] = byte(m >> (8 * i))
+						}
+						best = math.Min(best, ref.pathCost(cand))
+					}
+
+					msgF, _ := decF.Decode()
+					msgQ, _ := decQ.Decode()
+					if decQ.KernelUsed() != KernelQuantized {
+						t.Fatalf("quantized decoder fell back to kernel %d", decQ.KernelUsed())
+					}
+					cell := fmt.Sprintf("nBits=%d K=%d snr=%g nearZero=%v", nBits, k, snr, nearZero)
+					if costF := ref.pathCost(msgF); !relClose(costF, best) {
+						t.Fatalf("%s: float search returned path cost %g, exhaustive ML is %g", cell, costF, best)
+					}
+					tol := decQ.QuantTolerance()
+					if d := ref.pathCost(msgQ) - best; d > 2*tol {
+						t.Fatalf("%s: quantized message costs %g above exhaustive ML (2·tol=%g)", cell, d, 2*tol)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestQuantDecodeDeterministic: the quantized decode is a pure function

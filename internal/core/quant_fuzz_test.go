@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"math"
 	"testing"
@@ -12,10 +11,18 @@ import (
 // corrupted radio front end could hand the decoder — and holds it to the
 // saturation contract: never panic, never overflow (the reported cost is
 // finite and non-negative no matter the input), and on inputs inside
-// the quantizer's representable range stay within quantization
-// tolerance of the float64 reference path. The float path runs on every
-// input too and must return a full-length message without panicking,
-// however non-finite its costs.
+// the quantizer's representable range report a cost within quantization
+// tolerance of the float64 path cost of the message it returns. The
+// float path runs on every input too and must return a full-length
+// message without panicking, however non-finite its costs.
+//
+// The two kernels' messages are not compared: two B-limited beam
+// searches whose costs differ by quantization error can keep different
+// beams near the B-th boundary, and from there their results can differ
+// by any amount (the checked-in beam-boundary-near-zero-planes input is
+// such a case). TestQuantFloatExhaustiveML pins kernel agreement where
+// it does hold, on messages small enough that both searches are
+// exhaustive.
 // raw is consumed 8 bytes at a time as IEEE-754 bit patterns
 // overriding the clean channel outputs, so the interesting encodings
 // (0x7ff0... = +Inf, 0x7ff8... = NaN) are reachable by bit flips.
@@ -53,8 +60,7 @@ func FuzzQuantizedDecode(f *testing.F) {
 		// within the quantizer's representable range: non-finite values
 		// and magnitudes beyond quantAbsYLimit saturate by design (they
 		// get no say in the quantization scale), so the tolerance
-		// contract — and the kernel comparison below — only applies when
-		// none were injected.
+		// contract only applies when none were injected.
 		inContract := true
 		cursor := 0
 		next := func(clean float64) float64 {
@@ -90,7 +96,7 @@ func FuzzQuantizedDecode(f *testing.F) {
 			t.Fatalf("fuzz input unexpectedly fell back to kernel %d", decQ.KernelUsed())
 		}
 
-		msgF, costF := decF.Decode() // must not panic on any input either
+		msgF, _ := decF.Decode() // must not panic on any input either
 		if len(msgF) != len(msg) {
 			t.Fatalf("float decode returned %d bytes for a %d-bit message", len(msgF), nBits)
 		}
@@ -98,12 +104,8 @@ func FuzzQuantizedDecode(f *testing.F) {
 		if !inContract {
 			return
 		}
-		// In-range inputs: the kernels must agree up to quantization
-		// error, measured in the float reference metric (see
-		// quant_equivalence_test.go for the contract).
-		if math.IsNaN(costF) || math.IsInf(costF, 0) {
-			return
-		}
+		// In-range inputs: the quantized cost is its message's float
+		// path cost up to quantization error.
 		ref := newRefDecoder(nBits, pF)
 		s2 := enc.NewSchedule()
 		cursor = 0
@@ -119,11 +121,6 @@ func FuzzQuantizedDecode(f *testing.F) {
 		tol := decQ.QuantTolerance()
 		if diff := math.Abs(costQ - ref.pathCost(msgQ)); diff > tol {
 			t.Fatalf("quantized cost off by %g from its message's float path cost (tol %g)", diff, tol)
-		}
-		if !bytes.Equal(msgQ, msgF) {
-			if d := ref.pathCost(msgQ) - costF; d > 2*tol {
-				t.Fatalf("kernels disagree beyond tolerance on finite input: +%g (2·tol=%g)", d, 2*tol)
-			}
 		}
 	})
 }

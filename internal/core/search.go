@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 
 	"spinal/internal/hashfn"
 )
@@ -135,42 +136,53 @@ func scoreKey(x float64) uint64 { return math.Float64bits(math.Abs(x)) }
 // no candidate is dropped.
 const noThreshold = math.MaxUint64
 
-func (a *candidate) before(b *candidate) bool {
-	return a.score < b.score || a.score == b.score && a.org < b.org
+func (a *candidate) before(b *candidate) bool { return orderBorrow(a, b) == 1 }
+
+// orderBorrow is 1 when a precedes b by (score, org) and 0 otherwise:
+// the borrow out of the 96-bit subtraction score:org − b.score:b.org,
+// which compares without a branch. Origins are unique within a step, so
+// candidates never tie.
+func orderBorrow(a, b *candidate) uint64 {
+	_, lo := bits.Sub32(a.org, b.org, 0)
+	_, hi := bits.Sub64(a.score, b.score, uint64(lo))
+	return hi
 }
 
-// partitionCands is one Hoare partition pass over c (len(c) ≥ 3) around
-// a median-of-three pivot, which also serves as the inner scans'
-// sentinel. On return c[:j+1] precede the pivot, c[i:] follow it, and
-// anything between is the pivot itself.
-func partitionCands(c []candidate) (i, j int, pivot candidate) {
-	lo, hi := 0, len(c)-1
-	mid := hi / 2
-	if c[mid].before(&c[lo]) {
-		c[mid], c[lo] = c[lo], c[mid]
+// candSortCutoff is the range length at and below which insertion sort
+// finishes a select or sort, as in hw.SelectKeys.
+const candSortCutoff = 16
+
+// partitionCands partitions c (len(c) ≥ 3) around the median of its
+// first, middle and last candidate and returns the pivot's final index
+// m: c[:m] precede c[m], which precedes c[m+1:]. It is the float twin
+// of the fixed-point kernel's partition (hw.SelectKeys): a branchless
+// Lomuto pass that swaps every candidate to the write index and
+// advances it by orderBorrow against the pivot.
+func partitionCands(c []candidate) int {
+	last := len(c) - 1
+	mid := last / 2
+	if c[mid].before(&c[0]) {
+		c[mid], c[0] = c[0], c[mid]
 	}
-	if c[hi].before(&c[lo]) {
-		c[hi], c[lo] = c[lo], c[hi]
+	if c[last].before(&c[0]) {
+		c[last], c[0] = c[0], c[last]
 	}
-	if c[hi].before(&c[mid]) {
-		c[hi], c[mid] = c[mid], c[hi]
+	if c[last].before(&c[mid]) {
+		c[last], c[mid] = c[mid], c[last]
 	}
-	pivot = c[mid]
-	i, j = lo, hi
-	for i <= j {
-		for c[i].before(&pivot) {
-			i++
-		}
-		for pivot.before(&c[j]) {
-			j--
-		}
-		if i <= j {
-			c[i], c[j] = c[j], c[i]
-			i++
-			j--
-		}
+	// The median parks at the end while the rest is partitioned.
+	c[mid], c[last] = c[last], c[mid]
+	pivot := c[last]
+	rest := c[:last]
+	n := 0
+	for i := range rest {
+		v := rest[i]
+		rest[i] = rest[n]
+		rest[n] = v
+		n += int(orderBorrow(&v, &pivot))
 	}
-	return i, j, pivot
+	c[n], c[last] = pivot, c[n]
+	return n
 }
 
 // insertionSortCands sorts a short c by (score, org).
@@ -189,37 +201,38 @@ func insertionSortCands(c []candidate) {
 // selectCands rearranges c so its k smallest candidates by (score, org)
 // occupy c[:k] (in arbitrary order) and returns the k-th smallest score,
 // the step's exact running threshold. It is the float twin of
-// hw.SelectKeys: the same median-of-three Hoare partition, finished by
-// insertion sort on short ranges. Origins are unique, so the order is
-// total and the kept set is deterministic. Requires 1 ≤ k ≤ len(c).
+// hw.SelectKeys: quickselect over the same branchless partition,
+// finished by insertion sort on short ranges. Origins are unique, so the
+// order is total and the kept set is deterministic. Requires
+// 1 ≤ k ≤ len(c).
 func selectCands(c []candidate, k int) uint64 {
 	lo, hi := 0, len(c)
-	for hi-lo > 13 {
-		i, j, pivot := partitionCands(c[lo:hi])
+	for hi-lo > candSortCutoff {
+		m := lo + partitionCands(c[lo:hi])
 		switch {
-		case k-1 <= lo+j:
-			hi = lo + j + 1
-		case k-1 >= lo+i:
-			lo += i
+		case k-1 < m:
+			hi = m
+		case k-1 > m:
+			lo = m + 1
 		default:
-			return pivot.score
+			return c[m].score
 		}
 	}
 	insertionSortCands(c[lo:hi])
 	return c[k-1].score
 }
 
-// sortCands sorts c by (score, org): quicksort over partitionCands,
-// recursing into the shorter side.
+// sortCands sorts c by (score, org), the float twin of hw.SortKeys:
+// quicksort over partitionCands, recursing into the shorter side.
 func sortCands(c []candidate) {
-	for len(c) > 13 {
-		i, j, _ := partitionCands(c)
-		if j+1 < len(c)-i {
-			sortCands(c[:j+1])
-			c = c[i:]
+	for len(c) > candSortCutoff {
+		m := partitionCands(c)
+		if m < len(c)-1-m {
+			sortCands(c[:m])
+			c = c[m+1:]
 		} else {
-			sortCands(c[i:])
-			c = c[:j+1]
+			sortCands(c[m+1:])
+			c = c[:m]
 		}
 	}
 	insertionSortCands(c)

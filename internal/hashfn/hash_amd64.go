@@ -1,0 +1,14 @@
+package hashfn
+
+// finishWords is FinishWords over len(prefixes) ≤ len(out) elements,
+// four SSE2 lanes at a time (hash_amd64.s).
+//
+//go:noescape
+func finishWords(prefixes []uint32, t uint32, out []uint32)
+
+// childrenPrefixes fills cs[m] and pre[m] for ChildrenPrefixes from the
+// parent state's absorbed prefix h0 and the hash seed, four SSE2 lanes
+// at a time (hash_amd64.s). Requires len(pre) ≥ len(cs).
+//
+//go:noescape
+func childrenPrefixes(h0, seed uint32, cs, pre []uint32)

@@ -344,19 +344,11 @@ func WordFinish(prefix, t uint32) uint32 {
 }
 
 // FinishWords fills out[j] = WordFinish(prefixes[j], t): one stored
-// symbol's RNG word for every candidate state in a batch.
+// symbol's RNG word for every candidate state in a batch. On amd64 it
+// runs four candidates per SSE2 instruction (hash_amd64.s); WordFinish
+// stays the scalar reference. out must be at least as long as prefixes.
 func FinishWords(prefixes []uint32, t uint32, out []uint32) {
-	b0, b1, b2, b3 := byte(t), byte(t>>8), byte(t>>16), byte(t>>24)
-	for j, p := range prefixes {
-		h := oaatByte(p, b0)
-		h = oaatByte(h, b1)
-		h = oaatByte(h, b2)
-		h = oaatByte(h, b3)
-		h += h << 3
-		h ^= h >> 11
-		h += h << 15
-		out[j] = h
-	}
+	finishWords(prefixes, t, out[:len(prefixes)])
 }
 
 // words is the batched form of Sum(seed, t, 32): the four seed bytes are
@@ -372,27 +364,11 @@ func (o OneAtATime) words(seed uint32, ts []uint32, out []uint32) {
 // ChildrenPrefixes fills cs[m] = Sum(state, m, kb) — the 2^kb child
 // spine values of state — and pre[m] = Prefix(cs[m]) in one pass: the
 // decoder needs a child's RNG prefix immediately after deriving the
-// child, and fusing the two keeps the intermediate state in registers.
+// child, and fusing the two keeps the intermediate state in registers
+// (in SSE2 lanes on amd64). Sum and Prefix stay the scalar reference.
 // Requires kb ≤ 8 (the k range Params permits) and len(cs) = len(pre).
 func (o OneAtATime) ChildrenPrefixes(state uint32, kb int, cs, pre []uint32) {
-	h0 := o.Seed
-	h0 = oaatByte(h0, byte(state))
-	h0 = oaatByte(h0, byte(state>>8))
-	h0 = oaatByte(h0, byte(state>>16))
-	h0 = oaatByte(h0, byte(state>>24))
-	s := o.Seed
-	for m := range cs {
-		h := oaatByte(h0, byte(m))
-		h += h << 3
-		h ^= h >> 11
-		h += h << 15
-		cs[m] = h
-		p := oaatByte(s, byte(h))
-		p = oaatByte(p, byte(h>>8))
-		p = oaatByte(p, byte(h>>16))
-		p = oaatByte(p, byte(h>>24))
-		pre[m] = p
-	}
+	childrenPrefixes(o.Prefix(state), o.Seed, cs, pre[:len(cs)])
 }
 
 // children is the batched form of Sum(state, m, kb) for m < 2^kb ≤ 256:

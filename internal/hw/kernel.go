@@ -1,6 +1,9 @@
 package hw
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // This file is the software realization of the Appendix B datapath: the
 // quantized branch-cost arithmetic the hardware decoder runs in narrow
@@ -177,61 +180,90 @@ func CompactBelow(tau int32, cost []int32, pre, org []uint32) int {
 // cost-tied candidates that survive are those with the smallest origins
 // (§4.3 permits any tie-breaking). Requires 1 ≤ k ≤ len(keys). This is
 // the software form of the Appendix B selection unit: an in-place
-// partial select, which the float decode path mirrors over
-// (score, origin) pairs.
+// quickselect over partitionKeys, which the float decode path mirrors
+// over (score, origin) pairs.
 func SelectKeys(keys []uint64, k int) uint64 {
-	lo, hi := 0, len(keys)-1
-	for hi-lo > 12 {
-		// Median-of-three pivot (also sentinels: keys[lo] ≤ pivot ≤
-		// keys[hi] bounds the inner scans) to avoid quadratic behaviour
-		// on sorted input; Hoare partition swaps only mismatched pairs,
-		// about a quarter of the elements per pass. Duplicate keys are
-		// impossible from the decoder and merely slow, never wrong, here.
-		mid := lo + (hi-lo)/2
-		if keys[mid] < keys[lo] {
-			keys[mid], keys[lo] = keys[lo], keys[mid]
-		}
-		if keys[hi] < keys[lo] {
-			keys[hi], keys[lo] = keys[lo], keys[hi]
-		}
-		if keys[hi] < keys[mid] {
-			keys[hi], keys[mid] = keys[mid], keys[hi]
-		}
-		pivot := keys[mid]
-		i, j := lo, hi
-		for i <= j {
-			for keys[i] < pivot {
-				i++
-			}
-			for keys[j] > pivot {
-				j--
-			}
-			if i <= j {
-				keys[i], keys[j] = keys[j], keys[i]
-				i++
-				j--
-			}
-		}
-		// keys[lo..j] ≤ pivot ≤ keys[i..hi], and anything between sits
-		// exactly at the pivot value.
+	lo, hi := 0, len(keys)
+	for hi-lo > sortCutoff {
+		m := lo + partitionKeys(keys[lo:hi])
 		switch {
-		case k-1 <= j:
-			hi = j
-		case k-1 >= i:
-			lo = i
+		case k-1 < m:
+			hi = m
+		case k-1 > m:
+			lo = m + 1
 		default:
-			return pivot
+			return keys[m]
 		}
 	}
-	// Small ranges: insertion sort settles the exact order.
-	for a := lo + 1; a <= hi; a++ {
+	insertionSortKeys(keys[lo:hi])
+	return keys[k-1]
+}
+
+// SortKeys sorts keys ascending: quicksort over partitionKeys, the
+// selection's own partition, recursing into the shorter side. The
+// decoder sorts each step's B survivors with it to fix their order.
+func SortKeys(keys []uint64) {
+	for len(keys) > sortCutoff {
+		m := partitionKeys(keys)
+		if m < len(keys)-1-m {
+			SortKeys(keys[:m])
+			keys = keys[m+1:]
+		} else {
+			SortKeys(keys[m+1:])
+			keys = keys[:m]
+		}
+	}
+	insertionSortKeys(keys)
+}
+
+// sortCutoff is the range length at and below which insertion sort
+// finishes a select or sort.
+const sortCutoff = 16
+
+// partitionKeys partitions keys (len ≥ 3) around the median of its
+// first, middle and last key and returns the pivot's final index m:
+// keys[:m] < keys[m] ≤ keys[m+1:]. It is a branchless Lomuto pass:
+// every element is swapped to the write index, which then advances by
+// the borrow of key − pivot. Which side a key falls on is near-random,
+// so a conditional branch there mispredicts about half the time; the
+// unconditional swap costs two stores instead. Duplicate keys are
+// impossible from the decoder and merely slow, never wrong, here.
+func partitionKeys(keys []uint64) int {
+	last := len(keys) - 1
+	mid := last / 2
+	if keys[mid] < keys[0] {
+		keys[mid], keys[0] = keys[0], keys[mid]
+	}
+	if keys[last] < keys[0] {
+		keys[last], keys[0] = keys[0], keys[last]
+	}
+	if keys[last] < keys[mid] {
+		keys[last], keys[mid] = keys[mid], keys[last]
+	}
+	// The median parks at the end while the rest is partitioned.
+	keys[mid], keys[last] = keys[last], keys[mid]
+	pivot := keys[last]
+	rest := keys[:last]
+	n := 0
+	for i, v := range rest {
+		rest[i] = rest[n]
+		rest[n] = v
+		_, borrow := bits.Sub64(v, pivot, 0)
+		n += int(borrow)
+	}
+	keys[n], keys[last] = pivot, keys[n]
+	return n
+}
+
+// insertionSortKeys sorts a short keys ascending.
+func insertionSortKeys(keys []uint64) {
+	for a := 1; a < len(keys); a++ {
 		v := keys[a]
 		b := a - 1
-		for b >= lo && keys[b] > v {
+		for b >= 0 && keys[b] > v {
 			keys[b+1] = keys[b]
 			b--
 		}
 		keys[b+1] = v
 	}
-	return keys[k-1]
 }

@@ -241,6 +241,45 @@ func TestSelectKeys(t *testing.T) {
 	}
 }
 
+// TestSortKeys: SortKeys equals slices.Sort on decoder-packed keys, on
+// already-ordered and reversed input (the median-of-three cases) and on
+// duplicate keys, which the decoder never produces but which must not
+// break it.
+func TestSortKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(600)
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = uint64(rng.Int31n(64))<<32 | uint64(i)
+		}
+		switch trial % 4 {
+		case 1:
+			slices.Sort(keys)
+		case 2:
+			slices.Sort(keys)
+			slices.Reverse(keys)
+		case 3:
+			for i := range keys {
+				keys[i] >>= 32 // cost only: heavy duplicates
+			}
+		}
+		want := slices.Clone(keys)
+		slices.Sort(want)
+		k := 1 + rng.Intn(n+1)
+		if k <= n {
+			sel := slices.Clone(keys)
+			if pivot := SelectKeys(sel, k); pivot != want[k-1] {
+				t.Fatalf("trial %d: SelectKeys pivot = %#x, want %#x (n=%d k=%d)", trial, pivot, want[k-1], n, k)
+			}
+		}
+		SortKeys(keys)
+		if !slices.Equal(keys, want) {
+			t.Fatalf("trial %d: SortKeys differs from slices.Sort (n=%d)", trial, n)
+		}
+	}
+}
+
 // The selected set is a pure function of the key multiset — block
 // boundaries and encounter order cannot change it, which is what makes
 // the quantized decode deterministic.
@@ -264,5 +303,32 @@ func TestSelectKeysOrderInvariant(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("selected set depends on encounter order (trial %d)", trial)
 		}
+	}
+}
+
+func benchKeys(n int) []uint64 {
+	rng := rand.New(rand.NewSource(7))
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = uint64(rng.Int31n(1<<20))<<32 | uint64(i)
+	}
+	return keys
+}
+
+func BenchmarkSelectKeys(b *testing.B) {
+	src := benchKeys(512)
+	keys := make([]uint64, len(src))
+	for i := 0; i < b.N; i++ {
+		copy(keys, src)
+		SelectKeys(keys, 256)
+	}
+}
+
+func BenchmarkSortKeys(b *testing.B) {
+	src := benchKeys(256)
+	keys := make([]uint64, len(src))
+	for i := 0; i < b.N; i++ {
+		copy(keys, src)
+		SortKeys(keys)
 	}
 }

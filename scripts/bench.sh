@@ -11,7 +11,7 @@ tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
 go test -run '^$' \
-    -bench 'BenchmarkDecode$|BenchmarkEncoder$|BenchmarkDecodeQuantized$|BenchmarkDecodeQuantized256$|BenchmarkDecodeFloat256$|BenchmarkDecodeLookahead$' \
+    -bench 'BenchmarkDecode$|BenchmarkEncoder$|BenchmarkDecodeQuantized$|BenchmarkDecodeQuantized256$|BenchmarkDecodeFloat256$|BenchmarkDecodeLookahead$|BenchmarkDecodeNoisyPaper$|BenchmarkDecodeNoisySmall$' \
     -benchtime "$benchtime" -benchmem . >"$tmp"
 go test -run '^$' -bench 'BenchmarkLinkEngine$' \
     -benchtime "$benchtime" -benchmem ./internal/link/ >>"$tmp"

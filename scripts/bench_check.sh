@@ -1,7 +1,9 @@
 #!/usr/bin/env sh
 # Bench-regression gate for CI: re-runs the guarded benchmarks
-# (BenchmarkDecode, BenchmarkLinkEngine) and compares them against the
-# newest checked-in BENCH_*.json snapshot (scripts/bench.sh writes it).
+# (BenchmarkDecode, BenchmarkDecodeQuantized, the noisy decodes at
+# spinald's two operating points, BenchmarkLinkEngine) and compares
+# them against the newest checked-in BENCH_*.json snapshot
+# (scripts/bench.sh writes it).
 #
 # Thresholds and their rationale:
 #   - A benchmark fails when it exceeds its baseline by more than 20%.
@@ -32,7 +34,7 @@ tmp="$(mktemp)"
 best="$(mktemp)"
 trap 'rm -f "$tmp" "$best"' EXIT
 
-go test -run '^$' -bench 'BenchmarkDecode$|BenchmarkDecodeQuantized$' \
+go test -run '^$' -bench 'BenchmarkDecode$|BenchmarkDecodeQuantized$|BenchmarkDecodeNoisyPaper$|BenchmarkDecodeNoisySmall$' \
     -benchtime "$benchtime" -benchmem -count 3 . >"$tmp"
 go test -run '^$' -bench 'BenchmarkLinkEngine$' -benchtime "$benchtime" -benchmem -count 3 ./internal/link/ >>"$tmp"
 
