@@ -10,18 +10,22 @@ import (
 // The quantized decode path: the bubble decoder of §4 run on the
 // Appendix B fixed-point datapath (internal/hw) instead of float64
 // branch metrics. Per spine step it quantizes the per-symbol squared
-// distances into saturating int32 tables, expands the beam in blocks of
-// contiguous candidates (one ChildrenPrefixes call per parent, one
-// hashfn.FinishWords + hw.AccumulateCompact pass per stored symbol —
-// scoring and the drop of dominated candidates fused into a single
-// sweep; both hash batches run four candidates per SSE2 instruction on
-// amd64), and keeps the best B via in-place hw.SelectKeys over packed
-// cost<<32|origin keys: quickselect over a branchless Lomuto partition.
-// Selection runs whenever the survivor pool doubles past 2B and once at
-// the end of the step; each select trims back to B and re-tightens the
-// pruning bound to the exact running B-th-best (the select pivot). The
-// float path in search.go selects the same way over (score, origin)
-// pairs and remains the reference implementation.
+// distances into saturating int32 tables and expands the beam in blocks
+// of contiguous parents. A candidate is its packed cost<<32 | origin key
+// from expansion on, written straight into the step's key pool with
+// only its RNG prefix alongside. One hashfn.OneAtATime.ExpandScore call
+// per block derives every child, scores it against the step's first
+// stored symbol and drops the ones the pruning bound dominates — one
+// fused SSE2 pass on amd64, as Appendix B's workers hash and score a
+// child before streaming it to selection. Each further stored symbol
+// costs one hashfn.FinishWords + hw.AccumulateCompact pass over the
+// block's survivors. The best B are kept via in-place hw.SelectKeys:
+// quickselect over a branchless Lomuto partition. Selection runs
+// whenever the survivor pool doubles past 2B and once at the end of the
+// step; each select trims back to B and re-tightens the pruning bound to
+// the exact running B-th-best (the select pivot). The float path in
+// search.go selects the same way over (score, origin) pairs and remains
+// the reference implementation.
 //
 // Beam order is an invariant: each step emits its survivors sorted by
 // packed key (cost, then origin; hw.SortKeys, a quicksort over the same
@@ -58,15 +62,15 @@ type quantSearch struct {
 	bCost, b2Cost   []int32
 	bBack, b2Back   []int32
 
-	// keys holds the step's surviving candidates as cost<<32 | origin.
+	// keys holds the step's candidates as cost<<32 | origin: the
+	// survivors so far, then the block being expanded and scored.
 	keys []uint64
 	// sByOrg stashes child spine states densely by origin, so selection
 	// only ever moves the 8-byte keys.
 	sByOrg []uint32
-	// Block scoring planes, parallel by index within the current block.
+	// pre holds the RNG prefixes of the current block's candidates,
+	// parallel to the block's window of keys.
 	pre  []uint32
-	org  []uint32
-	cost []int32
 	wbuf []uint32 // per-symbol RNG words for the block being scored
 	tabs []int32  // one step's distance tables: n symbols × 2 dims × 2^C
 }
@@ -147,8 +151,6 @@ func (d *Decoder) decodeQuantized(dst []byte) ([]byte, float64, bool) {
 	q.b2Back = ensureI32(q.b2Back, B)
 	q.sByOrg = ensureU32(q.sByOrg, B<<uint(k))
 	q.pre = ensureU32(q.pre, blockCand)
-	q.org = ensureU32(q.org, blockCand)
-	q.cost = ensureI32(q.cost, blockCand)
 	q.wbuf = ensureU32(q.wbuf, blockCand)
 	if cap(q.keys) < 2*B+blockCand {
 		q.keys = make([]uint64, 0, 2*B+blockCand)
@@ -168,13 +170,21 @@ func (d *Decoder) decodeQuantized(dst []byte) ([]byte, float64, bool) {
 
 		// Per-step distance tables: L1-resident, one row pair per stored
 		// symbol. Non-finite received values saturate here (hw.Quantize),
-		// never in the accumulation loop.
-		tabs := ensureI32(q.tabs, n*2*L)
+		// never in the accumulation loop. A punctured step (§5) scores
+		// its children against one all-zero pair instead: they inherit
+		// the parent cost, and only the threshold filters.
+		tabs := ensureI32(q.tabs, max(n, 1)*2*L)
 		q.tabs = tabs
 		yI, yQ := d.ysI[p], d.ysQ[p]
 		for i := 0; i < n; i++ {
 			o := i * 2 * L
 			qz.BuildDistTables(yI[i], yQ[i], d.table, tabs[o:o+L], tabs[o+L:o+2*L])
+		}
+		t0, dI0, dQ0 := uint32(0), tabs[:L], tabs[L:2*L]
+		if n > 0 {
+			t0 = ts[0]
+		} else {
+			clear(tabs)
 		}
 
 		blockP := blockCand >> uint(kb)
@@ -193,52 +203,20 @@ func (d *Decoder) decodeQuantized(dst []byte) ([]byte, float64, bool) {
 			if bend > nbeam {
 				bend = nbeam
 			}
-			w := 0
-			for pi := bi; pi < bend; pi++ {
-				pc := bCost[pi]
-				if pc >= tau {
-					break
-				}
-				og := uint32(pi) << uint(kb)
-				d.oaat.ChildrenPrefixes(bState[pi], kb, q.sByOrg[og:og+uint32(fan)], q.pre[w:w+fan])
-				cost, org := q.cost[w:w+fan], q.org[w:w+fan]
-				for m := range cost {
-					cost[m] = pc
-					org[m] = og | uint32(m)
-				}
-				w += fan
-			}
-			bn := w
-			if bn == 0 {
-				break
-			}
-			if n > 0 {
-				// Batched, not fused: FinishWords runs the independent hash
-				// chains of a whole block back to back, which the CPU
-				// overlaps across iterations — a per-candidate
-				// hash-then-score loop measures ~30% slower on the same
-				// workload despite touching fewer arrays.
-				for i, t := range ts {
-					hashfn.FinishWords(q.pre[:bn], t, q.wbuf[:bn])
-					o := i * 2 * L
-					bn = hw.AccumulateCompact(tau, q.cost, q.pre, q.org, q.wbuf[:bn],
-						tabs[o:o+L], tabs[o+L:o+2*L], d.cmask, cshift)
-					if bn == 0 {
-						break
-					}
-				}
-			} else if tau != math.MaxInt32 {
-				// Punctured chunk (§5): children inherit the parent cost
-				// unchanged; only the threshold filters.
-				bn = hw.CompactBelow(tau, q.cost[:bn], q.pre, q.org)
-			}
-			// Fewer than 2B keys are held here and a block adds at most
+			// The block's candidates go straight into the key pool: fewer
+			// than 2B keys are held here and a block adds at most
 			// blockCand, within the capacity reserved above.
 			nk := len(keys)
-			keys = keys[:nk+bn]
-			for j, c := range q.cost[:bn] {
-				keys[nk+j] = uint64(uint32(c))<<32 | uint64(q.org[j])
+			blk := keys[nk : nk+blockCand]
+			bn := d.oaat.ExpandScore(bState[bi:bend], bCost[bi:bend], uint32(bi)<<uint(kb), kb, t0, tau,
+				dI0, dQ0, d.cmask, cshift, q.sByOrg[bi<<uint(kb):bend<<uint(kb)], blk, q.pre)
+			for i := 1; i < n && bn > 0; i++ {
+				hashfn.FinishWords(q.pre[:bn], ts[i], q.wbuf[:bn])
+				o := i * 2 * L
+				bn = hw.AccumulateCompact(tau, blk, q.pre, q.wbuf[:bn],
+					tabs[o:o+L], tabs[o+L:o+2*L], d.cmask, cshift)
 			}
+			keys = keys[:nk+bn]
 			bi = bend
 			// Re-select once the survivor pool doubles: trimming back to B
 			// re-tightens tau to the exact running B-th best (the select's

@@ -35,3 +35,9 @@ func childrenPrefixes(h0, seed uint32, cs, pre []uint32) {
 		pre[m] = p
 	}
 }
+
+// expandScore is ExpandScore after its bounds are settled: the portable
+// composition.
+func expandScore(o OneAtATime, states []uint32, costs []int32, org0 uint32, kb int, t uint32, tau int32, dI, dQ []int32, cmask, cshift uint32, cs []uint32, keys []uint64, pre []uint32) int {
+	return expandScoreGo(o, states, costs, org0, kb, t, tau, dI, dQ, cmask, cshift, cs, keys, pre)
+}

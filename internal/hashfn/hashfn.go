@@ -12,6 +12,8 @@
 // on the hash, the seed, and the initial state.
 package hashfn
 
+import "spinal/internal/hw"
+
 // Hash maps a 32-bit spine state and up to 32 message bits (the low k bits
 // of m) to a new 32-bit state. Implementations must be deterministic.
 type Hash interface {
@@ -369,6 +371,56 @@ func (o OneAtATime) words(seed uint32, ts []uint32, out []uint32) {
 // Requires kb ≤ 8 (the k range Params permits) and len(cs) = len(pre).
 func (o OneAtATime) ChildrenPrefixes(state uint32, kb int, cs, pre []uint32) {
 	childrenPrefixes(o.Prefix(state), o.Seed, cs, pre[:len(cs)])
+}
+
+// ExpandScore expands a block of parents of the fixed-point beam search
+// and scores their children against the step's first stored symbol, in
+// one pass. Parent i has spine state states[i], path cost costs[i] and
+// origin org0 + i<<kb; costs ascend, and the first parent whose cost
+// has reached tau (≥ 0) ends the block. An expanded parent's children
+// Sum(state, m, kb), m < 2^kb, go to cs[i<<kb+m], and child m becomes
+// the packed candidate cost<<32 | (origin+m), its cost the parent's
+// plus the table sum its RNG word WordFinish(Prefix(child), t) indexes
+// in dI and dQ, exactly as in hw.AccumulateCompact. Children whose cost reaches tau are
+// dropped; survivors are written in parent-then-child order to the
+// front of keys, each with its prefix Prefix(child) at the same index
+// of pre, and their count is returned. cs must hold len(states)<<kb
+// entries and keys and pre at least as many; kb ≤ 8 and cshift < 32.
+//
+// It fuses ChildrenPrefixes → FinishWords → hw.AccumulateCompact, as
+// Appendix B's workers hash and score a child before streaming it to
+// selection: on amd64 one SSE2 pass runs two four-lane chains, eight
+// children per iteration, and only the survivors reach the key pool. A
+// punctured step (§5) passes all-zero tables, so children keep their
+// parent's cost and only tau filters.
+func (o OneAtATime) ExpandScore(states []uint32, costs []int32, org0 uint32, kb int, t uint32, tau int32, dI, dQ []int32, cmask uint32, cshift uint, cs []uint32, keys []uint64, pre []uint32) int {
+	nc := len(states) << uint(kb)
+	return expandScore(o, states, costs[:len(states)], org0, kb, t, tau,
+		dI[:cmask+1], dQ[:cmask+1], cmask, uint32(cshift), cs[:nc:nc], keys[:nc], pre[:nc])
+}
+
+// expandScoreGo is ExpandScore after its bounds are settled, composed
+// parent by parent from the passes the SSE2 kernel fuses: the portable
+// kernel on every other GOARCH and the oracle the SSE2 one is tested
+// against.
+func expandScoreGo(o OneAtATime, states []uint32, costs []int32, org0 uint32, kb int, t uint32, tau int32, dI, dQ []int32, cmask, cshift uint32, cs []uint32, keys []uint64, pre []uint32) int {
+	fan := 1 << uint(kb)
+	var words [256]uint32
+	n := 0
+	for i, state := range states {
+		if costs[i] >= tau {
+			break
+		}
+		c, k, p := cs[i*fan:(i+1)*fan], keys[n:n+fan], pre[n:n+fan]
+		o.ChildrenPrefixes(state, kb, c, p)
+		key := uint64(costs[i])<<32 | uint64(org0+uint32(i*fan))
+		for m := range k {
+			k[m] = key + uint64(m)
+		}
+		FinishWords(p, t, words[:fan])
+		n += hw.AccumulateCompact(tau, k, p, words[:fan], dI, dQ, cmask, uint(cshift))
+	}
+	return n
 }
 
 // children is the batched form of Sum(state, m, kb) for m < 2^kb ≤ 256:

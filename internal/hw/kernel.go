@@ -10,12 +10,12 @@ import (
 // integer units, promoted from the cycle model in hw.go to the actual
 // decode hot path. The core decoder drives these primitives over
 // contiguous candidate arrays — build per-symbol distance tables once
-// per spine step, accumulate table lookups into int32 path costs for a
-// whole block of candidates at a time, drop dominated candidates in
-// place, and keep the best B by an in-place partial select — so the
-// inner loops are branch-light passes over dense slices, like the
-// hardware's worker array streaming scored candidates into the
-// selection unit.
+// per spine step, add table lookups into the cost half of packed
+// cost<<32 | origin candidate keys for a whole block at a time, drop
+// dominated candidates in place, and keep the best B by an in-place
+// partial select — so the inner loops are branch-light passes over
+// dense slices, like the hardware's worker array streaming scored
+// candidates into the selection unit.
 //
 // Arithmetic contract (asserted by the equivalence suite in
 // internal/core): per-dimension squared distances are quantized to at
@@ -123,51 +123,38 @@ func (q Quantizer) BuildDistTables(yI, yQ float64, x []float64, dI, dQ []int32) 
 }
 
 // AccumulateCompact scores one stored symbol for a block of candidates
-// and compacts the survivors in one pass: words[j] is candidate j's RNG
+// and compacts the survivors in one pass. A candidate is its packed key
+// cost<<32 | origin plus its RNG prefix: words[j] is candidate j's RNG
 // word for the symbol (hashfn.FinishWords over the block's prefixes),
-// whose low and next cshift bits index the two distance tables; the
-// table sum accumulates into cost[j], and candidates reaching tau are
-// dropped on the spot — branch costs are non-negative, so a partial
-// path at tau can only get worse, and a dropped candidate pays no
-// further hashing or lookups this step. Survivors keep encounter order
-// in the parallel (cost, pre, org) prefix; the survivor count is
+// whose low and next cshift bits index the two distance tables, and the
+// table sum is added to the cost half of keys[j]. Candidates reaching
+// tau are dropped on the spot — branch costs are non-negative, so a
+// partial path at tau can only get worse, and a dropped candidate pays
+// no further hashing or lookups this step. Survivors keep encounter
+// order in the parallel (keys, pre) prefix; the survivor count is
 // returned. In-place safe: the write index never passes the read index.
-// Overflow-free by the NewQuantizer cap invariant.
-func AccumulateCompact(tau int32, cost []int32, pre, org, words []uint32, dI, dQ []int32, cmask uint32, cshift uint) int {
+// Requires tau ≥ 0; overflow-free by the NewQuantizer cap invariant,
+// which keeps every cost, and so every carry into the key's top half,
+// below 2^31. hashfn.OneAtATime.ExpandScore runs the same pass for a
+// step's first stored symbol, fused with the expansion.
+func AccumulateCompact(tau int32, keys []uint64, pre, words []uint32, dI, dQ []int32, cmask uint32, cshift uint) int {
 	dI = dI[: cmask+1 : cmask+1]
 	dQ = dQ[: cmask+1 : cmask+1]
-	cost = cost[:len(words)]
+	keys = keys[:len(words)]
 	pre = pre[:len(words)]
-	org = org[:len(words)]
+	lim := uint64(tau) << 32
 	n := 0
 	for j, w := range words {
-		c := cost[j] + dI[w&cmask] + dQ[w>>cshift&cmask]
+		key := keys[j] + uint64(uint32(dI[w&cmask]+dQ[w>>cshift&cmask]))<<32
 		// Branchless compaction: always store at the write index, advance
-		// it by the sign bit of c−tau (costs are non-negative int32s, so
-		// the subtraction cannot wrap). Survival is data-dependent and
-		// near-random mid-step; a conditional branch here eats its
-		// savings in mispredictions.
-		cost[n] = c
+		// it by the borrow of key − tau<<32 (set exactly when the cost
+		// half is below tau). Survival is data-dependent and near-random
+		// mid-step; a conditional branch here eats its savings in
+		// mispredictions.
+		keys[n] = key
 		pre[n] = pre[j]
-		org[n] = org[j]
-		n += int(uint32(c-tau) >> 31)
-	}
-	return n
-}
-
-// CompactBelow drops every candidate whose cost has reached tau, moving
-// the survivors to the front of the parallel arrays in encounter order,
-// and returns the survivor count. Used for punctured spine steps, where
-// candidates inherit their parent cost without scoring.
-func CompactBelow(tau int32, cost []int32, pre, org []uint32) int {
-	n := 0
-	for j, c := range cost {
-		if c < tau {
-			cost[n] = c
-			pre[n] = pre[j]
-			org[n] = org[j]
-			n++
-		}
+		_, borrow := bits.Sub64(key, lim, 0)
+		n += int(borrow)
 	}
 	return n
 }

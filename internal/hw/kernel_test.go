@@ -148,69 +148,35 @@ func TestAccumulateCompact(t *testing.T) {
 		dQ[i] = rng.Int31n(1000)
 	}
 	type cand struct {
-		cost     int32
-		pre, org uint32
+		key uint64
+		pre uint32
 	}
 	for _, tau := range []int32{math.MaxInt32, 1 << 19, 1000, 0} {
 		n := 257
-		cost := make([]int32, n)
+		keys := make([]uint64, n)
 		pre := make([]uint32, n)
-		org := make([]uint32, n)
 		words := make([]uint32, n)
 		var want []cand
-		for j := range cost {
-			cost[j] = rng.Int31n(1 << 19)
+		for j := range keys {
+			cost := rng.Int31n(1 << 19)
+			org := rng.Uint32() // the full origin half, so a carry into the cost would show
+			keys[j] = uint64(cost)<<32 | uint64(org)
 			pre[j] = rng.Uint32()
-			org[j] = uint32(j)
 			words[j] = rng.Uint32()
-			c := cost[j] + dI[words[j]&cmask] + dQ[words[j]>>cbits&cmask]
+			c := cost + dI[words[j]&cmask] + dQ[words[j]>>cbits&cmask]
 			if c < tau {
-				want = append(want, cand{c, pre[j], org[j]})
+				want = append(want, cand{uint64(c)<<32 | uint64(org), pre[j]})
 			}
 		}
-		kept := AccumulateCompact(tau, cost, pre, org, words, dI, dQ, cmask, cbits)
+		kept := AccumulateCompact(tau, keys, pre, words, dI, dQ, cmask, cbits)
 		if kept != len(want) {
 			t.Fatalf("tau=%d: kept %d, want %d", tau, kept, len(want))
 		}
 		for i, w := range want {
-			got := cand{cost[i], pre[i], org[i]}
+			got := cand{keys[i], pre[i]}
 			if got != w {
 				t.Fatalf("tau=%d survivor %d = %+v, want %+v (encounter order, aligned arrays)",
 					tau, i, got, w)
-			}
-		}
-	}
-}
-
-func TestCompactBelow(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(300)
-		cost := make([]int32, n)
-		pre := make([]uint32, n)
-		org := make([]uint32, n)
-		type cand struct {
-			cost     int32
-			pre, org uint32
-		}
-		var want []cand
-		tau := int32(500)
-		for i := range cost {
-			cost[i] = rng.Int31n(1000)
-			pre[i] = rng.Uint32()
-			org[i] = rng.Uint32()
-			if cost[i] < tau {
-				want = append(want, cand{cost[i], pre[i], org[i]})
-			}
-		}
-		kept := CompactBelow(tau, cost, pre, org)
-		if kept != len(want) {
-			t.Fatalf("kept %d, want %d", kept, len(want))
-		}
-		for i, w := range want {
-			got := cand{cost[i], pre[i], org[i]}
-			if got != w {
-				t.Fatalf("survivor %d = %+v, want %+v (encounter order, aligned arrays)", i, got, w)
 			}
 		}
 	}

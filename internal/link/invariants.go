@@ -85,9 +85,9 @@ func (e *Engine) checkInvariants(round int) {
 				violate(round, "flow %d block %d accumulator skew: %d ids, %d symbols",
 					fl.id, i, len(blk.ids), len(blk.syms))
 			}
-			if len(blk.ids) > maxAccumSymbols || len(blk.seen) > maxAccumSymbols {
+			if seen := blk.seen.len(); len(blk.ids) > maxAccumSymbols || seen > maxAccumSymbols {
 				violate(round, "flow %d block %d accumulator past bound: %d ids, %d seen",
-					fl.id, i, len(blk.ids), len(blk.seen))
+					fl.id, i, len(blk.ids), seen)
 			}
 		}
 		if fl.rounds > fl.maxRounds {

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	icode "spinal/internal/code"
 	"spinal/internal/core"
@@ -235,13 +236,14 @@ func (s *Sender) HandleAck(a framing.Ack) {
 // (replayed into a pooled decoder at each attempt) and, once the CRC
 // verifies, the decoded payload. seen deduplicates symbol observations
 // by ID, so replayed frames (ARQ duplicates, adversarial replay) are
-// no-ops; dups and overflow count what dedup and the accumulator bound
+// no-ops; it is nil until the first symbol and recycled once the block
+// decodes. dups and overflow count what dedup and the accumulator bound
 // dropped.
 type rxBlock struct {
 	nBits    int
 	ids      []core.SymbolID
 	syms     []complex128
-	seen     map[core.SymbolID]struct{}
+	seen     *symbolSet
 	dirty    bool // new symbols since the last decode attempt
 	got      bool
 	payload  []byte
@@ -328,25 +330,29 @@ func (r *Receiver) accumulate(b *Batch) (bool, error) {
 		return true, nil
 	}
 	if blk.seen == nil {
-		blk.seen = make(map[core.SymbolID]struct{}, len(b.IDs))
+		blk.seen = symbolSets.Get().(*symbolSet)
 	}
+	// Reserve room for the whole batch first, as a bulk append would:
+	// growing one symbol at a time reallocates far more often.
+	blk.ids = slices.Grow(blk.ids, len(b.IDs))
+	blk.syms = slices.Grow(blk.syms, len(b.Symbols))
 	for j, id := range b.IDs {
 		// A symbol ID already observed is a replay (retransmitted passes
 		// carry fresh IDs, so legitimate traffic never repeats one):
 		// delivering any frame k times must be a no-op beyond the
 		// counter.
-		if _, dup := blk.seen[id]; dup {
+		if blk.seen.has(id) {
 			blk.dups++
 			continue
 		}
-		// len(seen) bounds lifetime distinct observations too: under
+		// seen.n bounds lifetime distinct observations too: under
 		// discard-and-retry the ids slice resets between attempts, but
 		// the dedup set must not become the unbounded growth path.
-		if len(blk.ids) >= maxAccumSymbols || len(blk.seen) >= maxAccumSymbols {
+		if len(blk.ids) >= maxAccumSymbols || blk.seen.n >= maxAccumSymbols {
 			blk.overflow += len(b.IDs) - j
 			return true, ErrBlockFull
 		}
-		blk.seen[id] = struct{}{}
+		blk.seen.add(id)
 		blk.ids = append(blk.ids, id)
 		blk.syms = append(blk.syms, b.Symbols[j])
 		blk.dirty = true
@@ -370,6 +376,7 @@ func (r *Receiver) attempt(i int, dec icode.Decoder) bool {
 	// payload aliases the decoder's reusable result buffer; copy before
 	// retaining it for reassembly.
 	blk.payload = append([]byte(nil), payload...)
+	blk.seen.release()
 	blk.ids, blk.syms, blk.seen = nil, nil, nil
 	return true
 }

@@ -13,6 +13,8 @@ trap 'rm -f "$tmp"' EXIT
 go test -run '^$' \
     -bench 'BenchmarkDecode$|BenchmarkEncoder$|BenchmarkDecodeQuantized$|BenchmarkDecodeQuantized256$|BenchmarkDecodeFloat256$|BenchmarkDecodeLookahead$|BenchmarkDecodeNoisyPaper$|BenchmarkDecodeNoisySmall$' \
     -benchtime "$benchtime" -benchmem . >"$tmp"
+go test -run '^$' -bench 'BenchmarkFinishWords$|BenchmarkChildrenPrefixes$|BenchmarkExpandScore$' \
+    -benchtime "$benchtime" -benchmem ./internal/hashfn/ >>"$tmp"
 go test -run '^$' -bench 'BenchmarkLinkEngine$' \
     -benchtime "$benchtime" -benchmem ./internal/link/ >>"$tmp"
 go test -run '^$' -bench 'BenchmarkFetchPipeline$' \
