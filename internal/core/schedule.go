@@ -86,7 +86,8 @@ func (s *Schedule) Subpasses() int { return s.ways }
 func (s *Schedule) NextSubpass() []SymbolID {
 	residue := s.order[s.sub]
 	last := s.nspine - 1
-	var ids []SymbolID
+	// At most ⌈(nspine−residue)/ways⌉ spine values plus tail−1 extras.
+	ids := make([]SymbolID, 0, (s.nspine-residue)/s.ways+s.tail)
 	for c := residue; c < s.nspine; c += s.ways {
 		ids = append(ids, s.take(c))
 		if c == last {

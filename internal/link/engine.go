@@ -2,11 +2,9 @@ package link
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"sync"
 
-	"spinal/internal/capacity"
 	icode "spinal/internal/code"
 	"spinal/internal/core"
 	"spinal/internal/framing"
@@ -61,30 +59,7 @@ type CapacityRate struct {
 
 // SubpassBudget implements RatePolicy.
 func (p CapacityRate) SubpassBudget(blockBits, subpassSymbols, symbolsSent int) int {
-	margin := p.Margin
-	if margin == 0 {
-		margin = 0.8
-	}
-	growth := p.Growth
-	if growth == 0 {
-		growth = 0.25
-	}
-	c := capacity.AWGNdB(p.SNREstimateDB) * margin
-	if c < 0.05 {
-		c = 0.05
-	}
-	target := float64(blockBits) / c
-	var want float64
-	if float64(symbolsSent) < target {
-		want = target - float64(symbolsSent)
-	} else {
-		want = target * growth
-	}
-	n := int(math.Ceil(want / float64(maxInt(subpassSymbols, 1))))
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return capacityBurst(p.SNREstimateDB, p.Margin, p.Growth, blockBits, maxInt(subpassSymbols, 1), symbolsSent)
 }
 
 // EngineConfig configures a multi-flow link engine.
@@ -126,8 +101,8 @@ type EngineConfig struct {
 	// with an explicit reverse channel: every flow's acks cross a
 	// FeedbackChannel with the configured delay/jitter/loss, and the
 	// sender paces each block with retransmission timers, exponential
-	// backoff and a bounded in-flight window. nil keeps the legacy
-	// instant-feedback behaviour bit for bit.
+	// backoff and a bounded in-flight window. nil means §6's instant
+	// per-block ack.
 	Feedback *FeedbackConfig
 	// HalfDuplex, when non-nil, charges reverse-channel airtime to the
 	// flows that cause it: on a shared half-duplex medium the receiver's
@@ -146,16 +121,15 @@ type EngineConfig struct {
 	// with deficit-weighted fair queuing (see sched.go): per-flow weights
 	// and priority classes, optional deadlines, and quantum-based credit
 	// accounting over symbol spend, with half-duplex ack airtime debited
-	// from the flow that caused it. nil keeps the legacy round-robin
-	// admission bit for bit.
+	// from the flow that caused it. nil means round-robin admission.
 	Scheduler *SchedulerConfig
 	// Faults, when non-nil, runs every flow's traffic through a seeded
 	// deterministic fault injector: each round's share of the frame
 	// crosses the wire codec and may be reordered, duplicated, truncated,
 	// bit-flipped or blacked out before the receiver sees it, and (with a
 	// FeedbackConfig) each ack's wire bytes suffer the reverse-path
-	// counterparts inside the FeedbackChannel. nil keeps the fault-free
-	// path bit for bit.
+	// counterparts inside the FeedbackChannel. nil hands each round's
+	// surviving batches straight to the receiver, with no wire codec.
 	Faults *FaultConfig
 	// CheckInvariants asserts the engine's conservation laws after every
 	// Step — resolved+active flows match admissions, acked blocks are
@@ -272,8 +246,8 @@ type engineFlow struct {
 
 	// DWFQ state (EngineConfig.Scheduler): the flow's weight, strict
 	// priority class, optional deadline in rounds, and its symbol-credit
-	// balance. Unused under the legacy round-robin admission (weight is
-	// still defaulted so SchedStats stays meaningful).
+	// balance. Unused under round-robin admission (weight is still
+	// defaulted so SchedStats stays meaningful).
 	weight   int
 	prio     int
 	deadline int
@@ -294,14 +268,17 @@ type identityChannel struct{}
 func (identityChannel) Apply(sym []complex128) []complex128 { return sym }
 
 // Engine multiplexes many concurrent datagrams ("flows") over a shared
-// rateless link. Each flow is segmented into CRC-protected code blocks;
-// every round, a frame scheduler interleaves one batch per outstanding
-// block from as many flows as fit a shared frame's symbol budget
-// (backpressure defers the rest), the medium perturbs each flow's share,
-// and a sharded pool of persistent codec workers regenerates symbols and
-// runs decode attempts. Spinal codes make this embarrassingly shardable:
-// every code block decodes independently, so the pool stays busy as long
-// as any flow has outstanding blocks.
+// rateless link. Each flow is segmented into CRC-protected code blocks,
+// and every round (Step) runs six stages: schedule admits one batch per
+// outstanding block from as many flows as fit a shared frame's symbol
+// budget (backpressure defers the rest); encode regenerates the batches'
+// symbols; air perturbs each flow's share with its medium; decode
+// accumulates what survived and attempts the blocks that gained symbols;
+// ack reports decoded blocks back to the senders; resolve retires
+// finished and exhausted flows. Encode and decode run on a sharded pool
+// of persistent codec workers. Spinal codes make this embarrassingly
+// shardable: every code block decodes independently, so the pool stays
+// busy as long as any flow has outstanding blocks.
 //
 // The engine is single-threaded at its API (AddFlow/Step/Drain must not
 // be called concurrently); parallelism lives inside Step's codec rounds.
@@ -311,7 +288,7 @@ type Engine struct {
 	ownsPool bool // pool created here (Close stops it) vs shared (left running)
 	flows    []*engineFlow
 	next     FlowID
-	rr       int   // round-robin admission cursor (legacy scheduler)
+	rr       int   // round-robin admission cursor
 	sched    *dwfq // DWFQ state, nil under round-robin
 	seq      uint32
 	rng      *rand.Rand
@@ -323,8 +300,15 @@ type Engine struct {
 	gcode   icode.Code
 	gcodecs []*genericCodec
 
-	items  []txItem  // per-round scratch
-	groups []rxGroup // per-round scratch (fault path)
+	items  []txItem  // the round's scheduled batches
+	groups []rxGroup // the round's decode work, one group per (flow, block)
+
+	// Pool fan-out state (fanOut): the stage being run, each shard's item
+	// indexes, and one prebuilt pool job per shard.
+	stage   poolStage
+	buckets [][]int
+	jobs    []func(*core.Codec)
+	wg      sync.WaitGroup
 
 	// Flow-conservation counters for the invariant checker: flows
 	// admitted, resolved successfully, and resolved with an error.
@@ -332,21 +316,19 @@ type Engine struct {
 }
 
 // txItem is one scheduled batch's journey through a round: IDs assigned
-// on the engine thread, symbols filled by an encode job, perturbed by the
-// flow's channel, then consumed by a decode job.
+// on the engine thread, symbols filled by an encode job, then perturbed
+// by the flow's channel (or lost on the air).
 type txItem struct {
-	fl       *engineFlow
-	batch    Batch
-	lost     bool
-	decoded  bool
-	rejected bool // receiver dropped the batch with a typed error
+	fl    *engineFlow
+	batch Batch
+	lost  bool
 }
 
-// rxGroup collects the surviving batches of one (flow, block) pair under
-// fault injection. Reorder and duplication can deliver several batches
-// for the same block in one round; grouping them into a single decode job
-// keeps pool jobs on disjoint receiver state, exactly like the fault-free
-// path's unique-per-(flow, block) items.
+// rxGroup collects the batches the receiver of one (flow, block) pair
+// gets in a round. Without faults that is one surviving batch; under
+// fault injection, reorder and duplication can deliver several for the
+// same block. One decode job per group keeps pool jobs on disjoint
+// receiver state.
 type rxGroup struct {
 	fl       *engineFlow
 	block    int
@@ -396,6 +378,11 @@ func NewEngine(cfg EngineConfig) *Engine {
 		ownsPool: ownsPool,
 		rng:      rand.New(rand.NewSource(cfg.Seed ^ 0x6c696e6b)),
 		gcode:    gcode,
+		buckets:  make([][]int, pool.Shards()),
+		jobs:     make([]func(*core.Codec), pool.Shards()),
+	}
+	for s := range e.jobs {
+		e.jobs[s] = func(c *core.Codec) { e.runShard(c, s) }
 	}
 	if cfg.Scheduler != nil {
 		e.sched = &dwfq{cfg: *cfg.Scheduler}
@@ -555,141 +542,220 @@ func shardOf(id FlowID, block int) int {
 	return int(h >> 33)
 }
 
-// scheduleRR is the legacy admission phase: round-robin from the
-// fairness cursor, one batch of fresh symbol IDs per outstanding block,
-// until the shared frame's symbol budget is spent. Flows left out
-// neither transmit nor age. Under a FeedbackConfig a block additionally
-// transmits only when its ARQ timer grants it — first pass (window
-// permitting), nack continuation, or timeout retransmission — because
-// the sender cannot see decodes, only delayed acks.
-func (e *Engine) scheduleRR(round int) {
-	budget := e.cfg.frameSymbols()
-	symbols := 0
-	offered := 0
-	n := len(e.flows)
-	for k := 0; k < n && symbols < budget; k++ {
-		fl := e.flows[(e.rr+k)%n]
-		fl.rounds++
-		offered++
-		inFrame := false
-		window, inflight := 0, 0
-		if fl.fb != nil {
-			window = e.cfg.Feedback.window()
-			for b := range fl.snd.blocks {
-				if !fl.snd.acked[b] && fl.arq[b].inflight {
-					inflight++
-				}
-			}
-		}
-		for b := range fl.snd.blocks {
-			if fl.snd.acked[b] {
-				continue
-			}
-			arqTimeout := false
-			if fl.fb != nil {
-				st := &fl.arq[b]
-				if !st.inflight && inflight >= window {
-					continue // in-flight window full; this block waits
-				}
-				send, timeout := st.advance()
-				if !send {
-					continue
-				}
-				arqTimeout = timeout
-			}
-			sched := fl.snd.scheds[b]
-			sub := maxInt(sched.SymbolsPerPass()/sched.Subpasses(), 1)
-			blockBits := fl.snd.blocks[b].NumBits()
-			want := fl.rate.SubpassBudget(blockBits, sub, fl.snd.symbolsFor(b))
-			if want < 1 {
-				continue // policy veto: an ARQ grant stays due, uncommitted
-			}
-			if fl.fb != nil {
-				st := &fl.arq[b]
-				if !st.inflight {
-					inflight++
-				}
-				st.commit(round, arqTimeout)
-			}
-			if !inFrame && fl.pause != nil && fl.burstLeft == 0 {
-				// A pause-paced flow opens a new burst the moment it is
-				// about to transmit: the policy sizes it from the symbols
-				// sent so far, and each burst ends in exactly one feedback
-				// turnaround (counted here, applied in the ACK stage).
-				fl.burstLeft = maxInt(fl.pause.BurstFrames(
-					fl.snd.blocks[0].NumBits(),
-					maxInt(perFrameSymbols(fl.snd), 1),
-					fl.snd.SymbolsSent()), 1)
-				fl.pauses++
-			}
-			batch := fl.snd.batchIDs(b, want)
-			fl.snd.countSymbols(len(batch.IDs))
-			fl.snd.countSymbolsFor(b, len(batch.IDs))
-			symbols += len(batch.IDs)
-			inFrame = true
-			e.items = append(e.items, txItem{fl: fl, batch: batch})
-			if symbols >= budget {
-				break
-			}
-		}
-		if inFrame {
-			fl.frames++
-			fl.tx = true
-		}
-	}
-	e.rr = (e.rr + offered) % maxInt(len(e.flows), 1)
+// poolStage names the per-item work a fan-out runs on the codec pool.
+type poolStage int
+
+const (
+	stageEncode poolStage = iota // e.items: regenerate symbols
+	stageDecode                  // e.groups: accumulate and attempt
+)
+
+// route assigns item i of the next fan-out to the shard of routing key
+// key.
+func (e *Engine) route(i, key int) {
+	s := key % len(e.buckets)
+	e.buckets[s] = append(e.buckets[s], i)
 }
 
-// Step runs one round — schedule, encode, air, decode, ACK — and returns
-// the flows resolved by it (nil most rounds). It is cheap to call with no
-// active flows.
+// fanOut runs stage over the routed items and returns once all are done.
+// Each shard gets at most one pool job, which runs the shard's items in
+// routing order.
+func (e *Engine) fanOut(stage poolStage) {
+	e.stage = stage
+	for s, b := range e.buckets {
+		if len(b) > 0 {
+			e.wg.Add(1)
+			e.pool.Submit(s, e.jobs[s])
+		}
+	}
+	e.wg.Wait()
+	for s := range e.buckets {
+		e.buckets[s] = e.buckets[s][:0]
+	}
+}
+
+// runShard is shard's pool job for the current fan-out.
+func (e *Engine) runShard(c *core.Codec, shard int) {
+	defer e.wg.Done()
+	for _, i := range e.buckets[shard] {
+		if e.stage == stageEncode {
+			e.encodeItem(c, &e.items[i])
+		} else {
+			e.decodeGroup(c, shard, &e.groups[i])
+		}
+	}
+}
+
+// Step runs one round through the engine's six stages, in order, and
+// returns the flows resolved by it (nil most rounds). It is cheap to call
+// with no active flows.
 func (e *Engine) Step() []FlowResult {
 	if len(e.flows) == 0 {
 		return nil
 	}
-
-	// Schedule: admission is round-robin by default (scheduleRR) or
-	// deficit-weighted fair queuing when EngineConfig.Scheduler is set
-	// (scheduleDWFQ in sched.go). Both fill e.items with one batch of
-	// fresh symbol IDs per admitted (flow, block) pair, bounded by the
-	// shared frame's symbol budget.
 	round := int(e.seq)
+	e.seq++
+	e.schedule(round)
+	e.encode()
+	e.air(round)
+	e.decode()
+	e.ack(round)
+	results := e.resolve()
+	if e.cfg.CheckInvariants {
+		e.checkInvariants(round)
+	}
+	return results
+}
+
+// schedule fills e.items with one batch of fresh symbol IDs per admitted
+// (flow, block) pair, bounded by the shared frame's symbol budget. The
+// visit order is round-robin by default (scheduleRR) or deficit-weighted
+// fair queuing under EngineConfig.Scheduler (scheduleDWFQ in sched.go);
+// both admit each flow through admit.
+func (e *Engine) schedule(round int) {
 	e.items = e.items[:0]
 	if e.sched != nil {
 		e.scheduleDWFQ(round)
 	} else {
 		e.scheduleRR(round)
 	}
-	e.seq++
+}
 
-	// Encode: pooled workers regenerate each batch's symbols. On the
-	// native path the worker's reusable spinal encoder does it from the
-	// block bits (flows own no encoders); a generic code uses the
-	// sender's per-block encoder — safe because a (flow, block) pair is
-	// unique within a round and always routes to the same shard.
-	var wg sync.WaitGroup
-	for k := range e.items {
-		it := &e.items[k]
-		if len(it.batch.IDs) == 0 {
+// scheduleRR visits flows round-robin from the fairness cursor until the
+// shared frame is full. Flows left out neither transmit nor age.
+func (e *Engine) scheduleRR(round int) {
+	budget := e.cfg.frameSymbols()
+	symbols, offered, n := 0, 0, len(e.flows)
+	for ; offered < n && symbols < budget; offered++ {
+		fl := e.flows[(e.rr+offered)%n]
+		fl.rounds++
+		symbols = e.admit(fl, round, symbols)
+	}
+	e.rr = (e.rr + offered) % maxInt(n, 1)
+}
+
+// admit schedules one flow's batches for the round — one batch of fresh
+// symbol IDs per outstanding block, sized by the flow's rate policy —
+// into a frame already holding symbols symbols, stopping once the frame
+// is full. It returns the frame's new symbol count.
+//
+// Under a FeedbackConfig a block transmits only when its ARQ timer grants
+// it — first pass (window permitting), nack continuation, or timeout
+// retransmission — because the sender cannot see decodes, only delayed
+// acks. Under DWFQ a batch is clamped to the flow's credit.
+func (e *Engine) admit(fl *engineFlow, round, symbols int) int {
+	budget := e.cfg.frameSymbols()
+	inFrame := false
+	window, inflight := 0, 0
+	if fl.fb != nil {
+		window = e.cfg.Feedback.window()
+		for b := range fl.snd.blocks {
+			if !fl.snd.acked[b] && fl.arq[b].inflight {
+				inflight++
+			}
+		}
+	}
+	for b := range fl.snd.blocks {
+		if fl.snd.acked[b] {
 			continue
 		}
-		wg.Add(1)
-		e.pool.Submit(shardOf(it.fl.id, it.batch.Block), func(c *core.Codec) {
-			defer wg.Done()
-			if e.gcode != nil {
-				it.batch.Symbols = it.fl.snd.ownEncoder(it.batch.Block).Symbols(it.batch.IDs)
-				return
+		var st *retxTimer
+		timeout := false
+		if fl.fb != nil {
+			st = &fl.arq[b]
+			if !st.inflight && inflight >= window {
+				continue // in-flight window full; this block waits
 			}
-			bits, nb := it.fl.snd.blockBits(it.batch.Block)
-			it.batch.Symbols = c.Encoder(bits, nb).Symbols(it.batch.IDs)
-		})
+			var send bool
+			if send, timeout = st.advance(); !send {
+				continue
+			}
+		}
+		sched := fl.snd.scheds[b]
+		sub := maxInt(sched.SymbolsPerPass()/sched.Subpasses(), 1)
+		want := fl.rate.SubpassBudget(fl.snd.blocks[b].NumBits(), sub, fl.snd.symbolsFor(b))
+		if e.sched != nil {
+			// The deficit clamp is where fairness bites: however large a
+			// burst the rate policy asks for, the flow transmits only what
+			// its credit covers; the rest stays due and is retried as the
+			// account refills.
+			want = min(want, int(fl.deficit/int64(sub)))
+		}
+		if want < 1 {
+			// Policy veto, or credit exhausted (or in ack-airtime debt):
+			// an ARQ grant stays due, uncommitted.
+			continue
+		}
+		if st != nil {
+			if !st.inflight {
+				inflight++
+			}
+			st.commit(round, timeout)
+		}
+		if !inFrame && fl.pause != nil && fl.burstLeft == 0 {
+			// A pause-paced flow opens a new burst the moment it is about
+			// to transmit: the policy sizes it from the symbols sent so
+			// far, and each burst ends in exactly one feedback turnaround
+			// (counted here, applied in the ack stage).
+			fl.burstLeft = maxInt(fl.pause.BurstFrames(
+				fl.snd.blocks[0].NumBits(),
+				maxInt(perFrameSymbols(fl.snd), 1),
+				fl.snd.SymbolsSent()), 1)
+			fl.pauses++
+		}
+		batch := fl.snd.batchIDs(b, want)
+		if e.sched != nil {
+			fl.deficit -= int64(len(batch.IDs))
+			e.sched.stats.SymbolsAdmitted += int64(len(batch.IDs))
+		}
+		symbols += len(batch.IDs)
+		inFrame = true
+		e.items = append(e.items, txItem{fl: fl, batch: batch})
+		if symbols >= budget {
+			break
+		}
 	}
-	wg.Wait()
+	if inFrame {
+		fl.frames++
+		fl.tx = true
+	}
+	return symbols
+}
 
-	// Air: whole-frame loss first, then each flow's channel over its own
-	// share. Serial, in schedule order, so stateful channel RNGs stay
-	// deterministic.
+// encode regenerates each scheduled batch's symbols on the pool.
+func (e *Engine) encode() {
+	for i := range e.items {
+		if it := &e.items[i]; len(it.batch.IDs) > 0 {
+			e.route(i, shardOf(it.fl.id, it.batch.Block))
+		}
+	}
+	e.fanOut(stageEncode)
+}
+
+// encodeItem fills one batch's symbols. On the native path the worker's
+// reusable spinal encoder does it from the block bits (flows own no
+// encoders); a generic code uses the sender's per-block encoder — safe
+// because a (flow, block) pair is unique within a round and always
+// routes to the same shard.
+func (e *Engine) encodeItem(c *core.Codec, it *txItem) {
+	if e.gcode != nil {
+		it.batch.Symbols = it.fl.snd.ownEncoder(it.batch.Block).Symbols(it.batch.IDs)
+		return
+	}
+	bits, nb := it.fl.snd.blockBits(it.batch.Block)
+	it.batch.Symbols = c.Encoder(bits, nb).Symbols(it.batch.IDs)
+}
+
+// air puts the frame on the medium — whole-frame loss first, then each
+// flow's channel over its own share, serially in schedule order so
+// stateful channel RNGs stay deterministic — and collects what reaches
+// the receivers into e.groups. Each surviving batch is its own group: a
+// round schedules a (flow, block) pair at most once. Under fault
+// injection each flow's share crosses the wire codec and its injector
+// first (faultDeliver).
+func (e *Engine) air(round int) {
 	frameLost := e.cfg.FrameLoss > 0 && e.rng.Float64() < e.cfg.FrameLoss
+	e.groups = e.groups[:0]
 	for k := range e.items {
 		it := &e.items[k]
 		if frameLost || len(it.batch.IDs) == 0 {
@@ -704,186 +770,163 @@ func (e *Engine) Step() []FlowResult {
 		it.batch.Symbols = rx
 		if e.cfg.Faults == nil {
 			it.fl.rx = true // the receiver saw this round; it owes an ack
+			g := e.addGroup(it.fl, it.batch.Block)
+			g.batches = append(g.batches, it.batch)
 		}
 	}
-
-	// Decode. Fault-free: one job per surviving batch — items are unique
-	// per (flow, block), so jobs touch disjoint receiver state; the
-	// decoder itself is the worker's, reset and replayed from the block's
-	// accumulated symbols. Under fault injection each flow's surviving
-	// share first crosses the wire codec and its injector (which may hold
-	// it back, replay it, mangle it, or swallow it in a blackout), and
-	// whatever frames emerge are regrouped per (flow, block) so jobs keep
-	// the same disjointness.
-	if e.cfg.Faults == nil {
-		for k := range e.items {
-			it := &e.items[k]
-			if it.lost {
-				continue
-			}
-			shard := shardOf(it.fl.id, it.batch.Block)
-			wg.Add(1)
-			e.pool.Submit(shard, func(c *core.Codec) {
-				defer wg.Done()
-				rcv := it.fl.rcv
-				if e.cfg.Feedback != nil && e.cfg.Feedback.Discard && len(it.batch.IDs) > 0 {
-					// Type-I ARQ: decode each retry standalone instead of
-					// chase-combining with observations that already failed.
-					rcv.dropStale(it.batch.Block)
-				}
-				ok, err := rcv.accumulate(&it.batch)
-				if !ok {
-					return
-				}
-				if err != nil {
-					it.rejected = true
-					return
-				}
-				blk := &rcv.blocks[it.batch.Block]
-				if blk.dirty {
-					it.decoded = rcv.attempt(it.batch.Block, e.workerDecoder(c, shard, blk.nBits))
-				}
-			})
-		}
-		wg.Wait()
-		for k := range e.items {
-			if e.items[k].rejected {
-				e.items[k].fl.batchesRejected++
-			}
-		}
-	} else {
+	if e.cfg.Faults != nil {
 		e.faultDeliver(round)
-		for k := range e.groups {
-			g := &e.groups[k]
-			shard := shardOf(g.fl.id, g.block)
-			wg.Add(1)
-			e.pool.Submit(shard, func(c *core.Codec) {
-				defer wg.Done()
-				rcv := g.fl.rcv
-				// A corrupt frame that survived the parser can address a
-				// block the receiver does not have; accumulate rejects it,
-				// but nothing else in this job may index by it.
-				inRange := g.block >= 0 && g.block < len(rcv.blocks)
-				for i := range g.batches {
-					b := &g.batches[i]
-					if inRange && e.cfg.Feedback != nil && e.cfg.Feedback.Discard && len(b.IDs) > 0 {
-						rcv.dropStale(g.block)
-					}
-					ok, err := rcv.accumulate(b)
-					if ok && err != nil {
-						g.rejected++
-					}
-				}
-				if !inRange {
-					return // frame-shaped garbage: nothing to decode
-				}
-				blk := &rcv.blocks[g.block]
-				if !blk.got && blk.dirty {
-					g.decoded = rcv.attempt(g.block, e.workerDecoder(c, shard, blk.nBits))
-				}
-			})
+	}
+}
+
+// addGroup appends an empty decode group for (fl, block), reusing the
+// batch storage its slot held in earlier rounds.
+func (e *Engine) addGroup(fl *engineFlow, block int) *rxGroup {
+	n := len(e.groups)
+	if n < cap(e.groups) {
+		e.groups = e.groups[:n+1]
+	} else {
+		e.groups = append(e.groups, rxGroup{})
+	}
+	g := &e.groups[n]
+	*g = rxGroup{fl: fl, block: block, batches: g.batches[:0]}
+	return g
+}
+
+// decode runs decodeGroup for every group on the pool — groups are
+// unique per (flow, block), so jobs touch disjoint receiver state — and
+// tallies the batches the receivers rejected.
+func (e *Engine) decode() {
+	for i := range e.groups {
+		g := &e.groups[i]
+		e.route(i, shardOf(g.fl.id, g.block))
+	}
+	e.fanOut(stageDecode)
+	for i := range e.groups {
+		e.groups[i].fl.batchesRejected += e.groups[i].rejected
+	}
+}
+
+// decodeGroup feeds a group's batches to the flow's receiver and, when
+// they brought new symbols, attempts the block: the decoder is the
+// worker's, reset and replayed from the block's accumulated symbols. A
+// batch that overflowed the accumulator still stored symbols up to the
+// bound, so a rejection does not skip the attempt.
+func (e *Engine) decodeGroup(c *core.Codec, shard int, g *rxGroup) {
+	rcv := g.fl.rcv
+	// A corrupt frame that survived the parser can address a block the
+	// receiver does not have; accumulate rejects it, but nothing else in
+	// this job may index by it.
+	inRange := g.block >= 0 && g.block < len(rcv.blocks)
+	discard := inRange && e.cfg.Feedback != nil && e.cfg.Feedback.Discard
+	for i := range g.batches {
+		b := &g.batches[i]
+		if discard && len(b.IDs) > 0 {
+			// Type-I ARQ: decode each retry standalone instead of
+			// chase-combining with observations that already failed.
+			rcv.dropStale(g.block)
 		}
-		wg.Wait()
-		for k := range e.groups {
-			e.groups[k].fl.batchesRejected += e.groups[k].rejected
+		if ok, err := rcv.accumulate(b); ok && err != nil {
+			g.rejected++
 		}
 	}
+	if !inRange {
+		return // frame-shaped garbage: nothing to decode
+	}
+	if blk := &rcv.blocks[g.block]; !blk.got && blk.dirty {
+		g.decoded = rcv.attempt(g.block, e.workerDecoder(c, shard, blk.nBits))
+	}
+}
 
-	// ACK. Without a FeedbackConfig: instantaneous per-block feedback —
-	// §6's one-bit-per-block ACK over a perfect reverse channel, applied
-	// in its compressed form (the decoded block index is already in
-	// hand). With one: each flow that received anything sends its ack
-	// bitmap into its feedback queue, every queue advances one round, and
-	// only delivered acks touch sender state — so the sender (and any
-	// RateObserver) sees delayed, possibly-missing reports. Then resolve
-	// finished and exhausted flows.
-	if e.cfg.Feedback == nil {
-		for k := range e.items {
-			it := &e.items[k]
-			if it.decoded && it.fl.pause == nil {
-				it.fl.snd.acked[it.batch.Block] = true
-				// Closed-loop rate policies (and rate-adapting codes) learn
-				// from each decoded block's total symbol spend.
-				e.observeDecode(it.fl, it.batch.Block)
-			}
+// ack carries the receivers' reports back to the senders. A flow's
+// feedback runs one of three ways:
+//
+//   - instant (the default): §6's one-bit-per-block ack crosses a perfect
+//     reverse channel at once, applied in its compressed form — each
+//     decoded group acks its block, in group order, which is the order a
+//     shared code.RateAdapter learns in;
+//   - pause burst (FlowConfig.Pause): the sender hears the receiver only
+//     at each burst's end;
+//   - feedback channel (EngineConfig.Feedback): each flow that received
+//     anything sends its ack bitmap into its FeedbackChannel, every
+//     channel advances one round, and only delivered acks touch sender
+//     state — so the sender (and any RateObserver) sees delayed,
+//     possibly missing reports.
+func (e *Engine) ack(round int) {
+	for k := range e.groups {
+		if g := &e.groups[k]; g.decoded && g.fl.fb == nil && g.fl.pause == nil {
+			e.ackBlock(g.fl, g.block)
 		}
-		for k := range e.groups {
-			g := &e.groups[k]
-			if g.decoded && g.fl.pause == nil && g.block < len(g.fl.snd.acked) {
-				g.fl.snd.acked[g.block] = true
-				e.observeDecode(g.fl, g.block)
-			}
-		}
-		for _, fl := range e.flows {
-			switch {
-			case fl.pause != nil && fl.tx:
-				// A burst round was consumed; the sender pauses to listen
-				// once the burst is spent — or immediately when the whole
-				// datagram has verified (the receiver preempts).
-				fl.burstLeft--
-				if fl.burstLeft <= 0 || fl.rcv.Complete() {
-					e.applyPauseAck(fl, round)
-					fl.burstLeft = 0
-				}
-			case fl.pause == nil && fl.rx && e.cfg.HalfDuplex != nil:
-				// §6's instant compressed ack still occupies the shared
-				// medium when half-duplex accounting is on.
-				e.chargeAck(fl, ackWireLen(fl.rcv.ack(uint32(round))))
-			}
-			fl.tx, fl.rx = false, false
-		}
-	} else {
-		for _, fl := range e.flows {
+	}
+	for _, fl := range e.flows {
+		switch {
+		case fl.fb != nil:
 			if fl.rx {
-				fl.rx = false
-				a := fl.rcv.ack(uint32(round))
-				if e.cfg.HalfDuplex != nil {
-					e.chargeAck(fl, ackWireLen(a))
-				}
-				e.observe(fl, round, AckSent, a)
-				fl.fb.Send(a)
+				fl.fb.Send(e.sendAck(fl, round))
 			}
 			// Time passes for every flow's reverse channel, including
 			// flows backpressured out of this round's frame.
 			for _, a := range fl.fb.Advance() {
 				e.applyAck(fl, a, round)
 			}
+		case fl.pause != nil:
+			// When a burst round was consumed, the sender pauses to listen
+			// once the burst is spent — or immediately when the whole
+			// datagram has verified (the receiver preempts). The
+			// turnaround happens even when the burst's forward frames were
+			// all erased: the sender pauses on its own schedule and the
+			// receiver answers the silence with whatever state it holds.
+			// (The reverse channel is reliable here; an unreliable one is
+			// FeedbackConfig's job.) This deliberately differs from the
+			// pre-engine TransferWithPolicy loop, where the ack could only
+			// piggyback on a burst's last surviving frame.
+			if fl.tx {
+				fl.burstLeft--
+				if fl.burstLeft <= 0 || fl.rcv.Complete() {
+					e.applyAck(fl, e.sendAck(fl, round), round)
+					fl.burstLeft = 0
+				}
+			}
+		case fl.rx && e.cfg.HalfDuplex != nil:
+			// §6's instant compressed ack still occupies the shared
+			// medium when half-duplex accounting is on.
+			e.chargeAck(fl, ackWireLen(fl.rcv.ack(uint32(round))))
 		}
+		fl.tx, fl.rx = false, false
 	}
+}
+
+// resolve retires the flows that are done — delivered, past their
+// deadline, or out of rounds — and returns their results.
+func (e *Engine) resolve() []FlowResult {
 	var results []FlowResult
 	live := e.flows[:0]
 	for _, fl := range e.flows {
+		var err error
 		switch {
 		case fl.snd.Done():
-			r := e.resolve(fl, nil)
-			if r.Err == nil {
-				e.delivered++
-			} else {
-				e.outaged++
-			}
-			results = append(results, r)
 		case fl.deadline > 0 && fl.rounds >= fl.deadline:
-			results = append(results, e.resolve(fl, ErrDeadline))
-			e.outaged++
+			err = ErrDeadline
 			if e.sched != nil {
 				e.sched.stats.DeadlineMisses++
 			}
 		case fl.rounds >= fl.maxRounds:
-			results = append(results, e.resolve(fl, ErrFlowBudget))
-			e.outaged++
+			err = ErrFlowBudget
 		default:
 			live = append(live, fl)
+			continue
 		}
+		r := e.result(fl, err)
+		if r.Err == nil {
+			e.delivered++
+		} else {
+			e.outaged++
+		}
+		results = append(results, r)
 	}
+	clear(e.flows[len(live):])
 	e.flows = live
-	if len(e.flows) > 0 {
-		e.rr %= len(e.flows)
-	} else {
-		e.rr = 0
-	}
-	if e.cfg.CheckInvariants {
-		e.checkInvariants(round)
-	}
+	e.rr %= maxInt(len(e.flows), 1)
 	return results
 }
 
@@ -902,7 +945,7 @@ func (e *Engine) chargeAck(fl *engineFlow, wireBytes int) {
 }
 
 // SchedStats snapshots the DWFQ scheduler's accounting. Zero-valued when
-// the engine runs the legacy round-robin admission.
+// the engine runs round-robin admission.
 func (e *Engine) SchedStats() SchedulerStats {
 	if e.sched == nil {
 		return SchedulerStats{}
@@ -924,7 +967,6 @@ func (e *Engine) SchedStats() SchedulerStats {
 // burn down and held-back frames come due even in rounds the flow did
 // not transmit.
 func (e *Engine) faultDeliver(round int) {
-	e.groups = e.groups[:0]
 	for _, fl := range e.flows {
 		var share *Frame
 		for k := range e.items {
@@ -941,32 +983,41 @@ func (e *Engine) faultDeliver(round int) {
 		if len(frames) > 0 {
 			fl.rx = true // the receiver saw something; it owes an ack
 		}
+		first := len(e.groups) // this flow's groups start here
 		for _, f := range frames {
-			for i := range f.Batches {
-				b := f.Batches[i]
-				g := -1
-				for j := range e.groups {
-					if e.groups[j].fl == fl && e.groups[j].block == b.Block {
-						g = j
+			for _, b := range f.Batches {
+				var g *rxGroup
+				for j := first; j < len(e.groups); j++ {
+					if e.groups[j].block == b.Block {
+						g = &e.groups[j]
 						break
 					}
 				}
-				if g < 0 {
-					e.groups = append(e.groups, rxGroup{fl: fl, block: b.Block})
-					g = len(e.groups) - 1
+				if g == nil {
+					g = e.addGroup(fl, b.Block)
 				}
-				e.groups[g].batches = append(e.groups[g].batches, b)
+				g.batches = append(g.batches, b)
 			}
 		}
 	}
 }
 
+// sendAck snapshots the receiver's per-block state as the ack it sends
+// (charged as reverse airtime under half-duplex accounting).
+func (e *Engine) sendAck(fl *engineFlow, round int) framing.Ack {
+	a := fl.rcv.ack(uint32(round))
+	if e.cfg.HalfDuplex != nil {
+		e.chargeAck(fl, ackWireLen(a))
+	}
+	e.observe(fl, round, AckSent, a)
+	return a
+}
+
 // applyAck folds one delivered ack into sender-side flow state: newly
-// acknowledged blocks stop transmitting and feed the rate policy's
-// observer (with the symbol spend as of now — retransmissions sent while
-// the ack was in flight are honestly included); blocks the receiver
-// still lacked after seeing their latest pass get a fast nack
-// continuation instead of waiting out the retransmission timer.
+// acknowledged blocks stop transmitting (ackBlock); under a
+// FeedbackConfig, blocks the receiver still lacked after seeing their
+// latest pass get a fast nack continuation instead of waiting out the
+// retransmission timer.
 func (e *Engine) applyAck(fl *engineFlow, a framing.Ack, round int) {
 	e.observe(fl, round, AckDelivered, a)
 	for i, decoded := range a.Decoded {
@@ -974,42 +1025,20 @@ func (e *Engine) applyAck(fl *engineFlow, a framing.Ack, round int) {
 			break
 		}
 		if decoded {
-			if !fl.snd.acked[i] {
-				fl.snd.acked[i] = true
-				e.observeDecode(fl, i)
-			}
-			continue
-		}
-		if st := &fl.arq[i]; st.inflight && int(a.Seq) >= st.lastTx {
-			st.nack()
+			e.ackBlock(fl, i)
+		} else if fl.arq != nil && fl.arq[i].inflight && int(a.Seq) >= fl.arq[i].lastTx {
+			fl.arq[i].nack()
 		}
 	}
 }
 
-// applyPauseAck is the feedback turnaround of a pause-paced flow: the
-// receiver's per-block state crosses to the sender in one ack (charged as
-// reverse airtime under half-duplex accounting), newly acknowledged
-// blocks stop transmitting and feed the rate policy's observer.
-//
-// The turnaround happens even when the burst's forward frames were all
-// erased on the air: the sender pauses on its own schedule and the
-// receiver answers the silence, so the ack reflects whatever state the
-// receiver holds. (The reverse channel itself is modeled as reliable
-// here; an unreliable one is FeedbackConfig's job.) This deliberately
-// differs from the pre-engine TransferWithPolicy loop, where the ack
-// could only piggyback on a burst's last surviving frame.
-func (e *Engine) applyPauseAck(fl *engineFlow, round int) {
-	a := fl.rcv.ack(uint32(round))
-	if e.cfg.HalfDuplex != nil {
-		e.chargeAck(fl, ackWireLen(a))
-	}
-	e.observe(fl, round, AckSent, a)
-	e.observe(fl, round, AckDelivered, a)
-	for i, decoded := range a.Decoded {
-		if decoded && !fl.snd.acked[i] {
-			fl.snd.acked[i] = true
-			e.observeDecode(fl, i)
-		}
+// ackBlock marks block i acknowledged at the sender. A newly acked block
+// reports its symbol spend as of now (observeDecode) — retransmissions
+// sent while a delayed ack was in flight are honestly included.
+func (e *Engine) ackBlock(fl *engineFlow, i int) {
+	if !fl.snd.acked[i] {
+		fl.snd.acked[i] = true
+		e.observeDecode(fl, i)
 	}
 }
 
@@ -1033,8 +1062,8 @@ func (e *Engine) observe(fl *engineFlow, round int, kind FeedbackEventKind, a fr
 	})
 }
 
-// resolve builds a flow's final result.
-func (e *Engine) resolve(fl *engineFlow, ferr error) FlowResult {
+// result builds a flow's final result.
+func (e *Engine) result(fl *engineFlow, ferr error) FlowResult {
 	st := Stats{
 		Frames:      fl.frames,
 		SymbolsSent: fl.snd.SymbolsSent(),

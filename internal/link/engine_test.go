@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -257,5 +258,97 @@ func TestShardOfSpreadsBlocks(t *testing.T) {
 		if len(seen) < shards-1 {
 			t.Fatalf("flow %d: 64 blocks landed on only %d/%d shards", flow, len(seen), shards)
 		}
+	}
+}
+
+// TestEngineAttemptsAfterOverflow: a batch that overflows the block's
+// accumulator still leaves maxAccumSymbols symbols stored, and the
+// receiver must attempt the block over them. A 48-bit block paced at
+// 45 000 subpasses a round sends about 73 000 noiseless symbols at once,
+// so the first batch fills the accumulator and reports ErrBlockFull;
+// every later batch is rejected whole. The flow must still deliver in
+// its first round instead of running out its budget.
+func TestEngineAttemptsAfterOverflow(t *testing.T) {
+	cfg := engineParams()
+	cfg.MaxBlockBits = 64
+	cfg.FrameSymbols = 1 << 30
+	cfg.MaxRounds = 4
+	e := NewEngine(cfg)
+	defer e.Close()
+	data := []byte("spin")
+	e.AddFlow(data, FlowConfig{Rate: FixedRate(45000)})
+	res := e.Drain(0)
+	if len(res) != 1 {
+		t.Fatalf("resolved %d flows, want 1", len(res))
+	}
+	r := res[0]
+	if r.Err != nil {
+		t.Fatalf("err = %v (overflowed %d symbols, rejected %d batches)",
+			r.Err, r.Stats.SymbolsOverflowed, r.Stats.BatchesRejected)
+	}
+	if !bytes.Equal(r.Datagram, data) {
+		t.Fatal("datagram corrupted")
+	}
+	if r.Stats.Frames != 1 || r.Stats.BatchesRejected != 1 || r.Stats.SymbolsOverflowed == 0 {
+		t.Fatalf("want one overflowing round, got frames=%d rejected=%d overflowed=%d",
+			r.Stats.Frames, r.Stats.BatchesRejected, r.Stats.SymbolsOverflowed)
+	}
+}
+
+// TestEngineZeroFaultsMatchesFaultFree is the differential fence for the
+// decode stage: a fault injector with every rate at zero sends each
+// round's share through the wire codec and regroups it, and must yield
+// exactly the results of direct delivery under every feedback and
+// scheduler mode.
+func TestEngineZeroFaultsMatchesFaultFree(t *testing.T) {
+	modes := []struct {
+		name string
+		cfg  EngineConfig
+	}{
+		{"instant", EngineConfig{}},
+		{"instant+halfduplex", EngineConfig{HalfDuplex: &HalfDuplexConfig{}}},
+		{"feedback", EngineConfig{Feedback: &FeedbackConfig{DelayRounds: 3, Loss: 0.2}}},
+		{"dwfq+halfduplex", EngineConfig{Scheduler: &SchedulerConfig{}, HalfDuplex: &HalfDuplexConfig{}}},
+	}
+	run := func(cfg EngineConfig, faults *FaultConfig) []FlowResult {
+		cfg.Params = linkParams()
+		cfg.MaxBlockBits = 192
+		cfg.FrameSymbols = 600
+		cfg.Shards = 4
+		cfg.Seed = 11
+		cfg.Faults = faults
+		cfg.CheckInvariants = true
+		e := NewEngine(cfg)
+		defer e.Close()
+		rng := rand.New(rand.NewSource(23))
+		for i := 0; i < 12; i++ {
+			snr := []float64{6, 10, 14}[i%3]
+			e.AddFlow(flowPayload(rng, 10+rng.Intn(80)), FlowConfig{
+				Channel: newAWGNChannel(snr, 0, int64(300+i)),
+				Rate:    CapacityRate{SNREstimateDB: snr},
+			})
+		}
+		res := e.Drain(0)
+		for i := range res {
+			res[i].Stats.Faults = FaultStats{}
+		}
+		return res
+	}
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			direct := run(m.cfg, nil)
+			wired := run(m.cfg, &FaultConfig{})
+			if len(direct) != 12 {
+				t.Fatalf("resolved %d flows, want 12", len(direct))
+			}
+			if !reflect.DeepEqual(direct, wired) {
+				for i := range direct {
+					if i < len(wired) && !reflect.DeepEqual(direct[i], wired[i]) {
+						t.Fatalf("result %d differs:\n direct %+v\n  wired %+v", i, direct[i], wired[i])
+					}
+				}
+				t.Fatalf("results differ: %d direct, %d wired", len(direct), len(wired))
+			}
+		})
 	}
 }

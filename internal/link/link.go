@@ -167,23 +167,27 @@ func (s *Sender) blockBits(i int) ([]byte, int) {
 	return s.bits[i], s.blocks[i].NumBits()
 }
 
-// batchIDs advances block i's schedule by subpasses and returns a batch
-// of the fresh symbol IDs, with no symbols attached. The caller (the
-// Engine) fills the symbols on a codec-pool worker and accounts them via
-// countSymbols.
+// batchIDs advances block i's schedule by subpasses (≥ 1), counts the
+// fresh symbols as transmitted, and returns a batch of their IDs with no
+// symbols attached (the Engine fills those on a codec-pool worker). A
+// single subpass's slice is returned as the schedule made it.
 func (s *Sender) batchIDs(i, subpasses int) Batch {
-	var ids []core.SymbolID
-	for sp := 0; sp < subpasses; sp++ {
-		ids = append(ids, s.scheds[i].NextSubpass()...)
+	sc := s.scheds[i]
+	ids := sc.NextSubpass()
+	if subpasses > 1 {
+		// Room for every pass the batch touches (w consecutive subpasses
+		// of a w-way pass carry one pass's symbols), so the appends below
+		// rarely regrow.
+		passes := (subpasses + sc.Subpasses() - 1) / sc.Subpasses()
+		ids = slices.Grow(ids, passes*sc.SymbolsPerPass()-len(ids))
+		for sp := 1; sp < subpasses; sp++ {
+			ids = append(ids, sc.NextSubpass()...)
+		}
 	}
+	s.symbols += len(ids)
+	s.perBlock[i] += len(ids)
 	return Batch{Block: i, IDs: ids}
 }
-
-// countSymbols records n transmitted symbols.
-func (s *Sender) countSymbols(n int) { s.symbols += n }
-
-// countSymbolsFor records n transmitted symbols against block i.
-func (s *Sender) countSymbolsFor(i, n int) { s.perBlock[i] += n }
 
 // symbolsFor reports the symbols transmitted so far for block i.
 func (s *Sender) symbolsFor(i int) int { return s.perBlock[i] }
@@ -216,8 +220,6 @@ func (s *Sender) NextFrame() *Frame {
 		b := s.batchIDs(i, 1)
 		b.Symbols = s.ownEncoder(i).Symbols(b.IDs)
 		f.Batches = append(f.Batches, b)
-		s.countSymbols(len(b.IDs))
-		s.countSymbolsFor(i, len(b.IDs))
 	}
 	return f
 }

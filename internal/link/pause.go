@@ -1,11 +1,6 @@
 package link
 
-import (
-	"math"
-
-	"spinal/internal/capacity"
-	"spinal/internal/core"
-)
+import "spinal/internal/core"
 
 // PausePolicy decides how many frames the sender transmits before pausing
 // for receiver feedback — the §6 problem of rateless operation over
@@ -36,30 +31,7 @@ type CapacityPolicy struct {
 
 // BurstFrames implements PausePolicy.
 func (p CapacityPolicy) BurstFrames(blockBits, symbolsPerFrame, symbolsSent int) int {
-	margin := p.Margin
-	if margin == 0 {
-		margin = 0.8
-	}
-	growth := p.Growth
-	if growth == 0 {
-		growth = 0.25
-	}
-	c := capacity.AWGNdB(p.SNREstimateDB) * margin
-	if c < 0.05 {
-		c = 0.05
-	}
-	target := float64(blockBits) / c
-	var want float64
-	if float64(symbolsSent) < target {
-		want = target - float64(symbolsSent)
-	} else {
-		want = target * growth
-	}
-	frames := int(math.Ceil(want / float64(symbolsPerFrame)))
-	if frames < 1 {
-		frames = 1
-	}
-	return frames
+	return capacityBurst(p.SNREstimateDB, p.Margin, p.Growth, blockBits, symbolsPerFrame, symbolsSent)
 }
 
 // EveryFrame pauses after every frame (the conservative default used by

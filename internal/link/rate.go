@@ -17,6 +17,28 @@ type RateObserver interface {
 	ObserveDecode(blockBits, symbolsSpent int)
 }
 
+// capacityBurst is the capacity-seeded burst CapacityRate, CapacityPolicy
+// and TrackingRate share, in units of unitSymbols symbols (≥ 1 unit):
+// enough to bring a blockBits-bit block to blockBits/(margin·C(snrDB))
+// symbols sent, the receiver's likely decoding point, then growth times
+// that target per call once it is passed. A zero margin means 0.8, a zero
+// growth 0.25.
+func capacityBurst(snrDB, margin, growth float64, blockBits, unitSymbols, symbolsSent int) int {
+	if margin == 0 {
+		margin = 0.8
+	}
+	if growth == 0 {
+		growth = 0.25
+	}
+	c := max(capacity.AWGNdB(snrDB)*margin, 0.05)
+	target := float64(blockBits) / c
+	want := target * growth
+	if float64(symbolsSent) < target {
+		want = target - float64(symbolsSent)
+	}
+	return max(int(math.Ceil(want/float64(unitSymbols))), 1)
+}
+
 // TrackingRate is a closed-loop RatePolicy for time-varying channels. It
 // keeps a running effective-SNR estimate and paces each block like
 // CapacityRate — an opening burst of blockBits/(margin·C(est)) symbols,
@@ -91,22 +113,8 @@ func (t *TrackingRate) bounds() (lo, hi float64) {
 // point, then trickle, never exceeding MaxRoundSymbols per block per
 // round.
 func (t *TrackingRate) SubpassBudget(blockBits, subpassSymbols, symbolsSent int) int {
-	c := capacity.AWGNdB(t.estDB) * t.margin()
-	if c < 0.05 {
-		c = 0.05
-	}
-	target := float64(blockBits) / c
-	var want float64
-	if float64(symbolsSent) < target {
-		want = target - float64(symbolsSent)
-	} else {
-		want = target * 0.25
-	}
 	sub := maxInt(subpassSymbols, 1)
-	n := int(math.Ceil(want / float64(sub)))
-	if n < 1 {
-		n = 1
-	}
+	n := capacityBurst(t.estDB, t.margin(), 0.25, blockBits, sub, symbolsSent)
 	if lim := t.maxRoundSymbols() / sub; n > lim {
 		n = maxInt(lim, 1)
 	}

@@ -1,4 +1,4 @@
-// Deficit-weighted fair queuing for the multi-flow engine. The legacy
+// Deficit-weighted fair queuing for the multi-flow engine. The default
 // admission order — a plain round-robin cursor over the flows — is fair
 // in *visits* but not in *airtime*: a flow whose rate policy opens with a
 // capacity-sized burst can fill the shared frame for rounds on end, so a
@@ -18,9 +18,10 @@
 // deadline are served earliest-deadline-first ahead of the rest, which
 // rotate round-robin; credit accounting applies to all of them alike.
 //
-// The legacy round-robin path is untouched and remains the default: the
-// golden scenario matrix pins it byte for byte, and an engine without an
-// EngineConfig.Scheduler never executes any code in this file.
+// Only the visit order and the credit rules live here. Both schedulers
+// admit a visited flow through the same Engine.admit — ARQ gating, rate
+// policy, pause bursts and batch accounting — which applies the credit
+// clamp only under DWFQ.
 package link
 
 import (
@@ -33,8 +34,8 @@ import (
 var ErrDeadline = errors.New("link: flow missed its scheduling deadline")
 
 // SchedulerConfig selects deficit-weighted fair queuing for an engine's
-// admission phase (EngineConfig.Scheduler; nil keeps the legacy
-// round-robin admission bit for bit).
+// admission phase (EngineConfig.Scheduler; nil means round-robin
+// admission).
 type SchedulerConfig struct {
 	// Quantum is the symbol credit one unit of flow weight earns per
 	// round (0 ⇒ 256). A flow of weight w accrues w·Quantum credit each
@@ -66,7 +67,7 @@ func (c SchedulerConfig) burst() int {
 // SchedulerStats exposes the DWFQ scheduler's accounting — credit
 // granted and spent, reverse airtime charged, deadline misses, and the
 // credit currently outstanding across active flows. Zero when the
-// engine runs the legacy round-robin admission.
+// engine runs round-robin admission.
 type SchedulerStats struct {
 	// Flows is the number of active flows under the scheduler.
 	Flows int
@@ -154,15 +155,11 @@ func rotateFlows(fl []*engineFlow, k int) {
 	copy(fl[len(fl)-k:], tmp)
 }
 
-// scheduleDWFQ is the engine's deficit-weighted admission phase: the
-// counterpart of Step's round-robin loop when EngineConfig.Scheduler is
-// set. Every active flow ages and earns credit every round (so
+// scheduleDWFQ is the deficit-weighted visit order (EngineConfig.
+// Scheduler). Every active flow ages and earns credit every round (so
 // deadlines measure wall rounds, not service opportunities); admission
-// walks the priority/deadline/rotation order and clamps each flow's
-// batches to its credit balance and the remaining frame budget. ARQ
-// gating, rate policies and pause pacing behave exactly as under
-// round-robin — only the admission order and the per-flow spend cap
-// differ.
+// (admit) walks the priority/deadline/rotation order and clamps each
+// flow's batches to its credit balance and the remaining frame budget.
 func (e *Engine) scheduleDWFQ(round int) {
 	s := e.sched
 	budget := e.cfg.frameSymbols()
@@ -177,81 +174,8 @@ func (e *Engine) scheduleDWFQ(round int) {
 		if cap := burst * grant; fl.deficit > cap {
 			fl.deficit = cap
 		}
-		if symbols >= budget {
-			continue // frame full: the flow keeps its credit for next round
-		}
-		inFrame := false
-		window, inflight := 0, 0
-		if fl.fb != nil {
-			window = e.cfg.Feedback.window()
-			for b := range fl.snd.blocks {
-				if !fl.snd.acked[b] && fl.arq[b].inflight {
-					inflight++
-				}
-			}
-		}
-		for b := range fl.snd.blocks {
-			if fl.snd.acked[b] {
-				continue
-			}
-			arqTimeout := false
-			if fl.fb != nil {
-				st := &fl.arq[b]
-				if !st.inflight && inflight >= window {
-					continue // in-flight window full; this block waits
-				}
-				send, timeout := st.advance()
-				if !send {
-					continue
-				}
-				arqTimeout = timeout
-			}
-			sched := fl.snd.scheds[b]
-			sub := maxInt(sched.SymbolsPerPass()/sched.Subpasses(), 1)
-			blockBits := fl.snd.blocks[b].NumBits()
-			want := fl.rate.SubpassBudget(blockBits, sub, fl.snd.symbolsFor(b))
-			if want < 1 {
-				continue // policy veto: an ARQ grant stays due, uncommitted
-			}
-			// The deficit clamp is where fairness bites: however large a
-			// burst the rate policy asks for, the flow transmits only what
-			// its credit covers; the rest stays due and is retried as the
-			// account refills.
-			if maxWant := int(fl.deficit / int64(sub)); want > maxWant {
-				want = maxWant
-			}
-			if want < 1 {
-				continue // credit exhausted (or in ack-airtime debt)
-			}
-			if fl.fb != nil {
-				st := &fl.arq[b]
-				if !st.inflight {
-					inflight++
-				}
-				st.commit(round, arqTimeout)
-			}
-			if !inFrame && fl.pause != nil && fl.burstLeft == 0 {
-				fl.burstLeft = maxInt(fl.pause.BurstFrames(
-					fl.snd.blocks[0].NumBits(),
-					maxInt(perFrameSymbols(fl.snd), 1),
-					fl.snd.SymbolsSent()), 1)
-				fl.pauses++
-			}
-			batch := fl.snd.batchIDs(b, want)
-			fl.snd.countSymbols(len(batch.IDs))
-			fl.snd.countSymbolsFor(b, len(batch.IDs))
-			fl.deficit -= int64(len(batch.IDs))
-			s.stats.SymbolsAdmitted += int64(len(batch.IDs))
-			symbols += len(batch.IDs)
-			inFrame = true
-			e.items = append(e.items, txItem{fl: fl, batch: batch})
-			if symbols >= budget {
-				break
-			}
-		}
-		if inFrame {
-			fl.frames++
-			fl.tx = true
+		if symbols < budget { // else the frame is full: the flow keeps its credit
+			symbols = e.admit(fl, round, symbols)
 		}
 	}
 }
