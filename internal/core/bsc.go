@@ -1,11 +1,5 @@
 package core
 
-import (
-	"math"
-
-	"spinal/internal/hashfn"
-)
-
 // BSCDecoder is the bubble decoder for the binary symmetric channel. The
 // only change from the AWGN decoder is the branch metric: Hamming distance
 // between received bits and the bits the candidate spine state would have
@@ -17,10 +11,8 @@ type BSCDecoder struct {
 	p     Params
 	nBits int
 	ns    int
-	words hashfn.WordsFunc
 
-	ts   [][]uint32
-	bits [][]byte
+	received
 
 	nsyms int
 
@@ -40,87 +32,15 @@ func NewBSCDecoder(nBits int, p Params) *BSCDecoder {
 		p:     p,
 		nBits: nBits,
 		ns:    ns,
-		words: hashfn.CompileWords(p.Hash),
-		ts:    make([][]uint32, ns),
-		bits:  make([][]byte, ns),
-		bs:    newBeamSearch(nBits, p),
+		received: received{
+			ts:    make([][]uint32, ns),
+			faded: make([]bool, ns), // read by the evaluator; the BSC has no fading
+			bits:  make([][]byte, ns),
+		},
+		bs: newBeamSearch(nBits, p),
 	}
-	d.eval = d.newEvaluator()
+	d.eval = newEvaluator(&d.received, nBits, p, nil)
 	return d
-}
-
-func (d *BSCDecoder) newEvaluator() *evaluator {
-	e := d.bs.newEvaluator()
-	var (
-		ts   []uint32
-		bits []byte
-	)
-	e.bind = func(chunk int) {
-		if e.boundChunk == chunk {
-			return
-		}
-		e.boundChunk = chunk
-		ts = d.ts[chunk]
-		bits = d.bits[chunk]
-	}
-	words := d.words
-	var wbuf []uint32
-	e.cost = func(state uint32) float64 {
-		n := len(ts)
-		if n == 0 {
-			return 0
-		}
-		if cap(wbuf) < n {
-			wbuf = make([]uint32, n)
-		}
-		w := wbuf[:n]
-		words(state, ts, w)
-		var dist int
-		for i, wv := range w {
-			dist += int((byte(wv) ^ bits[i]) & 1)
-		}
-		return float64(dist)
-	}
-	oaat, isOAAT := hashfn.AsOneAtATime(d.p.Hash)
-	if !isOAAT {
-		return e
-	}
-	var pre, wrow []uint32
-	e.expand = func(parent uint32, kb int, base, tau float64, childs []uint32, costs []float64) {
-		nc := len(childs)
-		if cap(pre) < nc {
-			pre = make([]uint32, nc)
-			wrow = make([]uint32, nc)
-		}
-		if len(ts) == 0 {
-			e.children(parent, kb, childs)
-			for j := range costs {
-				costs[j] = 0
-			}
-			return
-		}
-		pr, wr := pre[:nc], wrow[:nc]
-		oaat.ChildrenPrefixes(parent, kb, childs, pr)
-		for j := range costs {
-			costs[j] = 0
-		}
-		for i, t := range ts {
-			hashfn.FinishWords(pr, t, wr)
-			b := bits[i]
-			mn := math.Inf(1)
-			for j, w := range wr {
-				c := costs[j] + float64((byte(w)^b)&1)
-				costs[j] = c
-				if c < mn {
-					mn = c
-				}
-			}
-			if base+mn >= tau {
-				return
-			}
-		}
-	}
-	return e
 }
 
 // NewSchedule returns a fresh transmission schedule matching this decoder.

@@ -233,8 +233,13 @@ func checkAgainstRef(t *testing.T, trial int, p Params, ref *refDecoder, gotMsg 
 	}
 }
 
+// equivHashes are the spine hashes the equivalence trials cycle
+// through, three trials at a time, so each hash meets both faded and
+// unfaded trials without disturbing the trials' random draws.
+var equivHashes = []hashfn.Hash{hashfn.OneAtATime{}, hashfn.Lookup3{}, hashfn.Salsa20{}}
+
 // TestDecodeEquivalence: across random parameter draws (k, B, D, ways,
-// fading on/off, noise level), the optimized decoder and the seed-style
+// fading on/off, noise level) and the three hashes, the optimized decoder and the seed-style
 // reference decoder must return messages of identical cost — identical
 // messages at D=1 — and the reported cost must equal the recomputed
 // path cost of the returned message. At D=1 both also decode after the
@@ -257,6 +262,7 @@ func TestDecodeEquivalence(t *testing.T) {
 			// quant_equivalence_test.go pins the quantized kernel against
 			// it at the quantization tolerance.
 			Kernel: KernelFloat,
+			Hash:   equivHashes[(trial/3)%3],
 		}
 		nBits := 16 + rng.Intn(80)
 		msg := randomMessage(rng, nBits)
@@ -292,7 +298,8 @@ func TestDecodeEquivalence(t *testing.T) {
 }
 
 // TestBSCDecodeEquivalence mirrors the equivalence check for the Hamming
-// metric decoder against the reference decoder's Hamming mode. At D=1 it
+// metric decoder against the reference decoder's Hamming mode, over the
+// same three hashes. At D=1 it
 // decodes after every pass: integer costs tie often, most of all early
 // on.
 func TestBSCDecodeEquivalence(t *testing.T) {
@@ -305,6 +312,7 @@ func TestBSCDecodeEquivalence(t *testing.T) {
 			C:    1,
 			Tail: 2,
 			Ways: []int{1, 2, 4, 8}[rng.Intn(4)],
+			Hash: equivHashes[(trial/3)%3],
 		}
 		nBits := 16 + rng.Intn(48)
 		msg := randomMessage(rng, nBits)

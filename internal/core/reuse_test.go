@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"spinal/internal/channel"
+	"spinal/internal/hashfn"
 )
 
 // TestDecoderResetReuse: one decoder serves many messages via Reset, and
@@ -114,47 +115,80 @@ func TestEncoderResetMatchesFresh(t *testing.T) {
 
 // TestDecodeSteadyStateAllocs: after warmup, Decode must not allocate at
 // all — the scratch beam, candidate and result buffers are all owned by
-// the decoder.
+// the decoder. The first row runs the quantized kernel; the others pin
+// every way onto the float path: forced, fading-aware, lookahead and a
+// non-default hash.
 func TestDecodeSteadyStateAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(93))
-	p := Params{K: 4, B: 256, D: 1, C: 6, Tail: 2, Ways: 8}
-	nBits := 256
-	msg := randomMessage(rng, nBits)
-	enc := NewEncoder(msg, nBits, p)
-	dec := NewDecoder(nBits, p)
-	ch := channel.NewAWGN(15, 42)
-	sched := enc.NewSchedule()
-	for sub := 0; sub < 2*p.Ways; sub++ {
-		ids := sched.NextSubpass()
-		dec.Add(ids, ch.Transmit(enc.Symbols(ids)))
-	}
-	for i := 0; i < 3; i++ {
-		dec.Decode() // warm the scratch buffers up
-	}
-	if avg := testing.AllocsPerRun(20, func() { dec.Decode() }); avg != 0 {
-		t.Fatalf("steady-state Decode allocates: %g allocs/op", avg)
+	base := Params{K: 4, B: 256, D: 1, C: 6, Tail: 2, Ways: 8}
+	for _, tc := range []struct {
+		name   string
+		edit   func(*Params)
+		faded  bool
+		kernel Kernel
+	}{
+		{name: "default", edit: func(*Params) {}, kernel: KernelQuantized},
+		{name: "KernelFloat", edit: func(p *Params) { p.Kernel = KernelFloat }, kernel: KernelFloat},
+		{name: "AddFaded", edit: func(*Params) {}, faded: true, kernel: KernelFloat},
+		{name: "D=2", edit: func(p *Params) { p.B, p.D = 64, 2 }, kernel: KernelFloat},
+		{name: "Lookup3", edit: func(p *Params) { p.Hash = hashfn.Lookup3{} }, kernel: KernelFloat},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(93))
+			p := base
+			tc.edit(&p)
+			nBits := 256
+			msg := randomMessage(rng, nBits)
+			enc := NewEncoder(msg, nBits, p)
+			dec := NewDecoder(nBits, p)
+			ch := channel.NewAWGN(15, 42)
+			ray := channel.NewRayleigh(15, 4, 42)
+			sched := enc.NewSchedule()
+			for sub := 0; sub < 2*p.Ways; sub++ {
+				ids := sched.NextSubpass()
+				if tc.faded {
+					y, h := ray.Transmit(enc.Symbols(ids))
+					dec.AddFaded(ids, y, h)
+				} else {
+					dec.Add(ids, ch.Transmit(enc.Symbols(ids)))
+				}
+			}
+			for i := 0; i < 3; i++ {
+				dec.Decode() // warm the scratch buffers up
+			}
+			if got := dec.KernelUsed(); got != tc.kernel {
+				t.Fatalf("decode ran on kernel %v, want %v", got, tc.kernel)
+			}
+			if avg := testing.AllocsPerRun(20, func() { dec.Decode() }); avg != 0 {
+				t.Fatalf("steady-state Decode allocates: %g allocs/op", avg)
+			}
+		})
 	}
 }
 
-// TestBSCDecodeSteadyStateAllocs is the BSC analogue.
+// TestBSCDecodeSteadyStateAllocs is the BSC analogue, for the default
+// hash and a non-default one.
 func TestBSCDecodeSteadyStateAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(94))
-	p := Params{K: 4, B: 64, D: 1, C: 1, Tail: 2, Ways: 8}
-	nBits := 128
-	msg := randomMessage(rng, nBits)
-	enc := NewEncoder(msg, nBits, p)
-	dec := NewBSCDecoder(nBits, p)
-	ch := channel.NewBSC(0.05, 43)
-	sched := enc.NewSchedule()
-	for sub := 0; sub < 4*p.Ways; sub++ {
-		ids := sched.NextSubpass()
-		dec.Add(ids, ch.Transmit(enc.Bits(ids)))
-	}
-	for i := 0; i < 3; i++ {
-		dec.Decode()
-	}
-	if avg := testing.AllocsPerRun(20, func() { dec.Decode() }); avg != 0 {
-		t.Fatalf("steady-state BSC Decode allocates: %g allocs/op", avg)
+	for _, h := range []hashfn.Hash{hashfn.OneAtATime{}, hashfn.Lookup3{}} {
+		t.Run(h.Name(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(94))
+			p := Params{K: 4, B: 64, D: 1, C: 1, Tail: 2, Ways: 8, Hash: h}
+			nBits := 128
+			msg := randomMessage(rng, nBits)
+			enc := NewEncoder(msg, nBits, p)
+			dec := NewBSCDecoder(nBits, p)
+			ch := channel.NewBSC(0.05, 43)
+			sched := enc.NewSchedule()
+			for sub := 0; sub < 4*p.Ways; sub++ {
+				ids := sched.NextSubpass()
+				dec.Add(ids, ch.Transmit(enc.Bits(ids)))
+			}
+			for i := 0; i < 3; i++ {
+				dec.Decode()
+			}
+			if avg := testing.AllocsPerRun(20, func() { dec.Decode() }); avg != 0 {
+				t.Fatalf("steady-state BSC Decode allocates: %g allocs/op", avg)
+			}
+		})
 	}
 }
 

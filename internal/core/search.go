@@ -3,104 +3,267 @@ package core
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"spinal/internal/hashfn"
 )
 
-// evaluator computes branch costs and lookahead scores with private
-// scratch; each decoder owns one.
-//
-// Branch evaluation is split into bind(chunk), which loads a chunk's
-// stored-symbol slices into the closure, and cost(state), which scores
-// one candidate spine state against the bound chunk. The split lets the
-// expansion loop bind a chunk once and then evaluate many candidates
-// with no per-candidate slice chasing. bind is idempotent (it tracks
-// boundChunk), so lookahead recursion can rebind freely.
+// received is a decoder's store of received symbols per chunk, kept as
+// parallel planes (structure of arrays) so the metric's inner loops walk
+// dense slices. The AWGN decoder fills the y planes and, for chunks with
+// known fading, the h planes; the BSC decoder fills bits.
+type received struct {
+	ts  [][]uint32  // RNG indices
+	ysI [][]float64 // received symbol I plane
+	ysQ [][]float64 // received symbol Q plane
+	hsI [][]float64 // fading coefficient I plane (valid when faded[c])
+	hsQ [][]float64 // fading coefficient Q plane
+	// faded marks chunks whose hs planes are active; an unmarked chunk is
+	// treated as h=1 throughout (plain AWGN).
+	faded []bool
+	bits  [][]byte // BSC received bits
+}
+
+// evaluator is the float search's one branch-cost scorer, shared by the
+// AWGN and BSC decoders, every hash and every lookahead depth. Its
+// expand derives a parent's children and scores them all against one
+// chunk's stored symbols in transposed order; explore runs the same
+// expand down the lookahead subtree. Each decoder owns one, with all
+// scratch sized at construction or kept across decodes, so a warmed-up
+// decoder scores without allocating.
 type evaluator struct {
-	bind func(chunk int)
-	cost func(state uint32) float64
-	// expand derives parent's 2^kb child states into childs and scores
-	// them against the bound chunk into costs, in transposed order — all
-	// children against one stored symbol, then the next — so the
-	// independent hash chains overlap in the pipeline instead of running
-	// back to back. base is the parent's path cost and tau the caller's
-	// rejection threshold: once base plus every partial cost in the batch
-	// reaches tau, the remaining symbols may be skipped (path costs only
-	// grow, and the caller drops every candidate scoring at or above
-	// tau). A NaN tau never triggers the skip.
-	expand   func(parent uint32, kb int, base, tau float64, childs []uint32, costs []float64)
-	children hashfn.ChildrenFunc
-	nBits    int
-	k        int
-	ns       int
+	rx    *received
+	batch hashfn.Batch
+	// table maps a c-bit field to its constellation value; nil selects
+	// the BSC's Hamming metric over rx.bits.
+	table  []float64
+	cmask  uint32
+	cshift uint
+	nBits  int
+	k      int
+	ns     int
 
-	// costs holds one parent's child branch costs during expansion.
-	costs []float64
+	// rowBuf holds every unfaded chunk's distance rows (see distRows),
+	// chunk c's at rowBuf[rowOff[c]:rowOff[c+1]], laid out by begin.
+	// built[c] records that this decode has filled chunk c's rows, so
+	// each decode builds them at most once however often lookahead
+	// returns to the chunk.
+	rowBuf []float64
+	rowOff []int
+	built  []bool
 
-	// boundChunk is the chunk bind last loaded; -1 after begin, since a
-	// chunk's backing slices move as Add appends to them.
-	boundChunk int
+	// pre and words hold one expansion's per-child RNG prefixes and two
+	// stored symbols' worth of RNG words.
+	pre   []uint32
+	words []uint32
 
-	// childBuf holds expanded child states (a stack of windows during
-	// explore recursion).
+	// childBuf and costBuf are parallel stacks of child-state and cost
+	// windows: the beam step's expansion at the bottom, one window per
+	// lookahead level above it. Their capacity covers the deepest
+	// recursion, so push never reallocates.
 	childBuf []uint32
+	costBuf  []float64
 }
 
-// newEvaluator returns an evaluator over bs's code tree. The decoder
-// supplies the metric: bind and cost, plus a batched expand for the
-// one-at-a-time hash in place of the generic expandEach.
-func (bs *beamSearch) newEvaluator() *evaluator {
-	e := &evaluator{
-		children: bs.children,
-		nBits:    bs.nBits,
-		k:        bs.p.K,
-		ns:       numSpine(bs.nBits, bs.p.K),
+// newEvaluator returns the scorer for a decoder of nBits-bit messages
+// under p over the symbols stored in rx. table is the constellation
+// lookup of an AWGN decoder, nil for the BSC decoder.
+func newEvaluator(rx *received, nBits int, p Params, table []float64) *evaluator {
+	ns := numSpine(nBits, p.K)
+	fan := 1 << uint(p.K)
+	stack := min(p.D, ns) * fan
+	return &evaluator{
+		rx:       rx,
+		batch:    hashfn.CompileBatch(p.Hash),
+		table:    table,
+		cmask:    1<<uint(p.C) - 1,
+		cshift:   uint(p.C),
+		nBits:    nBits,
+		k:        p.K,
+		ns:       ns,
+		rowOff:   make([]int, ns+1),
+		built:    make([]bool, ns),
+		pre:      make([]uint32, fan),
+		words:    make([]uint32, 2*fan),
+		childBuf: make([]uint32, 0, stack),
+		costBuf:  make([]float64, 0, stack),
 	}
-	e.expand = e.expandEach
-	return e
 }
 
-// expandEach derives parent's children and scores each with cost.
-func (e *evaluator) expandEach(parent uint32, kb int, _, _ float64, childs []uint32, costs []float64) {
-	e.children(parent, kb, childs)
-	for j, s := range childs {
-		costs[j] = e.cost(s)
+// begin prepares the evaluator for a fresh decode attempt: Add may have
+// grown any chunk since the last one, so the rows are laid out afresh
+// and every chunk's are stale.
+func (e *evaluator) begin() {
+	size := 2 * (int(e.cmask) + 1)
+	for c, ts := range e.rx.ts {
+		e.built[c] = false
+		e.rowOff[c+1] = e.rowOff[c]
+		if !e.rx.faded[c] {
+			e.rowOff[c+1] += size * len(ts)
+		}
+	}
+	e.rowBuf = slices.Grow(e.rowBuf[:0], e.rowOff[e.ns])[:e.rowOff[e.ns]]
+}
+
+// push reserves the next fan entries of the child and cost stacks.
+func (e *evaluator) push(fan int) ([]uint32, []float64) {
+	lo := len(e.childBuf)
+	e.childBuf = e.childBuf[:lo+fan]
+	e.costBuf = e.costBuf[:lo+fan]
+	return e.childBuf[lo:], e.costBuf[lo:]
+}
+
+// pop releases the top fan entries of the child and cost stacks.
+func (e *evaluator) pop(fan int) {
+	e.childBuf = e.childBuf[:len(e.childBuf)-fan]
+	e.costBuf = e.costBuf[:len(e.costBuf)-fan]
+}
+
+// distRows returns chunk's distance rows, building them on the chunk's
+// first use in this decode. Stored symbol i owns two rows of L = 2^C
+// entries at rows[2iL:], indexed by the I and the Q field of a
+// candidate's RNG word. They do not depend on the candidate, so the
+// inner loop of expand is two loads and two adds. AWGN rows hold the
+// squared distances (y−x)² to every constellation value x. BSC rows are
+// a Hamming table: (v^bit)&1 in the first row and zeros in the second,
+// so costs stay exact integers.
+func (e *evaluator) distRows(chunk int) []float64 {
+	rows := e.rowBuf[e.rowOff[chunk]:e.rowOff[chunk+1]]
+	if e.built[chunk] {
+		return rows
+	}
+	e.built[chunk] = true
+	L := int(e.cmask) + 1
+	for i := range e.rx.ts[chunk] {
+		dI, dQ := rows[2*i*L:(2*i+1)*L], rows[(2*i+1)*L:(2*i+2)*L]
+		if e.table == nil {
+			b := e.rx.bits[chunk][i]
+			for v := range dI {
+				dI[v] = float64((byte(v) ^ b) & 1)
+				dQ[v] = 0
+			}
+			continue
+		}
+		yi, yq := e.rx.ysI[chunk][i], e.rx.ysQ[chunk][i]
+		for v, x := range e.table {
+			di, dq := yi-x, yq-x
+			dI[v] = di * di
+			dQ[v] = dq * dq
+		}
+	}
+	return rows
+}
+
+// expand derives parent's 2^kb child states into childs and scores them
+// against chunk's stored symbols into costs, in transposed order. Per
+// stored symbol, FinishWords completes that symbol's RNG word for every
+// child, so the independent hash chains overlap in the pipeline instead
+// of running back to back; one pass then adds the symbol's two
+// distance-row entries to every child's cost. A faded chunk computes
+// |y − h·x|² directly in the same loop. A punctured chunk (§5) scores
+// every child 0.
+//
+// base is the parent's path cost and tau the caller's rejection
+// threshold: once base plus every partial cost in the batch reaches tau,
+// the remaining symbols are skipped (path costs only grow, and the
+// caller drops every candidate scoring at or above tau). A NaN tau never
+// triggers the skip.
+func (e *evaluator) expand(parent uint32, chunk, kb int, base, tau float64, childs []uint32, costs []float64) {
+	nc := len(childs)
+	pre, w0, w1 := e.pre[:nc], e.words[:nc], e.words[nc:2*nc]
+	e.batch.ChildrenPrefixes(parent, kb, childs, pre)
+	for j := range costs {
+		costs[j] = 0
+	}
+	ts := e.rx.ts[chunk]
+	n := len(ts)
+	faded := e.rx.faded[chunk]
+	var rows []float64
+	if !faded {
+		rows = e.distRows(chunk)
+	}
+	L := int(e.cmask) + 1
+	cmask, cshift, table := e.cmask, e.cshift, e.table
+	i := 0
+	// Unfaded symbols go two at a time where possible: one pass over the
+	// candidates covers both words, halving the cost-array traffic. The
+	// accumulation order matches the one-symbol loop below exactly, so
+	// costs are bit-identical either way.
+	for ; !faded && i+1 < n; i += 2 {
+		e.batch.FinishWords(pre, ts[i], w0)
+		e.batch.FinishWords(pre, ts[i+1], w1)
+		o0, o1 := 2*i*L, 2*(i+1)*L
+		dI0 := rows[o0 : o0+L][: cmask+1 : cmask+1]
+		dQ0 := rows[o0+L : o0+2*L][: cmask+1 : cmask+1]
+		dI1 := rows[o1 : o1+L][: cmask+1 : cmask+1]
+		dQ1 := rows[o1+L : o1+2*L][: cmask+1 : cmask+1]
+		mn := math.Inf(1)
+		for j, w := range w0 {
+			v := w1[j]
+			c := costs[j] + dI0[w&cmask] + dQ0[w>>cshift&cmask] + dI1[v&cmask] + dQ1[v>>cshift&cmask]
+			costs[j] = c
+			if c < mn {
+				mn = c
+			}
+		}
+		if base+mn >= tau {
+			return
+		}
+	}
+	for ; i < n; i++ {
+		e.batch.FinishWords(pre, ts[i], w0)
+		mn := math.Inf(1)
+		if !faded {
+			o := 2 * i * L
+			dI := rows[o : o+L][: cmask+1 : cmask+1]
+			dQ := rows[o+L : o+2*L][: cmask+1 : cmask+1]
+			for j, w := range w0 {
+				c := costs[j] + dI[w&cmask] + dQ[w>>cshift&cmask]
+				costs[j] = c
+				if c < mn {
+					mn = c
+				}
+			}
+		} else {
+			yi, yq := e.rx.ysI[chunk][i], e.rx.ysQ[chunk][i]
+			hi, hq := e.rx.hsI[chunk][i], e.rx.hsQ[chunk][i]
+			for j, w := range w0 {
+				xI := table[w&cmask]
+				xQ := table[w>>cshift&cmask]
+				dr := yi - (xI*hi - xQ*hq)
+				di := yq - (xI*hq + xQ*hi)
+				c := costs[j] + dr*dr + di*di
+				costs[j] = c
+				if c < mn {
+					mn = c
+				}
+			}
+		}
+		if base+mn >= tau {
+			return
+		}
 	}
 }
-
-// begin prepares the evaluator for a fresh decode attempt.
-func (e *evaluator) begin() { e.boundChunk = -1 }
 
 // explore returns the minimum additional path cost over all descendants
 // depth levels below (state, chunk); this is the subtree score used to
-// rank candidates when D > 1 (Fig 4-1 steps b–c).
+// rank candidates when D > 1 (Fig 4-1 steps b–c). Each level scores its
+// children with expand, on a fresh window of the child and cost stacks.
 func (e *evaluator) explore(state uint32, chunk, depth int) float64 {
 	kb := chunkBits(e.nBits, e.k, chunk)
 	fan := 1 << uint(kb)
-	// explore recurses at most D-1 deep; keep a fresh window per level so
-	// the recursion does not clobber the caller's child states.
-	if len(e.childBuf)+fan > cap(e.childBuf) {
-		grown := make([]uint32, len(e.childBuf), 2*(len(e.childBuf)+fan))
-		copy(grown, e.childBuf)
-		e.childBuf = grown
-	}
-	lo := len(e.childBuf)
-	e.childBuf = e.childBuf[:lo+fan]
-	window := e.childBuf[lo : lo+fan]
-	e.children(state, kb, window)
-
+	childs, costs := e.push(fan)
+	e.expand(state, chunk, kb, 0, math.NaN(), childs, costs)
 	best := math.Inf(1)
-	for _, cs := range window {
-		e.bind(chunk) // deeper recursion rebinds
-		c := e.cost(cs)
+	for m, c := range costs {
 		if depth > 1 && chunk+1 < e.ns {
-			c += e.explore(cs, chunk+1, depth-1)
+			c += e.explore(childs[m], chunk+1, depth-1)
 		}
 		if c < best {
 			best = c
 		}
 	}
-	e.childBuf = e.childBuf[:lo]
+	e.pop(fan)
 	return best
 }
 
@@ -248,9 +411,8 @@ func sortCands(c []candidate) {
 // with one select plus a sort by (cost, origin) that fixes the survivor
 // order and the next step's ascending-cost parent invariant.
 type beamSearch struct {
-	nBits    int
-	p        Params
-	children hashfn.ChildrenFunc
+	nBits int
+	p     Params
 
 	beam     []beamNode
 	nextBeam []beamNode
@@ -259,7 +421,7 @@ type beamSearch struct {
 }
 
 func newBeamSearch(nBits int, p Params) beamSearch {
-	return beamSearch{nBits: nBits, p: p, children: hashfn.CompileChildren(p.Hash)}
+	return beamSearch{nBits: nBits, p: p}
 }
 
 // lookahead returns the effective subtree depth at step p: the configured
@@ -286,25 +448,16 @@ func (bs *beamSearch) lookahead(p, ns int) int {
 func (bs *beamSearch) expand(e *evaluator, beam []beamNode, p, kb, dd int, dst []candidate) []candidate {
 	fan := 1 << uint(kb)
 	tau := uint64(noThreshold)
-	if cap(e.costs) < fan {
-		e.costs = make([]float64, fan)
-	}
-	costs := e.costs[:fan]
-	if cap(e.childBuf) < fan {
-		e.childBuf = make([]uint32, fan)
-	}
-	// The children's window is the bottom of the stack explore pushes
+	// The children's window is the bottom of the stacks explore pushes
 	// its windows onto.
-	e.childBuf = e.childBuf[:fan]
+	childs, costs := e.push(fan)
 	for bi := range beam {
 		node := &beam[bi]
 		if scoreKey(node.cost) >= tau {
 			break
 		}
 		org := uint32(bi) << uint(kb)
-		childs := e.childBuf[:fan]
-		e.bind(p) // explore rebinds deeper chunks
-		e.expand(node.state, kb, node.cost, math.Float64frombits(tau), childs, costs)
+		e.expand(node.state, p, kb, node.cost, math.Float64frombits(tau), childs, costs)
 		for m, bc := range costs {
 			base := node.cost + bc
 			score := base
@@ -322,6 +475,7 @@ func (bs *beamSearch) expand(e *evaluator, beam []beamNode, p, kb, dd int, dst [
 			dst = dst[:bs.p.B]
 		}
 	}
+	e.pop(fan)
 	return dst
 }
 

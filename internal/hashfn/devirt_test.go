@@ -28,48 +28,68 @@ func TestCompileMatchesSum(t *testing.T) {
 	}
 }
 
-// TestWordsMatchesWord: batched RNG words equal per-index Word calls,
-// through both RNG.Words and the compiled WordsFunc.
+// TestWordsMatchesWord: the compiled Batch's FinishWords, fed the
+// prefixes its ChildrenPrefixes derives, equals per-index Word calls on
+// the child states.
 func TestWordsMatchesWord(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, h := range devirtHashes() {
-		r := RNG{H: h}
-		words := CompileWords(h)
-		for trial := 0; trial < 20; trial++ {
-			seed := rng.Uint32()
-			ts := make([]uint32, 1+rng.Intn(40))
-			for i := range ts {
-				ts[i] = rng.Uint32()
-			}
-			got1 := make([]uint32, len(ts))
-			got2 := make([]uint32, len(ts))
-			r.Words(seed, ts, got1)
-			words(seed, ts, got2)
-			for i, tv := range ts {
-				want := r.Word(seed, tv)
-				if got1[i] != want || got2[i] != want {
-					t.Fatalf("%s: Words[%d] = %#x/%#x, Word = %#x", h.Name(), i, got1[i], got2[i], want)
+		checkBatchWords(t, h, rng)
+	}
+}
+
+// checkBatchWords expands random parents through h's Batch and holds
+// every finished word to RNG{h}.Word of its child.
+func checkBatchWords(t *testing.T, h Hash, rng *rand.Rand) {
+	t.Helper()
+	r := RNG{H: h}
+	b := CompileBatch(h)
+	for trial := 0; trial < 20; trial++ {
+		kb := 1 + rng.Intn(8)
+		cs := make([]uint32, 1<<uint(kb))
+		pre := make([]uint32, len(cs))
+		out := make([]uint32, len(cs))
+		b.ChildrenPrefixes(rng.Uint32(), kb, cs, pre)
+		for i := 0; i < 3; i++ {
+			tv := rng.Uint32()
+			b.FinishWords(pre, tv, out)
+			for m, s := range cs {
+				if want := r.Word(s, tv); out[m] != want {
+					t.Fatalf("%s: FinishWords[%d] = %#x, Word = %#x", h.Name(), m, out[m], want)
 				}
 			}
 		}
 	}
 }
 
-// TestChildrenMatchesSum: the batched child-state generator equals Sum
-// over the message values 0..2^kb-1.
+// TestChildrenMatchesSum: the compiled Batch's ChildrenPrefixes derives
+// Sum over the message values 0..2^kb-1, writing nothing past them.
 func TestChildrenMatchesSum(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, h := range devirtHashes() {
-		children := CompileChildren(h)
-		for kb := 1; kb <= 8; kb++ {
-			state := rng.Uint32()
-			out := make([]uint32, 1<<uint(kb))
-			children(state, kb, out)
-			for m := range out {
-				if want := h.Sum(state, uint32(m), kb); out[m] != want {
-					t.Fatalf("%s kb=%d: children[%d] = %#x, Sum = %#x", h.Name(), kb, m, out[m], want)
-				}
+		checkBatchChildren(t, h, rng)
+	}
+}
+
+// checkBatchChildren holds h's Batch.ChildrenPrefixes to Sum for every
+// kb, with a sentinel past the children.
+func checkBatchChildren(t *testing.T, h Hash, rng *rand.Rand) {
+	t.Helper()
+	b := CompileBatch(h)
+	for kb := 1; kb <= 8; kb++ {
+		state := rng.Uint32()
+		n := 1 << uint(kb)
+		cs := make([]uint32, n+1)
+		pre := make([]uint32, n+1)
+		cs[n], pre[n] = 0xfeedface, 0xfeedface
+		b.ChildrenPrefixes(state, kb, cs[:n], pre)
+		for m := 0; m < n; m++ {
+			if want := h.Sum(state, uint32(m), kb); cs[m] != want {
+				t.Fatalf("%s kb=%d: children[%d] = %#x, Sum = %#x", h.Name(), kb, m, cs[m], want)
 			}
+		}
+		if cs[n] != 0xfeedface || pre[n] != 0xfeedface {
+			t.Fatalf("%s kb=%d: ChildrenPrefixes wrote past the children", h.Name(), kb)
 		}
 	}
 }
@@ -121,7 +141,7 @@ func TestPrefixComposition(t *testing.T) {
 	}
 }
 
-// customHash exercises the fallback paths of the Compile* helpers.
+// customHash exercises the fallback paths of Compile and CompileBatch.
 type customHash struct{}
 
 func (customHash) Name() string { return "custom" }
@@ -130,35 +150,13 @@ func (customHash) Sum(state, m uint32, k int) uint32 {
 }
 
 // TestCompileFallbacks: unknown Hash implementations route through the
-// interface and still agree with direct Sum calls.
+// interface and still agree with direct Sum and Word calls.
 func TestCompileFallbacks(t *testing.T) {
 	h := customHash{}
-	sum := Compile(h)
-	words := CompileWords(h)
-	children := CompileChildren(h)
-	r := RNG{H: h}
-	if sum(1, 2, 3) != h.Sum(1, 2, 3) {
+	if Compile(h)(1, 2, 3) != h.Sum(1, 2, 3) {
 		t.Fatal("fallback Compile mismatch")
 	}
-	ts := []uint32{0, 5, 9}
-	out := make([]uint32, 3)
-	words(7, ts, out)
-	for i, tv := range ts {
-		if out[i] != r.Word(7, tv) {
-			t.Fatal("fallback CompileWords mismatch")
-		}
-	}
-	r.Words(7, ts, out)
-	for i, tv := range ts {
-		if out[i] != r.Word(7, tv) {
-			t.Fatal("fallback RNG.Words mismatch")
-		}
-	}
-	kids := make([]uint32, 4)
-	children(3, 2, kids)
-	for m := range kids {
-		if kids[m] != h.Sum(3, uint32(m), 2) {
-			t.Fatal("fallback CompileChildren mismatch")
-		}
-	}
+	rng := rand.New(rand.NewSource(5))
+	checkBatchChildren(t, h, rng)
+	checkBatchWords(t, h, rng)
 }

@@ -63,8 +63,8 @@ func oaatByte(h uint32, b byte) uint32 {
 }
 
 // AsOneAtATime reports whether h is the OneAtATime hash (by value or by
-// pointer), returning the concrete value. Decoders use it at
-// construction to select their specialized batched evaluation paths.
+// pointer), returning the concrete value. CompileBatch uses it to pick
+// the SSE2 kernels, and the decoder to test fixed-point eligibility.
 func AsOneAtATime(h Hash) (OneAtATime, bool) {
 	switch c := h.(type) {
 	case OneAtATime:
@@ -207,43 +207,9 @@ func (r RNG) Word(seed uint32, t uint32) uint32 {
 	return r.H.Sum(seed, t, 32)
 }
 
-// Words fills out[i] with the ts[i]-th pseudo-random word for seed,
-// equivalent to calling Word for each index but amortizing the per-seed
-// setup (and, for known hash types, the interface dispatch) across the
-// batch. out must be at least as long as ts.
-func (r RNG) Words(seed uint32, ts []uint32, out []uint32) {
-	switch h := r.H.(type) {
-	case OneAtATime:
-		h.words(seed, ts, out)
-	case *OneAtATime:
-		h.words(seed, ts, out)
-	case Lookup3:
-		h.words(seed, ts, out)
-	case *Lookup3:
-		h.words(seed, ts, out)
-	case Salsa20:
-		h.words(seed, ts, out)
-	case *Salsa20:
-		h.words(seed, ts, out)
-	default:
-		for i, t := range ts {
-			out[i] = r.H.Sum(seed, t, 32)
-		}
-	}
-}
-
 // SumFunc is the devirtualized form of Hash.Sum: a direct function value
 // bound at construction time so hot loops avoid interface dispatch.
 type SumFunc func(state uint32, m uint32, k int) uint32
-
-// WordsFunc fills out[i] with the RNG word h(seed, ts[i]) for each i,
-// amortizing the per-seed portion of the hash across the batch.
-type WordsFunc func(seed uint32, ts []uint32, out []uint32)
-
-// ChildrenFunc fills out[m] with h(state, m, kb) for m in [0, len(out)),
-// amortizing the per-state portion of the hash across all 2^kb child
-// spine values expanded from one decoder tree node.
-type ChildrenFunc func(state uint32, kb int, out []uint32)
 
 // Compile returns a direct function computing h.Sum. Known concrete types
 // are bound without interface dispatch; unknown implementations fall back
@@ -267,62 +233,50 @@ func Compile(h Hash) SumFunc {
 	}
 }
 
-// CompileWords returns a batched RNG-word generator for h, specialized
-// for the known hash types so that per-seed mixing happens once per batch
-// rather than once per word.
-func CompileWords(h Hash) WordsFunc {
-	switch c := h.(type) {
-	case OneAtATime:
-		return c.words
-	case *OneAtATime:
-		return (*c).words
-	case Lookup3:
-		return c.words
-	case *Lookup3:
-		return (*c).words
-	case Salsa20:
-		return c.words
-	case *Salsa20:
-		return (*c).words
-	default:
-		return func(seed uint32, ts []uint32, out []uint32) {
-			for i, t := range ts {
-				out[i] = h.Sum(seed, t, 32)
-			}
-		}
-	}
+// Batch is a hash compiled for the decoder's transposed scoring: derive
+// a parent's children, then finish one stored symbol's RNG word for
+// every child at once. The pair splits each word h(child, t) at a
+// per-child prefix, so whatever of the hash depends on the child alone
+// is computed once per child rather than once per stored symbol:
+// FinishWords(pre, t, out) after ChildrenPrefixes(state, kb, cs, pre)
+// leaves out[m] = RNG{h}.Word(cs[m], t).
+type Batch struct {
+	// ChildrenPrefixes fills cs[m] = Sum(state, m, kb) for m < len(cs)
+	// and pre[m] with cs[m]'s prefix. len(pre) ≥ len(cs).
+	ChildrenPrefixes func(state uint32, kb int, cs, pre []uint32)
+	// FinishWords fills out[j] with the t-th RNG word of the state whose
+	// prefix is pre[j]. len(out) ≥ len(pre).
+	FinishWords func(pre []uint32, t uint32, out []uint32)
 }
 
-// CompileChildren returns a batched child-state generator for h,
-// specialized for the known hash types so that per-parent-state mixing
-// happens once per expansion rather than once per child.
-func CompileChildren(h Hash) ChildrenFunc {
-	switch c := h.(type) {
-	case OneAtATime:
-		return c.children
-	case *OneAtATime:
-		return (*c).children
-	case Lookup3:
-		return c.children
-	case *Lookup3:
-		return (*c).children
-	case Salsa20:
-		return c.children
-	case *Salsa20:
-		return (*c).children
-	default:
-		return func(state uint32, kb int, out []uint32) {
-			for m := range out {
-				out[m] = h.Sum(state, uint32(m), kb)
+// CompileBatch returns h's Batch. OneAtATime splits after the four
+// state bytes (Prefix) and runs the SSE2 kernels; any other hash uses
+// the child state itself as the prefix and finishes each word with one
+// Sum(prefix, t, 32).
+func CompileBatch(h Hash) Batch {
+	if o, ok := AsOneAtATime(h); ok {
+		return Batch{ChildrenPrefixes: o.ChildrenPrefixes, FinishWords: FinishWords}
+	}
+	sum := Compile(h)
+	return Batch{
+		ChildrenPrefixes: func(state uint32, kb int, cs, pre []uint32) {
+			for m := range cs {
+				cs[m] = sum(state, uint32(m), kb)
 			}
-		}
+			copy(pre, cs)
+		},
+		FinishWords: func(pre []uint32, t uint32, out []uint32) {
+			for j, s := range pre {
+				out[j] = sum(s, t, 32)
+			}
+		},
 	}
 }
 
 // Prefix returns the one-at-a-time state after absorbing the four seed
 // bytes — the per-seed half of an RNG Word: WordFinish(o.Prefix(s), t)
-// == RNG{o}.Word(s, t). The batched forms (words, FinishWords,
-// ChildrenPrefixes) are built from this pair.
+// == RNG{o}.Word(s, t). FinishWords and ChildrenPrefixes are the
+// batched forms of this pair.
 func (o OneAtATime) Prefix(seed uint32) uint32 {
 	h := o.Seed
 	h = oaatByte(h, byte(seed))
@@ -351,16 +305,6 @@ func WordFinish(prefix, t uint32) uint32 {
 // stays the scalar reference. out must be at least as long as prefixes.
 func FinishWords(prefixes []uint32, t uint32, out []uint32) {
 	finishWords(prefixes, t, out[:len(prefixes)])
-}
-
-// words is the batched form of Sum(seed, t, 32): the four seed bytes are
-// mixed once, then each index needs only its own four bytes plus the
-// final avalanche.
-func (o OneAtATime) words(seed uint32, ts []uint32, out []uint32) {
-	h0 := o.Prefix(seed)
-	for i, t := range ts {
-		out[i] = WordFinish(h0, t)
-	}
 }
 
 // ChildrenPrefixes fills cs[m] = Sum(state, m, kb) — the 2^kb child
@@ -421,72 +365,4 @@ func expandScoreGo(o OneAtATime, states []uint32, costs []int32, org0 uint32, kb
 		n += hw.AccumulateCompact(tau, k, p, words[:fan], dI, dQ, cmask, uint(cshift))
 	}
 	return n
-}
-
-// children is the batched form of Sum(state, m, kb) for m < 2^kb ≤ 256:
-// the four state bytes are mixed once, then each child needs only one
-// message byte plus the final avalanche.
-func (o OneAtATime) children(state uint32, kb int, out []uint32) {
-	h0 := o.Seed
-	h0 = oaatByte(h0, byte(state))
-	h0 = oaatByte(h0, byte(state>>8))
-	h0 = oaatByte(h0, byte(state>>16))
-	h0 = oaatByte(h0, byte(state>>24))
-	for m := range out {
-		h := oaatByte(h0, byte(m))
-		h += h << 3
-		h ^= h >> 11
-		h += h << 15
-		out[m] = h
-	}
-}
-
-func (l Lookup3) words(seed uint32, ts []uint32, out []uint32) {
-	init := uint32(0xdeadbeef) + 2<<2 + l.Seed
-	a := init + seed
-	for i, t := range ts {
-		out[i] = lookup3Final(a, init+t, init)
-	}
-}
-
-func (l Lookup3) children(state uint32, kb int, out []uint32) {
-	init := uint32(0xdeadbeef) + 2<<2 + l.Seed
-	a := init + state
-	mask := maskBits(kb)
-	for m := range out {
-		out[m] = lookup3Final(a, init+uint32(m)&mask, init)
-	}
-}
-
-func (s Salsa20) words(seed uint32, ts []uint32, out []uint32) {
-	var in [16]uint32
-	in[0] = 0x61707865
-	in[5] = 0x3320646e
-	in[10] = 0x79622d32
-	in[15] = 0x6b206574
-	in[1] = seed
-	in[3] = s.Seed
-	in[4] = 32
-	for i, t := range ts {
-		in[2] = t
-		o := salsa20Core(&in)
-		out[i] = o[0]
-	}
-}
-
-func (s Salsa20) children(state uint32, kb int, out []uint32) {
-	var in [16]uint32
-	in[0] = 0x61707865
-	in[5] = 0x3320646e
-	in[10] = 0x79622d32
-	in[15] = 0x6b206574
-	in[1] = state
-	in[3] = s.Seed
-	in[4] = uint32(kb)
-	mask := maskBits(kb)
-	for m := range out {
-		in[2] = uint32(m) & mask
-		o := salsa20Core(&in)
-		out[m] = o[0]
-	}
 }

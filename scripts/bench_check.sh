@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Bench-regression gate for CI: re-runs the guarded benchmarks
-# (BenchmarkDecode, BenchmarkDecodeQuantized, the noisy decodes at
-# spinald's two operating points, BenchmarkLinkEngine) and compares
+# (BenchmarkDecode, BenchmarkDecodeQuantized, the float path at D=1 and
+# D=2, the noisy decodes at spinald's two operating points,
+# BenchmarkLinkEngine) and compares
 # them against the newest checked-in BENCH_*.json snapshot
 # (scripts/bench.sh writes it).
 #
@@ -34,7 +35,7 @@ tmp="$(mktemp)"
 best="$(mktemp)"
 trap 'rm -f "$tmp" "$best"' EXIT
 
-go test -run '^$' -bench 'BenchmarkDecode$|BenchmarkDecodeQuantized$|BenchmarkDecodeNoisyPaper$|BenchmarkDecodeNoisySmall$' \
+go test -run '^$' -bench 'BenchmarkDecode$|BenchmarkDecodeQuantized$|BenchmarkDecodeFloat256$|BenchmarkDecodeLookahead$|BenchmarkDecodeNoisyPaper$|BenchmarkDecodeNoisySmall$' \
     -benchtime "$benchtime" -benchmem -count 3 . >"$tmp"
 go test -run '^$' -bench 'BenchmarkLinkEngine$' -benchtime "$benchtime" -benchmem -count 3 ./internal/link/ >>"$tmp"
 
