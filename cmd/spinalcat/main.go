@@ -31,9 +31,10 @@
 //
 // With -fetch the stdin pipe runs through spinal/transport instead of a
 // static flow split: the input streams as a pipeline of 1 KiB link
-// segments under a CUBIC congestion window, with RTT estimated from ack
-// telemetry and RTO-bounded retries. The stderr statistics add the
-// transport's view — SRTT, peak window, loss events.
+// segments, each sent once as one link flow, with the window of segments
+// in flight opening as segments are delivered and RTT estimated from ack
+// telemetry. The stderr statistics add the transport's view — SRTT, RTO,
+// peak window.
 //
 // With -code SPEC the session runs a different channel code behind the
 // same link machinery (spinal/code, link.WithCode): spinal (default),
@@ -282,9 +283,9 @@ func runScenario(scenario, policy, codeSpec, sched string, flows, beam int, seed
 		res.Bytes, res.Flows, res.Rounds, codeName, p.B, seed)
 }
 
-// runFetch streams data through the congestion-aware transport fetcher:
-// 1 KiB segments pipelined under a CUBIC window over the simulated AWGN
-// medium, RTT estimated from the link's ack telemetry.
+// runFetch streams data through the transport fetcher: 1 KiB segments
+// pipelined under a growing window over the simulated AWGN medium, RTT
+// estimated from the link's ack telemetry.
 func runFetch(data []byte, p spinal.Params, codeSpec string, snrDB float64, seed int64, fc *link.FaultConfig) {
 	opts := []link.Option{
 		link.WithChannel(channel.NewAWGN(snrDB, seed)),
@@ -315,8 +316,8 @@ func runFetch(data []byte, p spinal.Params, codeSpec string, snrDB float64, seed
 		"spinalcat: fetched %d bytes as %d segments in %d rounds (%.2f bits/symbol) at %.1f dB\n",
 		len(res.Payload), res.Segments, res.Steps, res.Goodput, snrDB)
 	fmt.Fprintf(os.Stderr,
-		"spinalcat: transport: srtt %.1f rounds, rto %d, peak window %.1f, %d retries, %d loss events\n",
-		res.SRTT, res.RTO, res.CwndMax, res.Retries, res.Losses)
+		"spinalcat: transport: srtt %.1f rounds, rto %d, peak window %.1f\n",
+		res.SRTT, res.RTO, res.CwndMax)
 }
 
 // runFlows splits data into n contiguous datagrams and drives them as

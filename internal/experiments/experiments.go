@@ -111,7 +111,7 @@ var All = []Experiment{
 	{"baseline-goodput", "Codes bake-off: every §8 code through the link engine vs the LDPC oracle envelope", BaselineGoodput},
 	{"daemon-goodput", "spinald scaling: aggregate goodput vs concurrent flows over one UDP socket", DaemonGoodput},
 	{"flow-fairness", "Flow scheduling: mice-elephants fairness and tail latency, RR vs DWFQ", FlowFairness},
-	{"transport-fetch", "Congestion-aware fetch: CUBIC pipeline vs reverse-channel impairment", TransportFetch},
+	{"transport-fetch", "Windowed fetch: one flow per segment vs reverse-channel impairment", TransportFetch},
 }
 
 // ByID finds an experiment by id, or nil.

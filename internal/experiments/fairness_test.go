@@ -1,6 +1,9 @@
 package experiments
 
-import "testing"
+import (
+	"strconv"
+	"testing"
+)
 
 // TestFairnessOrdering asserts the flow-fairness experiment's headline
 // claims on the exact configuration the table reports (32 concurrent
@@ -29,16 +32,30 @@ func TestFairnessOrdering(t *testing.T) {
 		rr.JainIndex, dwfq.JainIndex, rr.MiceP99Rounds, dwfq.MiceP99Rounds)
 }
 
-// TestTransportFetchTable smoke-runs the transport-fetch experiment: all
-// three reverse-channel rows complete, and the impaired row records the
-// loss events the CUBIC sawtooth is made of.
+// TestTransportFetchTable runs the transport-fetch experiment: all three
+// reverse-channel rows deliver every segment, and since no segment is
+// ever resubmitted, late or lost acks cost each impaired row at most a
+// tenth of the instant-ack row's goodput.
 func TestTransportFetchTable(t *testing.T) {
 	tables := TransportFetch(DefaultConfig())
 	if len(tables) != 1 || len(tables[0].Rows) != 3 {
 		t.Fatalf("unexpected table shape: %+v", tables)
 	}
-	lossy := tables[0].Rows[2]
-	if lossy[3] == "0" {
-		t.Fatalf("lossy-feedback fetch recorded no loss events: %v", lossy)
+	rows := tables[0].Rows
+	goodput := func(row []string) float64 {
+		g, err := strconv.ParseFloat(row[len(row)-1], 64)
+		if err != nil {
+			t.Fatalf("goodput cell of %v: %v", row, err)
+		}
+		return g
+	}
+	instant := goodput(rows[0])
+	for _, row := range rows {
+		if row[1] != "16" {
+			t.Fatalf("row %v: %s segments, want 16", row, row[1])
+		}
+		if g := goodput(row); g < 0.9*instant {
+			t.Fatalf("row %v: goodput %.3f below 0.9× the instant row's %.3f", row, g, instant)
+		}
 	}
 }

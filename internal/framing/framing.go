@@ -1,8 +1,8 @@
-// Package framing implements the §6 link layer for spinal codes: datagrams
-// are divided into code blocks of at most 1024 bits, each protected by a
-// 16-bit CRC; frames carry a short sequence number so an erased frame
-// cannot desynchronize the receiver; and ACKs carry one bit per code
-// block.
+// Package framing implements the §6 link layer's block framing for spinal
+// codes: datagrams are divided into code blocks of at most 1024 bits,
+// each protected by a 16-bit CRC, and ACKs carry one bit per code block.
+// The frames themselves, with the sequence number that keeps an erased
+// frame from desynchronizing the receiver, are internal/link's.
 package framing
 
 // CRC16 computes the CCITT-FALSE CRC-16 (polynomial 0x1021, initial value
@@ -95,22 +95,6 @@ func Reassemble(payloads [][]byte) []byte {
 		out = append(out, p...)
 	}
 	return out
-}
-
-// Frame is one link-layer transmission unit: a highly redundant sequence
-// number (conceptually PLCP-like; here an integer the simulation protects
-// perfectly, as §6 assumes) plus, per code block, the indices of the
-// symbols being sent in this frame.
-type Frame struct {
-	// Seq is the frame sequence number; the receiver uses it to infer
-	// which spine values/passes each symbol position carries even when
-	// earlier frames were erased.
-	Seq uint32
-	// BlockSubpasses records, for each code block, how many subpasses of
-	// that block's symbol schedule have been transmitted up to and
-	// including this frame. An erased frame leaves a gap the receiver can
-	// reconstruct from the next frame's values.
-	BlockSubpasses []int
 }
 
 // Ack is the receiver's reply: one bit per code block of the current

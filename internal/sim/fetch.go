@@ -1,5 +1,5 @@
-// The fetch-cubic scenario: one congestion-controlled transport fetch
-// instead of a flow population. The scenario driver consumes the public
+// The fetch-cubic scenario: one windowed transport fetch instead of a
+// flow population. The scenario driver consumes the public
 // spinal/transport API for the same reason it consumes public spinal/link
 // — the surface it measures is the surface it pins.
 package sim
@@ -18,9 +18,10 @@ import (
 
 // measureFetchScenario runs "fetch-cubic": a payload pipelined by
 // transport.Fetch over a steady 10 dB AWGN link whose acks arrive 4
-// rounds late and 20% lost — the conditions the CUBIC window, RTT
-// estimator and RTO backoff exist for. ScenarioConfig.MaxBytes is the
-// payload size (0 ⇒ 16 KiB); segments are a fixed 1 KiB. The policy is
+// rounds late and 20% lost, where each segment must still be sent once.
+// The name predates the fetch's current window and is kept as the golden
+// key. ScenarioConfig.MaxBytes is the payload size (0 ⇒ 16 KiB);
+// segments are a fixed 1 KiB. The policy is
 // session-scoped (shared by every segment flow), so the default is the
 // stateless "capacity" rather than the stateful "tracking".
 func measureFetchScenario(cfg ScenarioConfig) (ScenarioResult, error) {
@@ -73,7 +74,6 @@ func measureFetchScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 		InitRTO:      24,
 		MinRTO:       8,
 		MaxRTO:       96,
-		MaxRetries:   64,
 	})
 	if err != nil {
 		return res, err
@@ -89,8 +89,6 @@ func measureFetchScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	res.Rounds = tr.Steps
 	res.Goodput = tr.Goodput
 	res.MeanStateDB = snrDB // the AWGN state is the scenario's one constant
-	res.SegmentRetries = tr.Retries
-	res.LossEvents = tr.Losses
 	res.SRTTRounds = tr.SRTT
 	res.CwndMax = tr.CwndMax
 	return res, nil

@@ -145,9 +145,9 @@ func goldenConfigs() []ScenarioConfig {
 			SchedulerQuantum: 64, // 2048 frame symbols / 32 flows
 		})
 	}
-	// The transport row: one CUBIC-windowed fetch through 4-round-delayed
-	// 20%-lossy feedback, pinning segment retries, loss events, the final
-	// SRTT estimate and the peak window alongside the airtime totals.
+	// The transport row: one windowed fetch through 4-round-delayed
+	// 20%-lossy feedback, pinning the final SRTT estimate and the peak
+	// window alongside the airtime totals.
 	cfgs = append(cfgs, ScenarioConfig{
 		Params:       multiFlowParams(),
 		Scenario:     "fetch-cubic",

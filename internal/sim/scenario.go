@@ -158,14 +158,11 @@ type ScenarioResult struct {
 	MiceP50Rounds int     `json:"mice_p50_rounds,omitempty"`
 	MiceP95Rounds int     `json:"mice_p95_rounds,omitempty"`
 	MiceP99Rounds int     `json:"mice_p99_rounds,omitempty"`
-	// SegmentRetries, LossEvents, SRTTRounds and CwndMax are the
-	// fetch-cubic scenario's transport metrics: segment attempts beyond
-	// the first, deduplicated congestion events, the final smoothed RTT
-	// estimate in rounds, and the peak congestion window in segments.
-	SegmentRetries int     `json:"segment_retries,omitempty"`
-	LossEvents     int     `json:"loss_events,omitempty"`
-	SRTTRounds     float64 `json:"srtt_rounds,omitempty"`
-	CwndMax        float64 `json:"cwnd_max,omitempty"`
+	// SRTTRounds and CwndMax are the fetch-cubic scenario's transport
+	// metrics: the final smoothed RTT estimate in rounds and the peak
+	// window in segments.
+	SRTTRounds float64 `json:"srtt_rounds,omitempty"`
+	CwndMax    float64 `json:"cwnd_max,omitempty"`
 }
 
 func (r ScenarioResult) String() string {
@@ -190,8 +187,7 @@ func (r ScenarioResult) String() string {
 			sched, r.JainIndex, r.MiceP50Rounds, r.MiceP95Rounds, r.MiceP99Rounds)
 	}
 	if r.SRTTRounds > 0 {
-		s += fmt.Sprintf(", %d segment retries, %d losses, srtt %.1f rounds, peak window %.1f",
-			r.SegmentRetries, r.LossEvents, r.SRTTRounds, r.CwndMax)
+		s += fmt.Sprintf(", srtt %.1f rounds, peak window %.1f", r.SRTTRounds, r.CwndMax)
 	}
 	return s
 }

@@ -2,16 +2,11 @@ package transport
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"spinal"
 	"spinal/link"
 )
-
-// ErrSegmentRetries reports a segment that exhausted its retry budget:
-// every attempt ran out its RTO-sized round budget without delivering.
-var ErrSegmentRetries = errors.New("transport: segment exceeded its retry budget")
 
 // Config parameterizes a Fetcher.
 type Config struct {
@@ -19,8 +14,8 @@ type Config struct {
 	// fetcher builds its own session; zero value ⇒ spinal.DefaultParams).
 	Params spinal.Params
 	// Options configure the fetcher-owned session: channel, rate policy,
-	// feedback, half-duplex accounting, scheduler, ... The fetcher
-	// registers itself as the session's FeedbackObserver for RTT
+	// feedback, half-duplex accounting, scheduler, round budget, ... The
+	// fetcher registers itself as the session's FeedbackObserver for RTT
 	// telemetry, overriding any WithFeedbackObserver among these.
 	Options []link.Option
 	// Session, when non-nil, is an existing session the fetch runs over
@@ -33,74 +28,33 @@ type Config struct {
 	// SegmentBytes is the payload bytes per pipelined segment (one link
 	// flow each; 0 ⇒ 1024).
 	SegmentBytes int
-	// InitWindow and MaxWindow bound the congestion window in segments
-	// (0 ⇒ 2 and 64).
+	// InitWindow and MaxWindow bound the window of segments in flight
+	// (0 ⇒ 2 and 64): it opens by one segment per delivered segment,
+	// min(InitWindow + delivered, MaxWindow).
 	InitWindow int
 	MaxWindow  int
-	// Control selects the window algorithm: "cubic" (default) or "aimd".
-	Control string
-	// InitRTO, MinRTO and MaxRTO bound the per-segment round budget in
-	// engine rounds (0 ⇒ 48, 16, 512). A segment whose attempt exceeds
-	// the current RTO (doubled per retry) resolves as lost and is
-	// retried with the window reduced.
+	// InitRTO, MinRTO and MaxRTO bound the reported retransmission
+	// timeout, Result.RTO, in engine rounds (0 ⇒ 48, 16, 512). No
+	// segment is timed out: the RTO describes the RTT telemetry, it does
+	// not budget a segment.
 	InitRTO int
 	MinRTO  int
 	MaxRTO  int
-	// MaxRetries bounds attempts per segment before the fetch fails with
-	// ErrSegmentRetries (0 ⇒ 8).
+	// Deprecated: MaxRetries is ignored. A segment is sent once and lives
+	// until it is delivered; the session's round budget (WithMaxRounds)
+	// bounds it.
 	MaxRetries int
 	// WindowTrace, when non-nil, receives (step, cwnd) after every engine
-	// round — the convergence tests' window oscilloscope.
+	// round.
 	WindowTrace func(step int, cwnd float64)
 }
 
-func (c Config) segmentBytes() int {
-	if c.SegmentBytes <= 0 {
-		return 1024
+// orDefault is v, or def where v is unset (≤ 0).
+func orDefault(v, def int) int {
+	if v <= 0 {
+		return def
 	}
-	return c.SegmentBytes
-}
-
-func (c Config) initWindow() int {
-	if c.InitWindow <= 0 {
-		return 2
-	}
-	return c.InitWindow
-}
-
-func (c Config) maxWindow() int {
-	if c.MaxWindow <= 0 {
-		return 64
-	}
-	return c.MaxWindow
-}
-
-func (c Config) initRTO() int {
-	if c.InitRTO <= 0 {
-		return 48
-	}
-	return c.InitRTO
-}
-
-func (c Config) minRTO() int {
-	if c.MinRTO <= 0 {
-		return 16
-	}
-	return c.MinRTO
-}
-
-func (c Config) maxRTO() int {
-	if c.MaxRTO <= 0 {
-		return 512
-	}
-	return c.MaxRTO
-}
-
-func (c Config) maxRetries() int {
-	if c.MaxRetries <= 0 {
-		return 8
-	}
-	return c.MaxRetries
+	return v
 }
 
 // Result reports one completed fetch.
@@ -108,20 +62,19 @@ type Result struct {
 	// Payload is the reassembled datagram, byte-identical to what was
 	// fetched.
 	Payload []byte
-	// Segments is the number of pipelined segments; Retries counts
-	// segment attempts beyond the first; Losses counts deduplicated
-	// congestion (loss) events that reduced the window.
+	// Segments is the number of pipelined segments, one link flow each.
 	Segments int
-	Retries  int
-	Losses   int
+	// Deprecated: Retries is always 0; no segment is resubmitted.
+	Retries int
+	// Deprecated: Losses is always 0; nothing signals a loss.
+	Losses int
 	// Steps is the number of engine rounds the fetch drove.
 	Steps int
 	// SRTT and RTO are the final smoothed RTT estimate and retransmission
 	// timeout, in rounds.
 	SRTT float64
 	RTO  int
-	// CwndMax and CwndFinal are the peak and final congestion windows, in
-	// segments.
+	// CwndMax and CwndFinal are the peak and final windows, in segments.
 	CwndMax   float64
 	CwndFinal float64
 	// SymbolsSent and AckSymbols aggregate the segments' airtime;
@@ -130,22 +83,21 @@ type Result struct {
 	AckSymbols  int
 	Goodput     float64
 	// Foreign holds flows that resolved during the fetch but belong to
-	// the surrounding session (Config.Session), not this fetch.
+	// the surrounding session (Config.Session) or to an earlier fetch
+	// that returned early, not this fetch.
 	Foreign []link.Result
 }
 
 // segment is one pipelined unit of the payload in flight.
 type segment struct {
 	index  int
-	data   []byte
-	tries  int
-	txStep int  // step clock value when the current attempt was admitted
-	sample bool // an ack-telemetry RTT sample was taken for this attempt
+	txStep int  // step clock value when the segment was sent
+	sample bool // an ack-telemetry RTT sample was taken for this segment
 }
 
-// Fetcher streams payloads over a link session as congestion-controlled
-// segment pipelines. It is single-threaded: one Fetch at a time, and the
-// fetcher must not be shared across goroutines.
+// Fetcher streams payloads over a link session as windowed segment
+// pipelines. It is single-threaded: one Fetch at a time, and the fetcher
+// must not be shared across goroutines.
 type Fetcher struct {
 	cfg   Config
 	sess  *link.Session
@@ -162,14 +114,10 @@ type Fetcher struct {
 // link session from cfg.Params and cfg.Options.
 func NewFetcher(cfg Config) (*Fetcher, error) {
 	f := &Fetcher{
-		cfg:      cfg,
-		rtt:      newRTTEstimator(cfg.initRTO(), cfg.minRTO(), cfg.maxRTO()),
+		cfg: cfg,
+		rtt: newRTTEstimator(orDefault(cfg.InitRTO, 48),
+			orDefault(cfg.MinRTO, 16), orDefault(cfg.MaxRTO, 512)),
 		inflight: make(map[link.FlowID]*segment),
-	}
-	switch cfg.Control {
-	case "", "cubic", "aimd":
-	default:
-		return nil, fmt.Errorf("transport: unknown congestion control %q", cfg.Control)
 	}
 	if cfg.Session != nil {
 		f.sess = cfg.Session
@@ -199,10 +147,10 @@ func (f *Fetcher) Close() error {
 }
 
 // ObserveFeedback implements link.FeedbackObserver: the first delivered
-// ack of each in-flight segment's attempt is an RTT sample — the
-// earliest telemetry the reverse channel offers, rounds before the
-// segment completes. Called synchronously from inside the session's
-// Step, on the fetching goroutine.
+// ack of each in-flight segment is an RTT sample — the earliest
+// telemetry the reverse channel offers, rounds before the segment
+// completes. Called synchronously from inside the session's Step, on the
+// fetching goroutine.
 func (f *Fetcher) ObserveFeedback(ev link.FeedbackEvent) {
 	if ev.Kind != link.AckDelivered {
 		return
@@ -216,59 +164,36 @@ func (f *Fetcher) ObserveFeedback(ev link.FeedbackEvent) {
 }
 
 // Fetch streams payload through the session as a pipeline of segments
-// and returns the reassembled bytes with transfer statistics. On context
-// cancellation or a segment exhausting its retries it returns the error;
-// segments still in flight keep transmitting on the session and are
-// drained (and accounted) by the session's next user.
+// and returns the reassembled bytes with transfer statistics. Each
+// segment is sent once, as one link flow, and kept until it is
+// delivered: the rateless receiver never loses a segment, it only waits
+// for more symbols. A segment whose flow resolves with an error (the
+// session's round budget, a deadline) fails the fetch with that error
+// wrapped, as does context cancellation; segments still in flight keep
+// transmitting on the session and resolve as foreign flows of its next
+// user.
 func (f *Fetcher) Fetch(ctx context.Context, payload []byte) (*Result, error) {
-	segBytes := f.cfg.segmentBytes()
-	n := (len(payload) + segBytes - 1) / segBytes
-	if n == 0 {
-		n = 1 // an empty payload is one empty segment, not zero work
-	}
-	queue := make([]*segment, n)
-	for i := range queue {
-		lo := i * segBytes
-		hi := lo + segBytes
-		if lo > len(payload) {
-			lo = len(payload)
-		}
-		if hi > len(payload) {
-			hi = len(payload)
-		}
-		queue[i] = &segment{index: i, data: payload[lo:hi]}
-	}
+	// Flows of an earlier fetch that returned early are not this fetch's.
+	clear(f.inflight)
+	segBytes := orDefault(f.cfg.SegmentBytes, 1024)
+	n := max(1, (len(payload)+segBytes-1)/segBytes) // an empty payload is one empty segment
+	initWindow, maxWindow := orDefault(f.cfg.InitWindow, 2), orDefault(f.cfg.MaxWindow, 64)
+	window := func(delivered int) int { return min(initWindow+delivered, maxWindow) }
 
-	var ctl controller
-	if f.cfg.Control == "aimd" {
-		ctl = newAIMD(f.cfg.initWindow(), f.cfg.maxWindow())
-	} else {
-		ctl = newCubic(f.cfg.initWindow(), f.cfg.maxWindow())
-	}
-
-	res := &Result{Segments: n, CwndMax: ctl.window()}
+	res := &Result{Segments: n}
 	parts := make([][]byte, n)
-	delivered := 0
-	// Deduplicate loss events: only a segment launched after the last
-	// window reduction may reduce it again (RFC 6298 / Karn's-algorithm
-	// spirit — one congestion event per window generation).
-	lastLoss := -1
-
+	sent, delivered := 0, 0
 	for delivered < n {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		for len(queue) > 0 && len(f.inflight) < int(ctl.window()) {
-			seg := queue[0]
-			queue = queue[1:]
-			budget := f.rtt.backoff(seg.tries)
-			id, err := f.sess.Send(seg.data, link.WithMaxRounds(budget))
+		for ; sent < n && len(f.inflight) < window(delivered); sent++ {
+			lo := min(sent*segBytes, len(payload))
+			id, err := f.sess.Send(payload[lo:min(lo+segBytes, len(payload))])
 			if err != nil {
 				return nil, err
 			}
-			seg.txStep = f.step
-			seg.sample = false
-			f.inflight[id] = seg
+			f.inflight[id] = &segment{index: sent, txStep: f.step}
 		}
 		results, err := f.sess.Step(ctx)
 		if err != nil {
@@ -276,8 +201,7 @@ func (f *Fetcher) Fetch(ctx context.Context, payload []byte) (*Result, error) {
 		}
 		f.step++
 		res.Steps++
-		for i := range results {
-			r := results[i]
+		for _, r := range results {
 			seg, mine := f.inflight[r.ID]
 			if !mine {
 				res.Foreign = append(res.Foreign, r)
@@ -286,37 +210,19 @@ func (f *Fetcher) Fetch(ctx context.Context, payload []byte) (*Result, error) {
 			delete(f.inflight, r.ID)
 			res.SymbolsSent += r.Stats.SymbolsSent
 			res.AckSymbols += r.Stats.AckSymbols
-			if r.Err == nil {
-				if !seg.sample {
-					// No ack telemetry (no WithFeedback, or a shared
-					// session): the completion itself is the RTT sample.
-					f.rtt.observe(f.step - seg.txStep)
-				}
-				parts[seg.index] = r.Datagram
-				delivered++
-				ctl.onAck(f.step, f.rtt.srtt)
-				continue
+			if r.Err != nil {
+				return nil, fmt.Errorf("transport: segment %d: %w", seg.index, r.Err)
 			}
-			// Any resolution error — budget exhaustion (the designed RTO
-			// path), a deadline, an outage — is a loss signal.
-			seg.tries++
-			res.Retries++
-			if seg.tries > f.cfg.maxRetries() {
-				return nil, fmt.Errorf("%w: segment %d after %d attempts (last: %v)",
-					ErrSegmentRetries, seg.index, seg.tries, r.Err)
+			if !seg.sample {
+				// No ack telemetry (no WithFeedback, or a shared
+				// session): the completion itself is the RTT sample.
+				f.rtt.observe(f.step - seg.txStep)
 			}
-			if seg.txStep > lastLoss {
-				ctl.onLoss(f.step)
-				lastLoss = f.step
-				res.Losses++
-			}
-			queue = append([]*segment{seg}, queue...) // retry first: in-order bias
-		}
-		if w := ctl.window(); w > res.CwndMax {
-			res.CwndMax = w
+			parts[seg.index] = r.Datagram
+			delivered++
 		}
 		if f.cfg.WindowTrace != nil {
-			f.cfg.WindowTrace(f.step, ctl.window())
+			f.cfg.WindowTrace(f.step, float64(window(delivered)))
 		}
 	}
 
@@ -325,7 +231,8 @@ func (f *Fetcher) Fetch(ctx context.Context, payload []byte) (*Result, error) {
 	}
 	res.SRTT = f.rtt.srtt
 	res.RTO = f.rtt.rto
-	res.CwndFinal = ctl.window()
+	res.CwndFinal = float64(window(delivered))
+	res.CwndMax = res.CwndFinal // the window never shrinks
 	if air := res.SymbolsSent + res.AckSymbols; air > 0 {
 		res.Goodput = float64(8*len(res.Payload)) / float64(air)
 	}

@@ -1,11 +1,13 @@
-// Package transport is the congestion-aware multi-block fetch tier over
-// the spinal link: it streams a large payload as a pipeline of link-layer
-// segments, estimating round-trip time from ack telemetry and pacing the
-// number of segments in flight with a CUBIC (or AIMD) congestion window,
-// slow start, and RTO-bounded per-segment budgets with exponential
-// backoff. Time is measured in engine rounds — the link simulation's only
-// clock — so every constant that RFC-land states in seconds appears here
-// in rounds.
+// Package transport is the multi-block fetch tier over the spinal link:
+// it streams a large payload as a pipeline of link-layer segments, one
+// link flow each. Each segment is sent once and kept until it is
+// delivered: a rateless receiver never loses a block, it only waits for
+// more symbols. The number of segments in flight opens by one per
+// delivered segment, up to a ceiling. Round-trip time is estimated from
+// ack telemetry into an RFC 6298 SRTT and RTO, which the fetch reports.
+// Time is measured in engine rounds — the link simulation's only clock —
+// so every constant that RFC-land states in seconds appears here in
+// rounds.
 package transport
 
 // rttEstimator is the RFC 6298 smoothed RTT filter in round units:
@@ -43,16 +45,6 @@ func (e *rttEstimator) observe(sample int) {
 	}
 	rto := int(e.srtt + 4*e.rttvar + 0.5)
 	e.rto = e.clamp(rto)
-}
-
-// backoff returns the RTO for the given retry attempt: the base RTO
-// doubled per try (RFC 6298 §5.5), clamped to the ceiling.
-func (e *rttEstimator) backoff(tries int) int {
-	rto := e.rto
-	for i := 0; i < tries && rto < e.maxRTO; i++ {
-		rto *= 2
-	}
-	return e.clamp(rto)
 }
 
 func (e *rttEstimator) clamp(rto int) int {

@@ -17,7 +17,7 @@ go test -run '^$' -bench 'BenchmarkFinishWords$|BenchmarkChildrenPrefixes$|Bench
     -benchtime "$benchtime" -benchmem ./internal/hashfn/ >>"$tmp"
 go test -run '^$' -bench 'BenchmarkLinkEngine$' \
     -benchtime "$benchtime" -benchmem ./internal/link/ >>"$tmp"
-go test -run '^$' -bench 'BenchmarkFetchPipeline$' \
+go test -run '^$' -bench 'BenchmarkFetchPipeline$|BenchmarkFetchDelayed$' \
     -benchtime "$benchtime" -benchmem ./internal/transport/ >>"$tmp"
 
 awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '

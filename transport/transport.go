@@ -1,15 +1,17 @@
-// Package transport is the public congestion-aware fetch API over the
-// spinal link — the experiment tier above spinal/link, the way
-// spinal/sim sits above the codec.
+// Package transport is the public multi-block fetch API over the spinal
+// link — the experiment tier above spinal/link, the way spinal/sim sits
+// above the codec.
 //
 // A Fetcher streams a large payload as a pipeline of link-layer
-// segments: round-trip time is estimated RFC 6298-style from the
-// session's ack telemetry (or from segment completions when none is
-// configured), the number of segments in flight follows a CUBIC (or
-// AIMD) congestion window with slow start, and each segment attempt is
-// bounded by the current RTO with exponential backoff — a lost attempt
-// shrinks the window and is retried. Time is engine rounds, the link
-// simulation's only clock.
+// segments, one link flow each. A segment is sent once and kept until it
+// is delivered: the rateless receiver keeps every symbol it has, so a
+// slow segment is never a lost one. The number of segments in flight
+// opens by one per delivered segment, up to Config.MaxWindow. A segment
+// whose flow fails (the session's round budget, a deadline) fails the
+// fetch with that error wrapped. Round-trip time is estimated RFC
+// 6298-style from the session's ack telemetry (or from segment
+// completions when none is configured) and reported as Result.SRTT and
+// Result.RTO. Time is engine rounds, the link simulation's only clock.
 //
 //	res, err := transport.Fetch(ctx, payload, transport.Config{
 //		Options: []link.Option{
@@ -35,21 +37,18 @@ import (
 )
 
 // Config parameterizes a fetch: the session it runs over (own or
-// shared), segment size, window bounds and control law, RTO bounds, and
-// the retry budget.
+// shared), segment size, window bounds and the bounds of the reported
+// RTO.
 type Config = itransport.Config
 
-// Result reports one completed fetch: the reassembled payload, segment
-// and retry counts, loss events, the final SRTT/RTO estimates, window
-// extremes, airtime totals and goodput.
+// Result reports one completed fetch: the reassembled payload, the
+// segment count, the final SRTT/RTO estimates, window extremes, airtime
+// totals and goodput.
 type Result = itransport.Result
 
-// Fetcher streams payloads over a link session as congestion-controlled
-// segment pipelines; reuse one to keep RTT state across fetches.
+// Fetcher streams payloads over a link session as windowed segment
+// pipelines; reuse one to keep RTT state across fetches.
 type Fetcher = itransport.Fetcher
-
-// ErrSegmentRetries reports a segment that exhausted its retry budget.
-var ErrSegmentRetries = itransport.ErrSegmentRetries
 
 // NewFetcher builds a fetcher and, unless cfg.Session is set, its own
 // link session from cfg.Params and cfg.Options.
