@@ -106,7 +106,7 @@ var All = []Experiment{
 	{"ablation-attempts", "Decode-attempt granularity ablation (engine design choice)", AttemptAblation},
 	{"ge-channel", "Bursty Gilbert-Elliott channel: rateless vs best fixed rate", GEChannel},
 	{"scenario-goodput", "Time-varying channel scenario: link goodput by rate policy", ScenarioGoodput},
-	{"feedback-goodput", "Realistic ARQ feedback: goodput under ack delay/loss, chase vs discard", FeedbackGoodput},
+	{"feedback-goodput", "Realistic ARQ feedback: goodput under ack delay/loss and half-duplex airtime", FeedbackGoodput},
 	{"chaos-degradation", "Adversarial links: goodput degradation vs fault intensity (no cliff)", ChaosDegradation},
 	{"baseline-goodput", "Codes bake-off: every §8 code through the link engine vs the LDPC oracle envelope", BaselineGoodput},
 	{"daemon-goodput", "spinald scaling: aggregate goodput vs concurrent flows over one UDP socket", DaemonGoodput},

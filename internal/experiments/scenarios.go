@@ -60,9 +60,9 @@ func ScenarioGoodput(cfg Config) []*Table {
 // (sim.MeasureScenario "feedback-delay"/"feedback-loss"): mixed-SNR AWGN
 // flows where only the reverse path varies. The sweep crosses tracking
 // and fixed pacing with 0-, 2- and 8-round ack delays, then adds the
-// named lossy-ack scenario and the discard-and-retry (type-I ARQ)
-// receiver at the 8-round point — the chase-combining default must beat
-// it, which TestFeedbackChaseBeatsDiscard asserts at engine level.
+// named lossy-ack scenario and half-duplex ack airtime at the 2-round
+// point. The receiver chase-combines throughout: symbols from failed
+// attempts are kept for the next one.
 func FeedbackGoodput(cfg Config) []*Table {
 	flows := 24
 	p := core.Params{K: 4, B: 16, D: 1, C: 6, Tail: 2, Ways: 8}
@@ -104,9 +104,6 @@ func FeedbackGoodput(cfg Config) []*Table {
 		}
 	}
 	rows = append(rows, row{"loss 30% (delay 2)", base("feedback-loss", "tracking")})
-	discard := base("feedback-delay", "tracking")
-	discard.Feedback = &link.FeedbackConfig{DelayRounds: 8, Discard: true}
-	rows = append(rows, row{"delay 8, discard", discard})
 	// Half-duplex accounting: the same delay-2 exchange, but ack airtime
 	// is charged against goodput (link.WithHalfDuplex) — the ROADMAP's
 	// shared-medium follow-on, and the knob the IBFD WLAN literature says

@@ -60,7 +60,6 @@ func TestChaosSoak(t *testing.T) {
 				DelayRounds:  rng.Intn(3),
 				JitterRounds: rng.Intn(2),
 				Loss:         rng.Float64() * 0.2,
-				Discard:      c%4 == 3,
 			}
 		}
 		eng := NewEngine(EngineConfig{
@@ -74,7 +73,7 @@ func TestChaosSoak(t *testing.T) {
 			CheckInvariants: true,
 		})
 		payload := make(map[FlowID][]byte)
-		for i := 0; i < 14; i++ {
+		for i := 0; i < 28; i++ {
 			data := make([]byte, 20+rng.Intn(120))
 			rng.Read(data)
 			id := eng.AddFlow(data, FlowConfig{

@@ -43,10 +43,12 @@ func (r FixedRate) SubpassBudget(_, _, _ int) int {
 
 // CapacityRate opens each block with a burst sized so the receiver is
 // likely just past its decoding point — blockBits/(margin·C(est))
-// symbols, the same heuristic as the half-duplex CapacityPolicy — and
-// then trickles geometrically growing increments. A stale SNR estimate
-// degrades gracefully: too low wastes a little rate, too high adds
-// trickle rounds.
+// symbols, the heuristic §6's half-duplex discussion implies for how long
+// a sender should transmit before it stops to listen — and then trickles
+// geometrically growing increments. A stale SNR estimate degrades
+// gracefully: too low wastes a little rate, too high adds trickle rounds.
+// With EngineConfig.HalfDuplex each round's burst ends in one charged ack
+// turnaround.
 type CapacityRate struct {
 	// SNREstimateDB is the sender's (possibly stale) channel estimate.
 	SNREstimateDB float64
@@ -59,7 +61,7 @@ type CapacityRate struct {
 
 // SubpassBudget implements RatePolicy.
 func (p CapacityRate) SubpassBudget(blockBits, subpassSymbols, symbolsSent int) int {
-	return capacityBurst(p.SNREstimateDB, p.Margin, p.Growth, blockBits, maxInt(subpassSymbols, 1), symbolsSent)
+	return capacityBurst(p.SNREstimateDB, p.Margin, p.Growth, blockBits, max(subpassSymbols, 1), symbolsSent)
 }
 
 // EngineConfig configures a multi-flow link engine.
@@ -178,14 +180,6 @@ type FlowConfig struct {
 	Channel Channel
 	// Rate paces the flow (nil ⇒ FixedRate(1)).
 	Rate RatePolicy
-	// Pause, when non-nil, paces the flow's feedback turnarounds for a
-	// half-duplex medium: the sender transmits policy-sized bursts of
-	// rounds and only learns the receiver's per-block state at each
-	// burst's end (or immediately once the whole datagram decodes — the
-	// receiver can preempt, cf. §6's ACK timing discussion). nil keeps
-	// instant per-block acks. Mutually exclusive with
-	// EngineConfig.Feedback, which models a full-duplex reverse channel.
-	Pause PausePolicy
 	// MaxRounds overrides the engine's give-up budget (0 ⇒ inherit).
 	MaxRounds int
 	// Weight is the flow's share of the link under a DWFQ scheduler
@@ -253,13 +247,7 @@ type engineFlow struct {
 	deadline int
 	deficit  int64
 
-	// Pause-policy state, present only when FlowConfig.Pause is set: the
-	// sender hears acks only at burst boundaries.
-	pause      PausePolicy
-	burstLeft  int  // rounds left before the next feedback turnaround
-	pauses     int  // turnarounds consumed
-	tx         bool // transmitted this round (a burst round was consumed)
-	ackSymbols int  // half-duplex reverse-channel airtime charged so far
+	ackSymbols int // half-duplex reverse-channel airtime charged so far
 }
 
 // identityChannel is the noiseless default medium.
@@ -408,13 +396,6 @@ func (e *Engine) code() icode.Code {
 // datagram is legal (a single CRC-only block). The flow starts
 // transmitting on the next Step.
 func (e *Engine) AddFlow(datagram []byte, fc FlowConfig) FlowID {
-	if fc.Pause != nil && e.cfg.Feedback != nil {
-		// A pause policy models a half-duplex turnaround schedule with
-		// instant acks at each pause; a FeedbackConfig models a
-		// full-duplex delayed reverse channel. Combining them has no
-		// coherent semantics, so fail loudly rather than pick one.
-		panic("link: FlowConfig.Pause and EngineConfig.Feedback are mutually exclusive")
-	}
 	c := e.code()
 	fl := &engineFlow{
 		id:        e.next,
@@ -422,7 +403,6 @@ func (e *Engine) AddFlow(datagram []byte, fc FlowConfig) FlowID {
 		rcv:       NewCodeReceiver(c),
 		ch:        fc.Channel,
 		rate:      fc.Rate,
-		pause:     fc.Pause,
 		maxRounds: fc.MaxRounds,
 		weight:    fc.Weight,
 		prio:      fc.Priority,
@@ -631,7 +611,7 @@ func (e *Engine) scheduleRR(round int) {
 		fl.rounds++
 		symbols = e.admit(fl, round, symbols)
 	}
-	e.rr = (e.rr + offered) % maxInt(n, 1)
+	e.rr = (e.rr + offered) % max(n, 1)
 }
 
 // admit schedules one flow's batches for the round — one batch of fresh
@@ -672,7 +652,7 @@ func (e *Engine) admit(fl *engineFlow, round, symbols int) int {
 			}
 		}
 		sched := fl.snd.scheds[b]
-		sub := maxInt(sched.SymbolsPerPass()/sched.Subpasses(), 1)
+		sub := max(sched.SymbolsPerPass()/sched.Subpasses(), 1)
 		want := fl.rate.SubpassBudget(fl.snd.blocks[b].NumBits(), sub, fl.snd.symbolsFor(b))
 		if e.sched != nil {
 			// The deficit clamp is where fairness bites: however large a
@@ -692,17 +672,6 @@ func (e *Engine) admit(fl *engineFlow, round, symbols int) int {
 			}
 			st.commit(round, timeout)
 		}
-		if !inFrame && fl.pause != nil && fl.burstLeft == 0 {
-			// A pause-paced flow opens a new burst the moment it is about
-			// to transmit: the policy sizes it from the symbols sent so
-			// far, and each burst ends in exactly one feedback turnaround
-			// (counted here, applied in the ack stage).
-			fl.burstLeft = maxInt(fl.pause.BurstFrames(
-				fl.snd.blocks[0].NumBits(),
-				maxInt(perFrameSymbols(fl.snd), 1),
-				fl.snd.SymbolsSent()), 1)
-			fl.pauses++
-		}
 		batch := fl.snd.batchIDs(b, want)
 		if e.sched != nil {
 			fl.deficit -= int64(len(batch.IDs))
@@ -717,7 +686,6 @@ func (e *Engine) admit(fl *engineFlow, round, symbols int) int {
 	}
 	if inFrame {
 		fl.frames++
-		fl.tx = true
 	}
 	return symbols
 }
@@ -818,15 +786,8 @@ func (e *Engine) decodeGroup(c *core.Codec, shard int, g *rxGroup) {
 	// receiver does not have; accumulate rejects it, but nothing else in
 	// this job may index by it.
 	inRange := g.block >= 0 && g.block < len(rcv.blocks)
-	discard := inRange && e.cfg.Feedback != nil && e.cfg.Feedback.Discard
 	for i := range g.batches {
-		b := &g.batches[i]
-		if discard && len(b.IDs) > 0 {
-			// Type-I ARQ: decode each retry standalone instead of
-			// chase-combining with observations that already failed.
-			rcv.dropStale(g.block)
-		}
-		if ok, err := rcv.accumulate(b); ok && err != nil {
+		if ok, err := rcv.accumulate(&g.batches[i]); ok && err != nil {
 			g.rejected++
 		}
 	}
@@ -839,14 +800,12 @@ func (e *Engine) decodeGroup(c *core.Codec, shard int, g *rxGroup) {
 }
 
 // ack carries the receivers' reports back to the senders. A flow's
-// feedback runs one of three ways:
+// feedback runs one of two ways:
 //
 //   - instant (the default): §6's one-bit-per-block ack crosses a perfect
 //     reverse channel at once, applied in its compressed form — each
 //     decoded group acks its block, in group order, which is the order a
 //     shared code.RateAdapter learns in;
-//   - pause burst (FlowConfig.Pause): the sender hears the receiver only
-//     at each burst's end;
 //   - feedback channel (EngineConfig.Feedback): each flow that received
 //     anything sends its ack bitmap into its FeedbackChannel, every
 //     channel advances one round, and only delivered acks touch sender
@@ -854,7 +813,7 @@ func (e *Engine) decodeGroup(c *core.Codec, shard int, g *rxGroup) {
 //     possibly missing reports.
 func (e *Engine) ack(round int) {
 	for k := range e.groups {
-		if g := &e.groups[k]; g.decoded && g.fl.fb == nil && g.fl.pause == nil {
+		if g := &e.groups[k]; g.decoded && g.fl.fb == nil {
 			e.ackBlock(g.fl, g.block)
 		}
 	}
@@ -869,30 +828,12 @@ func (e *Engine) ack(round int) {
 			for _, a := range fl.fb.Advance() {
 				e.applyAck(fl, a, round)
 			}
-		case fl.pause != nil:
-			// When a burst round was consumed, the sender pauses to listen
-			// once the burst is spent — or immediately when the whole
-			// datagram has verified (the receiver preempts). The
-			// turnaround happens even when the burst's forward frames were
-			// all erased: the sender pauses on its own schedule and the
-			// receiver answers the silence with whatever state it holds.
-			// (The reverse channel is reliable here; an unreliable one is
-			// FeedbackConfig's job.) This deliberately differs from the
-			// pre-engine TransferWithPolicy loop, where the ack could only
-			// piggyback on a burst's last surviving frame.
-			if fl.tx {
-				fl.burstLeft--
-				if fl.burstLeft <= 0 || fl.rcv.Complete() {
-					e.applyAck(fl, e.sendAck(fl, round), round)
-					fl.burstLeft = 0
-				}
-			}
 		case fl.rx && e.cfg.HalfDuplex != nil:
 			// §6's instant compressed ack still occupies the shared
 			// medium when half-duplex accounting is on.
 			e.chargeAck(fl, ackWireLen(fl.rcv.ack(uint32(round))))
 		}
-		fl.tx, fl.rx = false, false
+		fl.rx = false
 	}
 }
 
@@ -926,7 +867,7 @@ func (e *Engine) resolve() []FlowResult {
 	}
 	clear(e.flows[len(live):])
 	e.flows = live
-	e.rr %= maxInt(len(e.flows), 1)
+	e.rr %= max(len(e.flows), 1)
 	return results
 }
 
@@ -1069,7 +1010,6 @@ func (e *Engine) result(fl *engineFlow, ferr error) FlowResult {
 		SymbolsSent: fl.snd.SymbolsSent(),
 		Blocks:      fl.snd.Blocks(),
 		AckSymbols:  fl.ackSymbols,
-		Pauses:      fl.pauses,
 	}
 	if fl.fb != nil {
 		for i := range fl.arq {

@@ -36,11 +36,6 @@ type FeedbackConfig struct {
 	// Window bounds the blocks a flow may have transmitted-but-unacked at
 	// once (0 ⇒ 8). Blocks beyond it wait their turn.
 	Window int
-	// Discard selects type-I ARQ at the receiver: each retry is decoded
-	// standalone, accumulated symbols from failed attempts are dropped.
-	// The default (false) is chase combining — observations accumulate
-	// across retransmitted passes.
-	Discard bool
 }
 
 func (c FeedbackConfig) rto() int {
@@ -90,9 +85,9 @@ func (k FeedbackEventKind) String() string {
 
 // FeedbackEvent is one observation of a flow's reverse (ACK) path.
 // Under a FeedbackConfig, AckSent and AckDelivered for the same ack are
-// separated by the channel's delay, and lost acks never deliver; a
-// pause-paced flow fires both in the turnaround round. The engine's
-// instant per-block default has no explicit acks and emits no events.
+// separated by the channel's delay, and lost acks never deliver. The
+// engine's instant per-block default has no explicit acks and emits no
+// events.
 type FeedbackEvent struct {
 	// Flow is the flow whose ack this is.
 	Flow FlowID

@@ -274,30 +274,6 @@ func TestEngineFeedbackTotalAckLoss(t *testing.T) {
 	}
 }
 
-// TestEngineFeedbackDiscardDelivers: discard-and-retry (type-I ARQ) is a
-// legal receiver mode — at high SNR where single passes decode, flows
-// still complete intact.
-func TestEngineFeedbackDiscardDelivers(t *testing.T) {
-	cfg := engineParams()
-	cfg.Feedback = &FeedbackConfig{DelayRounds: 2, Discard: true}
-	e := NewEngine(cfg)
-	defer e.Close()
-	data := flowPayload(rand.New(rand.NewSource(59)), 66)
-	// Pace with bursts provisioned for 10 dB on a 22 dB channel: each
-	// pass overshoots the decoding point, so standalone decoding works.
-	e.AddFlow(data, FlowConfig{
-		Channel: newAWGNChannel(22, 0, 11),
-		Rate:    CapacityRate{SNREstimateDB: 10},
-	})
-	res := e.Drain(0)
-	if len(res) != 1 || res[0].Err != nil {
-		t.Fatalf("unexpected results %+v", res)
-	}
-	if !bytes.Equal(res[0].Datagram, data) {
-		t.Fatal("datagram corrupted")
-	}
-}
-
 // TestAckWireSelectiveVariant: sparse (or nearly complete) acks take the
 // run-length selective variant, which beats the bitmap by an order of
 // magnitude and still round-trips exactly.

@@ -97,74 +97,6 @@ func TestHalfDuplexAirtimeDenser(t *testing.T) {
 	}
 }
 
-// TestEnginePauseMatchesTransferWithPolicy: the engine path under a
-// pause-paced flow is the implementation of TransferWithPolicy, so both
-// report identical statistics for identical inputs.
-func TestEnginePauseMatchesTransferWithPolicy(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	data := make([]byte, 300)
-	rng.Read(data)
-	pol := CapacityPolicy{SNREstimateDB: 10}
-
-	got, st, pauses, err := TransferWithPolicy(data, linkParams(), 0,
-		newAWGNChannel(10, 0, 9), pol, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("datagram corrupted")
-	}
-	r := engineRun(t, EngineConfig{MaxRounds: 10000},
-		FlowConfig{Channel: newAWGNChannel(10, 0, 9), Pause: pol}, data)
-	if r.Err != nil {
-		t.Fatal(r.Err)
-	}
-	if r.Stats.SymbolsSent != st.SymbolsSent || r.Stats.Frames != st.Frames || r.Stats.Pauses != pauses {
-		t.Fatalf("engine pause path diverged: engine %d sym/%d frames/%d pauses, transfer %d/%d/%d",
-			r.Stats.SymbolsSent, r.Stats.Frames, r.Stats.Pauses,
-			st.SymbolsSent, st.Frames, pauses)
-	}
-}
-
-// TestEnginePauseDefersAcks: under EveryFrame the sender pauses each
-// round (pauses == frames); a capacity policy pauses far less on the
-// same channel realization.
-func TestEnginePauseDefersAcks(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	data := make([]byte, 250)
-	rng.Read(data)
-	every := engineRun(t, EngineConfig{MaxRounds: 10000},
-		FlowConfig{Channel: newAWGNChannel(10, 0, 11), Pause: EveryFrame{}}, data)
-	if every.Err != nil {
-		t.Fatal(every.Err)
-	}
-	if every.Stats.Pauses != every.Stats.Frames {
-		t.Fatalf("EveryFrame: %d pauses for %d frames", every.Stats.Pauses, every.Stats.Frames)
-	}
-	capa := engineRun(t, EngineConfig{MaxRounds: 10000},
-		FlowConfig{Channel: newAWGNChannel(10, 0, 11), Pause: CapacityPolicy{SNREstimateDB: 10}}, data)
-	if capa.Err != nil {
-		t.Fatal(capa.Err)
-	}
-	if capa.Stats.Pauses >= every.Stats.Pauses {
-		t.Fatalf("capacity policy paused %d times vs %d for every-frame",
-			capa.Stats.Pauses, every.Stats.Pauses)
-	}
-}
-
-// TestPauseFeedbackMutuallyExclusive: combining a pause policy with an
-// explicit reverse channel must fail loudly at admission.
-func TestPauseFeedbackMutuallyExclusive(t *testing.T) {
-	e := NewEngine(EngineConfig{Params: linkParams(), Feedback: &FeedbackConfig{}})
-	defer e.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AddFlow accepted Pause + Feedback")
-		}
-	}()
-	e.AddFlow([]byte("x"), FlowConfig{Pause: EveryFrame{}})
-}
-
 // recordingObserver collects feedback events.
 type recordingObserver struct {
 	events []FeedbackEvent
@@ -209,27 +141,4 @@ func TestFeedbackObserverEvents(t *testing.T) {
 		t.Fatalf("incoherent delivery count %d (sent %d)", delivered, sent)
 	}
 
-	// A pause-paced flow fires both kinds at each turnaround.
-	ob2 := &recordingObserver{}
-	e := NewEngine(EngineConfig{Params: linkParams(), FrameSymbols: 1 << 30, MaxRounds: 10000, Observer: ob2})
-	defer e.Close()
-	e.AddFlow(data, FlowConfig{Channel: newAWGNChannel(12, 0, 13), Pause: CapacityPolicy{SNREstimateDB: 12}})
-	r2 := e.Drain(0)[0]
-	if r2.Err != nil {
-		t.Fatal(r2.Err)
-	}
-	var s2, d2 int
-	for _, ev := range ob2.events {
-		if ev.Kind == AckSent {
-			s2++
-		} else {
-			d2++
-		}
-	}
-	if s2 == 0 || s2 != d2 {
-		t.Fatalf("pause turnarounds fired %d sends, %d deliveries", s2, d2)
-	}
-	if s2 != r2.Stats.Pauses {
-		t.Fatalf("%d ack events for %d pauses", s2, r2.Stats.Pauses)
-	}
 }

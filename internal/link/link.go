@@ -347,9 +347,9 @@ func (r *Receiver) accumulate(b *Batch) (bool, error) {
 			blk.dups++
 			continue
 		}
-		// seen.n bounds lifetime distinct observations too: under
-		// discard-and-retry the ids slice resets between attempts, but
-		// the dedup set must not become the unbounded growth path.
+		// Every stored symbol enters both the accumulator and the dedup
+		// set, so the two counts agree; the set is bounded on its own
+		// anyway, so that its memory does not rest on that agreement.
 		if len(blk.ids) >= maxAccumSymbols || blk.seen.n >= maxAccumSymbols {
 			blk.overflow += len(b.IDs) - j
 			return true, ErrBlockFull
@@ -381,21 +381,6 @@ func (r *Receiver) attempt(i int, dec icode.Decoder) bool {
 	blk.seen.release()
 	blk.ids, blk.syms, blk.seen = nil, nil, nil
 	return true
-}
-
-// dropStale implements discard-and-retry (type-I ARQ): forget block i's
-// accumulated symbols once a decode attempt over them has failed, so the
-// next attempt sees only the fresh retry. The chase-combining default
-// never calls this — observations accumulate across retransmitted passes.
-// Symbols not yet attempted (dirty) are kept: they are part of the
-// current retry, not the failed one.
-func (r *Receiver) dropStale(i int) {
-	blk := &r.blocks[i]
-	if blk.got || blk.dirty || len(blk.ids) == 0 {
-		return
-	}
-	blk.ids = blk.ids[:0]
-	blk.syms = blk.syms[:0]
 }
 
 // ownDecoder returns the receiver's reset decoder for nBits-bit blocks,
@@ -510,9 +495,6 @@ type Stats struct {
 	// symbols, under half-duplex accounting
 	// (EngineConfig.HalfDuplex; zero otherwise).
 	AckSymbols int
-	// Pauses counts the feedback turnarounds of a pause-paced flow
-	// (FlowConfig.Pause; zero otherwise).
-	Pauses int
 	// BatchesRejected counts batches the receiver dropped with a typed
 	// error (ErrMalformedBatch, ErrBadSymbolID, ErrBadSymbol,
 	// ErrBlockFull) — counted-and-dropped input, not silence.

@@ -17,8 +17,8 @@ type RateObserver interface {
 	ObserveDecode(blockBits, symbolsSpent int)
 }
 
-// capacityBurst is the capacity-seeded burst CapacityRate, CapacityPolicy
-// and TrackingRate share, in units of unitSymbols symbols (≥ 1 unit):
+// capacityBurst is the capacity-seeded burst CapacityRate and
+// TrackingRate share, in units of unitSymbols symbols (≥ 1 unit):
 // enough to bring a blockBits-bit block to blockBits/(margin·C(snrDB))
 // symbols sent, the receiver's likely decoding point, then growth times
 // that target per call once it is passed. A zero margin means 0.8, a zero
@@ -113,10 +113,10 @@ func (t *TrackingRate) bounds() (lo, hi float64) {
 // point, then trickle, never exceeding MaxRoundSymbols per block per
 // round.
 func (t *TrackingRate) SubpassBudget(blockBits, subpassSymbols, symbolsSent int) int {
-	sub := maxInt(subpassSymbols, 1)
+	sub := max(subpassSymbols, 1)
 	n := capacityBurst(t.estDB, t.margin(), 0.25, blockBits, sub, symbolsSent)
 	if lim := t.maxRoundSymbols() / sub; n > lim {
-		n = maxInt(lim, 1)
+		n = max(lim, 1)
 	}
 	return n
 }

@@ -9,6 +9,49 @@ import (
 	"spinal/internal/channel"
 )
 
+// TestCapacityPolicyFirstBurst: the capacity rate policy (CapacityRate)
+// opens a block with one burst to the estimated decoding point, then
+// trickles smaller increments.
+func TestCapacityPolicyFirstBurst(t *testing.T) {
+	p := CapacityRate{SNREstimateDB: 10}
+	// 1024-bit block, 9 symbols/subpass, nothing sent: the first burst
+	// should cover ≈ 1024/(0.8·3.46) ≈ 370 symbols ≈ 42 subpasses.
+	got := p.SubpassBudget(1024, 9, 0)
+	if got < 30 || got > 55 {
+		t.Fatalf("first burst %d subpasses, want ≈42", got)
+	}
+	// Past the target, bursts shrink to the growth increment.
+	inc := p.SubpassBudget(1024, 9, 400)
+	if inc >= got || inc < 1 {
+		t.Fatalf("increment burst %d not smaller than first %d", inc, got)
+	}
+}
+
+// TestCapacityPolicyLowSNRClamp: a hopeless estimate still sends.
+func TestCapacityPolicyLowSNRClamp(t *testing.T) {
+	p := CapacityRate{SNREstimateDB: -30}
+	if got := p.SubpassBudget(100, 10, 0); got < 1 {
+		t.Fatalf("burst %d at very low SNR", got)
+	}
+}
+
+// TestPolicyWithStaleEstimate: a CapacityRate estimate 10 dB above the
+// channel, on a half-duplex link, must still deliver the datagram
+// intact — the burst undershoots and the trickle rounds make it up.
+func TestPolicyWithStaleEstimate(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	data := make([]byte, 200)
+	rng.Read(data)
+	r := engineRun(t, EngineConfig{HalfDuplex: &HalfDuplexConfig{}, MaxRounds: 10000},
+		FlowConfig{Channel: newAWGNChannel(5, 0, 25), Rate: CapacityRate{SNREstimateDB: 15}}, data)
+	if r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	if !bytes.Equal(r.Datagram, data) {
+		t.Fatal("datagram corrupted under stale estimate")
+	}
+}
+
 // TestTrackingRateBudgetContract is the backpressure property: for any
 // block geometry and history, the symbols a TrackingRate requests in one
 // round never exceed MaxRoundSymbols, and the request is always ≥ 1
@@ -127,10 +170,12 @@ func TestRetxTimerBackoffBounds(t *testing.T) {
 }
 
 // TestChaseCombiningNeverWorse is the HARQ property: at an equal symbol
-// budget, chase combining (accumulate observations across passes) never
-// decreases decode probability versus discard-and-retry (decode each
-// retry standalone) — and at an SNR where single passes are marginal,
-// it is strictly better. Both receivers see byte-identical noisy passes.
+// budget, chase combining (accumulate observations across passes, the
+// receiver's one combining rule) never decreases decode probability
+// versus discard-and-retry (decode each retry standalone, type-I ARQ,
+// emulated here by truncating the accumulators) — and at an SNR where
+// single passes are marginal, it is strictly better. Both receivers see
+// byte-identical noisy passes.
 func TestChaseCombiningNeverWorse(t *testing.T) {
 	p := linkParams()
 	const trials = 40
@@ -153,11 +198,12 @@ func TestChaseCombiningNeverWorse(t *testing.T) {
 			if _, err := chase.HandleFrame(f); err != nil && !errors.Is(err, ErrStaleFrame) {
 				t.Fatal(err)
 			}
-			// The discard receiver forgets symbols that already failed an
-			// attempt before each new pass, exactly as the engine's
-			// Discard mode does.
+			// The discard receiver forgets the symbols of every block that
+			// failed its attempts so far, so the new pass decodes alone.
 			for b := range discard.blocks {
-				discard.dropStale(b)
+				if blk := &discard.blocks[b]; !blk.got {
+					blk.ids, blk.syms = blk.ids[:0], blk.syms[:0]
+				}
 			}
 			if _, err := discard.HandleFrame(f); err != nil && !errors.Is(err, ErrStaleFrame) {
 				t.Fatal(err)

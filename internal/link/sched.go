@@ -20,8 +20,8 @@
 //
 // Only the visit order and the credit rules live here. Both schedulers
 // admit a visited flow through the same Engine.admit — ARQ gating, rate
-// policy, pause bursts and batch accounting — which applies the credit
-// clamp only under DWFQ.
+// policy and batch accounting — which applies the credit clamp only
+// under DWFQ.
 package link
 
 import (

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -75,8 +76,7 @@ type ScenarioConfig struct {
 	// Feedback overrides the scenario's ARQ feedback impairment: nil
 	// means the scenario default — instant perfect acks for the channel
 	// scenarios, the named impairment for the feedback-* scenarios. The
-	// experiments' delay sweeps and the chase-vs-discard comparison set
-	// it explicitly.
+	// experiments' delay sweeps set it explicitly.
 	Feedback *link.FeedbackConfig
 	// Faults overrides the scenario's adversarial fault injection: nil
 	// means the scenario default — none for the polite scenarios, the
@@ -303,42 +303,62 @@ func scenarioChannels(name string, seed int64) (func(i int) (channel.Model, floa
 	return nil, nil, nil, fmt.Errorf("sim: unknown scenario %q (want burst, walk, trace:<file>, churn, feedback-delay, feedback-loss, chaos, chaos-feedback, mice-elephants or fetch-cubic)", name)
 }
 
+// Bounds on NewPolicy's specs. An estimate past ±maxPolicyDB is no
+// radio's SNR, and far past it the capacity formula overflows to +Inf and
+// a capacity burst collapses to one subpass per round — what a NaN
+// estimate does. maxFixedSubpasses is the link receiver's per-block
+// symbol bound (1<<16; ErrBlockFull past it): a spinal block of at least
+// Ways chunks gets a symbol in every subpass, so a larger fixed:n asks one
+// round for more symbols than a receiver keeps, and the sender builds all
+// their IDs in one slice first.
+const (
+	maxPolicyDB       = 100
+	maxFixedSubpasses = 1 << 16
+)
+
 // NewPolicy builds a fresh RatePolicy from its spec (see
 // ScenarioConfig.Policy); hintDB seeds estimate-based policies when the
 // spec does not carry its own. Tracking policies are stateful, so every
-// flow gets its own value.
+// flow gets its own value. Specs outside the bounds above are rejected.
 func NewPolicy(spec string, hintDB float64) (link.RatePolicy, error) {
 	if spec == "" {
 		spec = "tracking"
 	}
 	name, arg, hasArg := strings.Cut(spec, ":")
-	argF := func() (float64, error) {
-		if !hasArg {
-			return hintDB, nil
+	estimate := func() (float64, error) {
+		est := hintDB
+		if hasArg {
+			var err error
+			if est, err = strconv.ParseFloat(arg, 64); err != nil {
+				return 0, err
+			}
 		}
-		return strconv.ParseFloat(arg, 64)
+		if !(math.Abs(est) <= maxPolicyDB) { // NaN fails this too
+			return 0, fmt.Errorf("estimate %v dB outside ±%d dB", est, maxPolicyDB)
+		}
+		return est, nil
 	}
 	switch name {
 	case "fixed":
 		n := 1
 		if hasArg {
 			v, err := strconv.Atoi(arg)
-			if err != nil || v < 1 {
-				return nil, fmt.Errorf("sim: bad fixed-rate subpass count %q", arg)
+			if err != nil || v < 1 || v > maxFixedSubpasses {
+				return nil, fmt.Errorf("sim: bad fixed-rate subpass count %q (want 1..%d)", arg, maxFixedSubpasses)
 			}
 			n = v
 		}
 		return link.FixedRate(n), nil
 	case "capacity":
-		est, err := argF()
+		est, err := estimate()
 		if err != nil {
-			return nil, fmt.Errorf("sim: bad capacity estimate %q", arg)
+			return nil, fmt.Errorf("sim: bad capacity estimate %q: %v", arg, err)
 		}
 		return link.CapacityRate{SNREstimateDB: est}, nil
 	case "tracking":
-		est, err := argF()
+		est, err := estimate()
 		if err != nil {
-			return nil, fmt.Errorf("sim: bad tracking estimate %q", arg)
+			return nil, fmt.Errorf("sim: bad tracking estimate %q: %v", arg, err)
 		}
 		return link.NewTrackingRate(est), nil
 	}

@@ -164,32 +164,6 @@ func TestFeedbackGoodputOrdering(t *testing.T) {
 	}
 }
 
-// TestFeedbackChaseBeatsDiscard is the HARQ acceptance check at system
-// level: at an 8-round feedback delay, chase combining (the default)
-// achieves strictly higher goodput than discard-and-retry on the same
-// workload — retries alone are too small to decode standalone, so the
-// discarding receiver strands symbols and times flows out.
-func TestFeedbackChaseBeatsDiscard(t *testing.T) {
-	const seed = 20260730
-	chase, err := MeasureScenario(feedbackScenario("feedback-delay", "tracking", seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := feedbackScenario("feedback-delay", "tracking", seed)
-	cfg.Feedback = &link.FeedbackConfig{DelayRounds: 8, Discard: true}
-	discard, err := MeasureScenario(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if chase.Goodput <= discard.Goodput {
-		t.Fatalf("chase combining goodput %.3f not strictly above discard-and-retry %.3f\nchase: %v\ndiscard: %v",
-			chase.Goodput, discard.Goodput, chase, discard)
-	}
-	if chase.Outages > discard.Outages {
-		t.Fatalf("chase combining suffered more outages (%d) than discarding (%d)", chase.Outages, discard.Outages)
-	}
-}
-
 // TestScenarioChurnOutageAccounting pins the outage bookkeeping under
 // churn with real budget exhaustion: every resolved flow — including the
 // ones abandoned via ErrFlowBudget, whose nil datagram also fails the
@@ -275,11 +249,50 @@ func TestNewPolicy(t *testing.T) {
 	if p, _ := NewPolicy("tracking:3", 17); math.Abs(p.(*link.TrackingRate).EstimateDB()-3) > 1e-9 {
 		t.Fatal("tracking:3 ignored its explicit estimate")
 	}
-	for _, bad := range []string{"fixed:0", "fixed:x", "capacity:x", "tracking:x", "bogus"} {
+	for _, bad := range []string{"fixed:0", "fixed:x", "capacity:x", "tracking:x", "bogus",
+		"tracking:NaN", "capacity:NaN", "capacity:Inf", "capacity:-Inf", "tracking:+Inf",
+		"capacity:1e308", "fixed:9999999999"} {
 		if _, err := NewPolicy(bad, 10); err == nil {
 			t.Fatalf("%q accepted", bad)
 		}
 	}
+}
+
+// FuzzNewPolicy holds the policy-spec parser (spinalcat's and
+// spinalsim's -policy flag) to its contract: no input panics, every
+// accepted policy asks for 1..maxFixedSubpasses subpasses on a grid of
+// block geometries, and a tracking policy's estimate stays finite after
+// it observes a decode.
+func FuzzNewPolicy(f *testing.F) {
+	for _, spec := range []string{"", "tracking", "tracking:7.5", "fixed", "fixed:4",
+		"capacity", "capacity:12", "tracking:NaN", "capacity:NaN", "capacity:Inf",
+		"capacity:-Inf", "tracking:+Inf", "fixed:9999999999", "capacity:-100"} {
+		f.Add(spec, 10.0)
+	}
+	f.Add("capacity", math.NaN())
+	f.Add("tracking", math.Inf(1))
+	f.Fuzz(func(t *testing.T, spec string, hintDB float64) {
+		p, err := NewPolicy(spec, hintDB)
+		if err != nil {
+			return
+		}
+		for _, bits := range []int{8, 144, 1024} {
+			for _, sub := range []int{0, 1, 9, 32} {
+				for _, sent := range []int{0, 100, 1 << 16} {
+					if n := p.SubpassBudget(bits, sub, sent); n < 1 || n > maxFixedSubpasses {
+						t.Fatalf("%q (hint %v): budget %d for %d bits, %d sym/subpass, %d sent",
+							spec, hintDB, n, bits, sub, sent)
+					}
+				}
+			}
+		}
+		if tr, ok := p.(*link.TrackingRate); ok {
+			tr.ObserveDecode(1024, 400)
+			if est := tr.EstimateDB(); math.IsNaN(est) || math.IsInf(est, 0) {
+				t.Fatalf("%q (hint %v): estimate %v after a decode", spec, hintDB, est)
+			}
+		}
+	})
 }
 
 func typeName(v any) string {

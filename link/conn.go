@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"os"
+	"reflect"
 	"sync"
 	"time"
 
@@ -99,17 +100,10 @@ func (c *Conn) Write(p []byte) (int, error) {
 	var mine *Result
 	for i := range results {
 		r := &results[i]
-		// Every resolved flow's airtime counts toward Stats — including a
+		// Every resolved flow's counters add into Stats — including a
 		// prior canceled Write's flow resolving now — so Rate never
 		// overstates what the link spent.
-		c.stats.Frames += r.Stats.Frames
-		c.stats.SymbolsSent += r.Stats.SymbolsSent
-		c.stats.Blocks += r.Stats.Blocks
-		c.stats.Retransmissions += r.Stats.Retransmissions
-		c.stats.AcksSent += r.Stats.AcksSent
-		c.stats.AcksLost += r.Stats.AcksLost
-		c.stats.AckSymbols += r.Stats.AckSymbols
-		c.stats.Pauses += r.Stats.Pauses
+		addCounters(reflect.ValueOf(&c.stats).Elem(), reflect.ValueOf(r.Stats))
 		if r.ID == id {
 			mine = r
 		}
@@ -127,6 +121,21 @@ func (c *Conn) Write(p []byte) (int, error) {
 	c.buf = append(c.buf, mine.Datagram...)
 	c.cond.Broadcast() // wake readers blocked on a read deadline
 	return len(p), nil
+}
+
+// addCounters adds every integer counter of the struct src into dst,
+// recursing into nested counter structs (Stats.Faults), so a counter added
+// to Stats is summed without a matching line here. Non-integer fields
+// (Stats.Rate) are left for the caller to derive.
+func addCounters(dst, src reflect.Value) {
+	for i := range dst.NumField() {
+		switch f := dst.Field(i); f.Kind() {
+		case reflect.Int:
+			f.SetInt(f.Int() + src.Field(i).Int())
+		case reflect.Struct:
+			addCounters(f, src.Field(i))
+		}
+	}
 }
 
 // Read drains delivered bytes in write order. Without a read deadline it

@@ -2,6 +2,7 @@ package link_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"math/rand"
@@ -44,6 +45,52 @@ func TestConnRoundTrip(t *testing.T) {
 	st := c.Stats()
 	if st.SymbolsSent <= 0 || st.Rate <= 0 {
 		t.Fatalf("implausible conn stats %+v", st)
+	}
+}
+
+// TestConnStatsSumFlowStats: a Conn's Stats is the sum of its flows'
+// Stats on every counter — receiver dedup and the fault counters
+// included — so a faulted Conn does not report silence. One Write on a
+// Conn and one Send on a Session with the same options and seeds cross
+// identical frames, so their Stats must match field for field.
+func TestConnStatsSumFlowStats(t *testing.T) {
+	p := testParams()
+	p.B = 16
+	opts := func() []link.Option {
+		return []link.Option{
+			link.WithFaults(link.FaultConfig{FrameDup: 0.5, FrameReorder: 0.3, ReorderDepth: 2}),
+			link.WithSeed(3),
+		}
+	}
+	msg := make([]byte, 400)
+	rand.New(rand.NewSource(5)).Read(msg)
+
+	c, err := link.Dial(p, channel.NewAWGN(10, 9), opts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Write(msg); err != nil {
+		t.Fatal(err)
+	}
+	s, err := link.NewSession(p, append(opts(), link.WithChannel(channel.NewAWGN(10, 9)))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Send(msg); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Drain(context.Background())
+	if err != nil || len(res) != 1 || res[0].Err != nil {
+		t.Fatalf("session drain: %v %+v", err, res)
+	}
+	want := res[0].Stats
+	if want.SymbolsDeduped == 0 || want.Faults.FramesDuplicated == 0 {
+		t.Fatalf("fault schedule injected nothing to count: %+v", want)
+	}
+	if got := c.Stats(); got != want {
+		t.Fatalf("conn stats differ from its flow's:\nconn %#v\nflow %#v", got, want)
 	}
 }
 

@@ -161,33 +161,14 @@ func ExampleWithFeedback() {
 	// acks sent > 0: true
 }
 
-// ExampleWithPausePolicy paces a half-duplex sender: bursts of frames,
-// feedback only at the turnarounds.
-func ExampleWithPausePolicy() {
-	s, err := link.NewSession(quickParams(),
-		link.WithChannel(channel.NewAWGN(10, 7)),
-		link.WithPausePolicy(link.CapacityPolicy{SNREstimateDB: 10}),
-	)
-	if err != nil {
-		panic(err)
-	}
-	defer s.Close()
-	msg := []byte("long bursts, few turnarounds, that is the half-duplex deal")
-	s.Send(msg)
-	results, _ := s.Drain(context.Background())
-	r := results[0]
-	fmt.Println("delivered:", bytes.Equal(r.Datagram, msg))
-	fmt.Println("paused less than framed:", r.Stats.Pauses < r.Stats.Frames)
-	// Output:
-	// delivered: true
-	// paused less than framed: true
-}
-
-// ExampleWithHalfDuplex charges ack airtime against the flow: the
-// reported rate divides by forward plus reverse symbols.
+// ExampleWithHalfDuplex runs §6's half-duplex sender: CapacityRate sizes
+// each round's burst from an SNR estimate, and the ack that ends it is
+// charged against the flow, so the reported rate divides by forward plus
+// reverse symbols.
 func ExampleWithHalfDuplex() {
 	s, err := link.NewSession(quickParams(),
 		link.WithChannel(channel.NewAWGN(12, 8)),
+		link.WithRatePolicy(link.CapacityRate{SNREstimateDB: 12}),
 		link.WithHalfDuplex(2), // QPSK-like reverse link
 	)
 	if err != nil {

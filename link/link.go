@@ -1,8 +1,8 @@
 // Package link is the public link-layer API of the spinal-code library:
 // the §6 rateless protocol (CRC-protected code blocks, rateless symbol
 // frames, one-bit-per-block acks) grown into a multi-flow engine with
-// rate adaptation, realistic ARQ feedback, and half-duplex pacing — all
-// behind a small composable façade.
+// rate adaptation, realistic ARQ feedback, and half-duplex ack airtime
+// accounting — all behind a small composable façade.
 //
 // # Session
 //
@@ -26,13 +26,14 @@
 //
 // # Extension interfaces
 //
-// Three small interfaces are the stable plug-in points — implement them
+// Two small interfaces are the stable plug-in points — implement them
 // in your own package and pass them through options, no internal imports
 // needed:
 //
 //   - RatePolicy (optionally RateObserver) paces how fast a flow walks
-//     its symbol schedule each round;
-//   - PausePolicy paces half-duplex feedback turnarounds;
+//     its symbol schedule each round — CapacityRate's per-round burst
+//     with WithHalfDuplex is §6's half-duplex sender, one charged ack
+//     turnaround per burst;
 //   - FeedbackObserver taps reverse-channel telemetry.
 //
 // The concrete types here are aliases of the engine-internal
@@ -67,10 +68,6 @@ type RatePolicy = ilink.RatePolicy
 // symbol spend, and can track a time-varying channel.
 type RateObserver = ilink.RateObserver
 
-// PausePolicy decides how many frames a half-duplex sender transmits
-// before pausing for receiver feedback.
-type PausePolicy = ilink.PausePolicy
-
 // FeedbackObserver receives reverse-channel telemetry (FeedbackEvent)
 // from a Session configured with WithFeedbackObserver.
 type FeedbackObserver = ilink.FeedbackObserver
@@ -103,14 +100,6 @@ type TrackingRate = ilink.TrackingRate
 // NewTrackingRate creates a tracking policy starting from initialSNRdB.
 func NewTrackingRate(initialSNRdB float64) *TrackingRate { return ilink.NewTrackingRate(initialSNRdB) }
 
-// CapacityPolicy is the capacity-estimate PausePolicy: a first burst to
-// the estimated decoding point, then geometrically growing polls.
-type CapacityPolicy = ilink.CapacityPolicy
-
-// EveryFrame is the conservative PausePolicy that pauses after every
-// frame.
-type EveryFrame = ilink.EveryFrame
-
 // SchedulerConfig selects deficit-weighted fair queuing for the
 // session's admission phase (see WithScheduler): Quantum is the symbol
 // credit one unit of flow weight earns per round, Burst caps how many
@@ -122,8 +111,9 @@ type SchedulerConfig = ilink.SchedulerConfig
 type SchedulerStats = ilink.SchedulerStats
 
 // FeedbackConfig describes the reverse (ACK) path and the sender's ARQ
-// reaction to it: delivery delay/jitter/loss, retransmission timeouts,
-// the in-flight window, and chase-combining vs discard-and-retry.
+// reaction to it: delivery delay/jitter/loss, retransmission timeouts
+// and the in-flight window. The receiver always chase-combines: symbols
+// from failed attempts are kept for the next one.
 type FeedbackConfig = ilink.FeedbackConfig
 
 // HalfDuplexConfig prices reverse-channel (ack) airtime on a shared
@@ -198,12 +188,6 @@ func DecodeAck(data []byte) (Ack, error) { return ilink.DecodeAck(data) }
 // bounds the exchange (0 means 10000).
 func Transfer(datagram []byte, p spinal.Params, maxBlockBits int, ch Channel, maxFrames int) ([]byte, Stats, error) {
 	return ilink.Transfer(datagram, p, maxBlockBits, ch, maxFrames)
-}
-
-// TransferWithPolicy is Transfer with an explicit half-duplex pause
-// policy; it additionally returns the number of feedback turnarounds.
-func TransferWithPolicy(datagram []byte, p spinal.Params, maxBlockBits int, ch Channel, policy PausePolicy, maxFrames int) ([]byte, Stats, int, error) {
-	return ilink.TransferWithPolicy(datagram, p, maxBlockBits, ch, policy, maxFrames)
 }
 
 // Typed errors, re-exported so callers can errors.Is against the public

@@ -41,7 +41,6 @@ type flowConfig struct {
 	channel   Channel
 	rate      RatePolicy
 	rateFn    func() RatePolicy
-	pause     PausePolicy
 	maxRounds int
 	weight    int
 	priority  int
@@ -83,15 +82,6 @@ func WithRatePolicy(p RatePolicy) Option {
 // making stateful policies safe as a session default.
 func WithRatePolicyFunc(f func() RatePolicy) Option {
 	return func(c *config) { c.flow.rateFn, c.flow.rate = f, nil }
-}
-
-// WithPausePolicy paces a flow's half-duplex feedback turnarounds: the
-// sender transmits policy-sized bursts and hears the receiver's per-block
-// state only at each burst's end. Flow- or session-scoped. Incompatible
-// with WithFeedback (which models a full-duplex delayed reverse channel);
-// NewSession and Send report the conflict.
-func WithPausePolicy(p PausePolicy) Option {
-	return func(c *config) { c.flow.pause = p }
 }
 
 // WithMaxRounds bounds a flow's lifetime in scheduling rounds before it
@@ -178,7 +168,7 @@ func WithHalfDuplex(bitsPerAckSymbol int) Option {
 // implementation: code.Spinal (the default behaviour, recognized and run
 // on the native pooled fast path), or a §8 baseline from spinal/baseline
 // (Raptor, Strider, turbo, the rate-switching LDPC shim). The whole
-// scenario surface — channels, rate and pause policies, delayed/lossy
+// scenario surface — channels, rate policies, delayed/lossy
 // feedback, half-duplex accounting, fault injection — works unchanged
 // over any code. Session-scoped.
 func WithCode(cd code.Code) Option {
@@ -285,9 +275,8 @@ func WithInvariantChecks() Option {
 // engine itself still runs one round at a time; parallelism lives inside
 // each round's codec work, on the session's sharded worker pool.
 type Session struct {
-	eng      *ilink.Engine
-	def      flowConfig
-	feedback bool // the session runs an explicit reverse channel
+	eng *ilink.Engine
+	def flowConfig
 
 	mu       sync.Mutex // serializes engine access and state transitions
 	closed   bool
@@ -303,14 +292,7 @@ func NewSession(p spinal.Params, opts ...Option) (*Session, error) {
 	for _, o := range opts {
 		o(&c)
 	}
-	if c.flow.pause != nil && c.engine.Feedback != nil {
-		return nil, errors.New("link: WithPausePolicy and WithFeedback are mutually exclusive")
-	}
-	return &Session{
-		eng:      ilink.NewEngine(c.engine),
-		def:      c.flow,
-		feedback: c.engine.Feedback != nil,
-	}, nil
+	return &Session{eng: ilink.NewEngine(c.engine), def: c.flow}, nil
 }
 
 // Send admits a datagram as a new flow (transmitting from the next Step)
@@ -337,13 +319,9 @@ func (s *Session) Send(datagram []byte, opts ...Option) (FlowID, error) {
 	if rate == nil && c.flow.rateFn != nil {
 		rate = c.flow.rateFn()
 	}
-	if c.flow.pause != nil && s.feedback {
-		return 0, errors.New("link: WithPausePolicy conflicts with the session's WithFeedback")
-	}
 	return s.eng.AddFlow(datagram, ilink.FlowConfig{
 		Channel:   c.flow.channel,
 		Rate:      rate,
-		Pause:     c.flow.pause,
 		MaxRounds: c.flow.maxRounds,
 		Weight:    c.flow.weight,
 		Priority:  c.flow.priority,

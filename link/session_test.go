@@ -128,23 +128,6 @@ func TestSessionRejectsSessionScopedOptionsAtSend(t *testing.T) {
 	}
 }
 
-func TestSessionPauseFeedbackConflict(t *testing.T) {
-	if _, err := link.NewSession(testParams(),
-		link.WithFeedback(link.FeedbackConfig{DelayRounds: 2}),
-		link.WithPausePolicy(link.EveryFrame{}),
-	); err == nil {
-		t.Fatal("NewSession accepted WithPausePolicy + WithFeedback")
-	}
-	s, err := link.NewSession(testParams(), link.WithFeedback(link.FeedbackConfig{DelayRounds: 2}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, err := s.Send([]byte("x"), link.WithPausePolicy(link.EveryFrame{})); err == nil {
-		t.Fatal("Send accepted a pause policy on a feedback session")
-	}
-}
-
 func TestSessionContextCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	data := make([]byte, 5000)
