@@ -91,7 +91,8 @@ func NewTraceFromFile(path string, seed int64) (*Trace, error) {
 }
 
 // LoadTrace reads an SNR trace file: one "<symbols> <snr_dB>" pair per
-// line, blank lines and #-comments ignored.
+// line, blank lines and #-comments ignored. SNRs must lie within
+// ±100 dB and the symbol counts must sum to at most math.MaxInt.
 func LoadTrace(path string) ([]TraceSegment, error) { return ichannel.LoadTrace(path) }
 
 // NewRayleigh creates a Rayleigh fading channel with average SNR snrDB

@@ -189,11 +189,18 @@ func (c *Trace) Transmit(x []complex128) []complex128 {
 	return y
 }
 
+// maxTraceDB bounds a trace's SNRs: past ±100 dB is no radio's SNR, and
+// below −100 dB the noise outgrows the link receiver's symbol-magnitude
+// bound.
+const maxTraceDB = 100
+
 // ParseTrace parses an SNR trace: one "<symbols> <snr_dB>" pair per line,
-// with blank lines and #-comments ignored.
+// with blank lines and #-comments ignored. SNRs must lie within ±100 dB
+// (NaN and ±Inf are rejected) and the symbol counts must sum to at most
+// math.MaxInt.
 func ParseTrace(r *bufio.Scanner) ([]TraceSegment, error) {
 	var segs []TraceSegment
-	line := 0
+	line, total := 0, 0
 	for r.Scan() {
 		line++
 		text := strings.TrimSpace(r.Text())
@@ -208,9 +215,13 @@ func ParseTrace(r *bufio.Scanner) ([]TraceSegment, error) {
 		if err != nil || n < 1 {
 			return nil, fmt.Errorf("channel: trace line %d: bad symbol count %q", line, fields[0])
 		}
+		if n > math.MaxInt-total {
+			return nil, fmt.Errorf("channel: trace line %d: symbol counts overflow int", line)
+		}
+		total += n
 		snr, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("channel: trace line %d: bad SNR %q", line, fields[1])
+		if err != nil || !(math.Abs(snr) <= maxTraceDB) { // NaN fails this too
+			return nil, fmt.Errorf("channel: trace line %d: bad SNR %q (want a number within ±%d dB)", line, fields[1], maxTraceDB)
 		}
 		segs = append(segs, TraceSegment{Symbols: n, SNRdB: snr})
 	}

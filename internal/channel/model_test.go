@@ -3,6 +3,7 @@ package channel
 import (
 	"bufio"
 	"math"
+	"os"
 	"strings"
 	"testing"
 )
@@ -182,18 +183,55 @@ func TestParseTrace(t *testing.T) {
 
 func TestParseTraceErrors(t *testing.T) {
 	for _, in := range []string{
-		"",                  // no segments
-		"# only comments\n", // no segments
-		"600\n",             // missing SNR
-		"x 20\n",            // bad count
-		"0 20\n",            // non-positive count
-		"10 zz\n",           // bad SNR
-		"1 2 3\n",           // too many fields
+		"",                               // no segments
+		"# only comments\n",              // no segments
+		"600\n",                          // missing SNR
+		"x 20\n",                         // bad count
+		"0 20\n",                         // non-positive count
+		"10 zz\n",                        // bad SNR
+		"1 2 3\n",                        // too many fields
+		"10 NaN\n",                       // non-finite SNR
+		"10 +Inf\n",                      // non-finite SNR
+		"10 -Inf\n",                      // non-finite SNR
+		"10 100.5\n",                     // SNR past ±100 dB
+		"9223372036854775807 10\n1 10\n", // total overflows int
 	} {
 		if _, err := ParseTrace(bufio.NewScanner(strings.NewReader(in))); err == nil {
 			t.Errorf("ParseTrace(%q) succeeded, want error", in)
 		}
 	}
+}
+
+// FuzzParseTrace: trace files are outside input (-scenario trace:<file>,
+// LoadTrace). No input panics, and every accepted trace has finite SNRs,
+// segments of at least one symbol, builds a Trace, and has a MeanDB
+// within the range of its segment SNRs.
+func FuzzParseTrace(f *testing.F) {
+	for _, name := range []string{"testdata/stepdown.trace", "testdata/fade.trace"} {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(data))
+	}
+	f.Add("# comment\n\n600 20\n  200 -3.5 \n")
+	f.Fuzz(func(t *testing.T, in string) {
+		segs, err := ParseTrace(bufio.NewScanner(strings.NewReader(in)))
+		if err != nil {
+			return
+		}
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for i, s := range segs {
+			if s.Symbols < 1 || math.IsNaN(s.SNRdB) || math.IsInf(s.SNRdB, 0) {
+				t.Fatalf("accepted segment %d = %+v", i, s)
+			}
+			lo, hi = math.Min(lo, s.SNRdB), math.Max(hi, s.SNRdB)
+		}
+		mean := NewTrace(segs, 1).MeanDB()
+		if math.IsNaN(mean) || mean < lo-1e-9*math.Abs(lo) || mean > hi+1e-9*math.Abs(hi) {
+			t.Fatalf("MeanDB %v outside the segment SNR range [%v, %v]", mean, lo, hi)
+		}
+	})
 }
 
 func TestLoadTraceTestdata(t *testing.T) {

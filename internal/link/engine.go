@@ -2,9 +2,9 @@ package link
 
 import (
 	"errors"
-	"math/rand"
 	"sync"
 
+	"spinal/internal/channel"
 	icode "spinal/internal/code"
 	"spinal/internal/core"
 	"spinal/internal/framing"
@@ -91,17 +91,15 @@ type EngineConfig struct {
 	// admitting batches once a frame holds this many symbols, and the
 	// remaining flows wait for the next round (backpressure). 0 ⇒ 4096.
 	FrameSymbols int
-	// FrameLoss is the probability an entire shared frame is erased on
-	// the air (every flow in it loses that round's symbols).
-	FrameLoss float64
-	// Seed drives frame-loss randomness.
+	// Seed drives the per-flow feedback-loss and fault-injection
+	// randomness.
 	Seed int64
 	// MaxRounds is the default per-flow give-up budget in scheduling
 	// rounds (0 ⇒ 512); FlowConfig can override it per flow.
 	MaxRounds int
 	// Feedback, when non-nil, replaces §6's instant perfect per-block ACK
 	// with an explicit reverse channel: every flow's acks cross a
-	// FeedbackChannel with the configured delay/jitter/loss, and the
+	// FeedbackChannel with the configured delay and loss, and the
 	// sender paces each block with retransmission timers, exponential
 	// backoff and a bounded in-flight window. nil means §6's instant
 	// per-block ack.
@@ -131,7 +129,7 @@ type EngineConfig struct {
 	// bit-flipped or blacked out before the receiver sees it, and (with a
 	// FeedbackConfig) each ack's wire bytes suffer the reverse-path
 	// counterparts inside the FeedbackChannel. nil hands each round's
-	// surviving batches straight to the receiver, with no wire codec.
+	// batches straight to the receiver, with no wire codec.
 	Faults *FaultConfig
 	// CheckInvariants asserts the engine's conservation laws after every
 	// Step — resolved+active flows match admissions, acked blocks are
@@ -176,8 +174,9 @@ func (c EngineConfig) maxRounds() int {
 type FlowConfig struct {
 	// Channel perturbs the flow's share of each frame (nil ⇒ noiseless).
 	// Distinct flows may see distinct media — near and far stations on
-	// one access point.
-	Channel Channel
+	// one access point. The medium only adds noise: a share is lost
+	// only in the fault injector (EngineConfig.Faults).
+	Channel channel.Model
 	// Rate paces the flow (nil ⇒ FixedRate(1)).
 	Rate RatePolicy
 	// MaxRounds overrides the engine's give-up budget (0 ⇒ inherit).
@@ -215,7 +214,7 @@ type engineFlow struct {
 	id        FlowID
 	snd       *Sender
 	rcv       *Receiver
-	ch        Channel
+	ch        channel.Model // nil ⇒ noiseless
 	rate      RatePolicy
 	rounds    int
 	maxRounds int
@@ -250,18 +249,13 @@ type engineFlow struct {
 	ackSymbols int // half-duplex reverse-channel airtime charged so far
 }
 
-// identityChannel is the noiseless default medium.
-type identityChannel struct{}
-
-func (identityChannel) Apply(sym []complex128) []complex128 { return sym }
-
 // Engine multiplexes many concurrent datagrams ("flows") over a shared
 // rateless link. Each flow is segmented into CRC-protected code blocks,
 // and every round (Step) runs six stages: schedule admits one batch per
 // outstanding block from as many flows as fit a shared frame's symbol
 // budget (backpressure defers the rest); encode regenerates the batches'
 // symbols; air perturbs each flow's share with its medium; decode
-// accumulates what survived and attempts the blocks that gained symbols;
+// accumulates what arrived and attempts the blocks that gained symbols;
 // ack reports decoded blocks back to the senders; resolve retires
 // finished and exhausted flows. Encode and decode run on a sharded pool
 // of persistent codec workers. Spinal codes make this embarrassingly
@@ -279,7 +273,6 @@ type Engine struct {
 	rr       int   // round-robin admission cursor
 	sched    *dwfq // DWFQ state, nil under round-robin
 	seq      uint32
-	rng      *rand.Rand
 
 	// gcode is the non-spinal channel code every flow runs, nil on the
 	// native spinal path; gcodecs are its per-shard decoder caches (one
@@ -305,15 +298,14 @@ type Engine struct {
 
 // txItem is one scheduled batch's journey through a round: IDs assigned
 // on the engine thread, symbols filled by an encode job, then perturbed
-// by the flow's channel (or lost on the air).
+// by the flow's channel.
 type txItem struct {
 	fl    *engineFlow
 	batch Batch
-	lost  bool
 }
 
 // rxGroup collects the batches the receiver of one (flow, block) pair
-// gets in a round. Without faults that is one surviving batch; under
+// gets in a round. Without faults that is one batch; under
 // fault injection, reorder and duplication can deliver several for the
 // same block. One decode job per group keeps pool jobs on disjoint
 // receiver state.
@@ -364,7 +356,6 @@ func NewEngine(cfg EngineConfig) *Engine {
 		cfg:      cfg,
 		pool:     pool,
 		ownsPool: ownsPool,
-		rng:      rand.New(rand.NewSource(cfg.Seed ^ 0x6c696e6b)),
 		gcode:    gcode,
 		buckets:  make([][]int, pool.Shards()),
 		jobs:     make([]func(*core.Codec), pool.Shards()),
@@ -412,9 +403,6 @@ func (e *Engine) AddFlow(datagram []byte, fc FlowConfig) FlowID {
 	if fl.weight <= 0 {
 		fl.weight = 1
 	}
-	if fl.ch == nil {
-		fl.ch = identityChannel{}
-	}
 	if fl.rate == nil {
 		fl.rate = FixedRate(1)
 	}
@@ -455,17 +443,14 @@ func (e *Engine) AddFlow(datagram []byte, fc FlowConfig) FlowID {
 // Active reports the number of unresolved flows.
 func (e *Engine) Active() int { return len(e.flows) }
 
-// SetFlowChannel replaces an active flow's medium mid-flight — a station
+// SetChannel replaces an active flow's medium mid-flight — a station
 // handing off to a different link, or a scenario driver switching channel
 // regimes — and reports whether the flow was still active. A nil channel
 // means noiseless. Symbols already in the receiver's accumulators are
 // unaffected; only future rounds cross the new medium.
-func (e *Engine) SetFlowChannel(id FlowID, ch Channel) bool {
+func (e *Engine) SetChannel(id FlowID, ch channel.Model) bool {
 	for _, fl := range e.flows {
 		if fl.id == id {
-			if ch == nil {
-				ch = identityChannel{}
-			}
 			fl.ch = ch
 			return true
 		}
@@ -714,28 +699,23 @@ func (e *Engine) encodeItem(c *core.Codec, it *txItem) {
 	it.batch.Symbols = c.Encoder(bits, nb).Symbols(it.batch.IDs)
 }
 
-// air puts the frame on the medium — whole-frame loss first, then each
-// flow's channel over its own share, serially in schedule order so
-// stateful channel RNGs stay deterministic — and collects what reaches
-// the receivers into e.groups. Each surviving batch is its own group: a
-// round schedules a (flow, block) pair at most once. Under fault
-// injection each flow's share crosses the wire codec and its injector
-// first (faultDeliver).
+// air puts the frame on the medium — each flow's channel over its own
+// share, serially in schedule order so stateful channel RNGs stay
+// deterministic — and collects what reaches the receivers into e.groups.
+// Each batch is its own group: a round schedules a (flow, block) pair at
+// most once. Under fault injection each flow's share crosses the wire
+// codec and its injector first (faultDeliver), the one place a share is
+// lost.
 func (e *Engine) air(round int) {
-	frameLost := e.cfg.FrameLoss > 0 && e.rng.Float64() < e.cfg.FrameLoss
 	e.groups = e.groups[:0]
 	for k := range e.items {
 		it := &e.items[k]
-		if frameLost || len(it.batch.IDs) == 0 {
-			it.lost = true
-			continue
+		if len(it.batch.IDs) == 0 {
+			continue // nothing went on the air
 		}
-		rx := it.fl.ch.Apply(it.batch.Symbols)
-		if rx == nil {
-			it.lost = true
-			continue
+		if it.fl.ch != nil {
+			it.batch.Symbols = it.fl.ch.Transmit(it.batch.Symbols)
 		}
-		it.batch.Symbols = rx
 		if e.cfg.Faults == nil {
 			it.fl.rx = true // the receiver saw this round; it owes an ack
 			g := e.addGroup(it.fl, it.batch.Block)
@@ -900,7 +880,7 @@ func (e *Engine) SchedStats() SchedulerStats {
 }
 
 // faultDeliver runs every flow's forward-path fault injector for one
-// round: each flow's surviving share of this round's frame is assembled
+// round: each flow's share of this round's frame is assembled
 // into a wire-encodable Frame, handed to its injector (which may mangle
 // it, hold it back, replay it, or swallow it in a blackout), and the
 // frames actually delivered are flattened into per-(flow, block) decode
@@ -912,7 +892,7 @@ func (e *Engine) faultDeliver(round int) {
 		var share *Frame
 		for k := range e.items {
 			it := &e.items[k]
-			if it.fl != fl || it.lost {
+			if it.fl != fl || len(it.batch.IDs) == 0 {
 				continue
 			}
 			if share == nil {

@@ -3,6 +3,8 @@ package link
 import (
 	"math/rand"
 	"testing"
+
+	"spinal/internal/channel"
 )
 
 // BenchmarkLinkEngine measures aggregate multi-flow goodput: 32 concurrent
@@ -32,7 +34,7 @@ func BenchmarkLinkEngine(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for f := 0; f < flows; f++ {
 			e.AddFlow(payloads[f], FlowConfig{
-				Channel: newAWGNChannel(12, 0, int64(i*flows+f)),
+				Channel: channel.NewAWGN(12, int64(i*flows+f)),
 				Rate:    CapacityRate{SNREstimateDB: 12},
 			})
 		}

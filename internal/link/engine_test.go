@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"spinal/internal/channel"
 )
 
 // engineParams keeps engine tests fast: a narrow beam is plenty at the
@@ -29,7 +31,7 @@ func TestEngineSingleFlow(t *testing.T) {
 	e := NewEngine(engineParams())
 	defer e.Close()
 	data := []byte("one flow through the multi-flow engine")
-	id := e.AddFlow(data, FlowConfig{Channel: newAWGNChannel(15, 0, 1)})
+	id := e.AddFlow(data, FlowConfig{Channel: channel.NewAWGN(15, 1)})
 	results := e.Drain(0)
 	if len(results) != 1 || results[0].ID != id {
 		t.Fatalf("got %d results, want 1 for flow %d", len(results), id)
@@ -46,13 +48,15 @@ func TestEngineSingleFlow(t *testing.T) {
 }
 
 // TestEngineStressManyFlows is the concurrency stress: 36 flows with
-// mixed sizes and SNRs over lossy channels (per-flow frame erasure plus
-// engine-level whole-frame loss), all in flight at once. Every datagram
+// mixed sizes and SNRs over lossy links (the fault injector swallows each
+// flow's share of a round with probability 0.3), all in flight at once,
+// with the engine's invariants checked after every Step. Every datagram
 // must arrive intact, and the codec pool must serve all of it from a
 // bounded set of reused encoders/decoders. Run under -race in CI.
 func TestEngineStressManyFlows(t *testing.T) {
 	cfg := engineParams()
-	cfg.FrameLoss = 0.05
+	cfg.Faults = &FaultConfig{Blackout: 0.3, BlackoutRounds: 1}
+	cfg.CheckInvariants = true
 	cfg.Seed = 99
 	e := NewEngine(cfg)
 	defer e.Close()
@@ -67,7 +71,7 @@ func TestEngineStressManyFlows(t *testing.T) {
 		data := flowPayload(rng, sizes[i%len(sizes)])
 		snr := []float64{8, 12, 18, 25}[i%4]
 		id := e.AddFlow(data, FlowConfig{
-			Channel: newAWGNChannel(snr, 0.15, int64(1000+i)),
+			Channel: channel.NewAWGN(snr, int64(1000+i)),
 		})
 		want[id] = data
 	}
@@ -99,7 +103,7 @@ func TestEngineStressManyFlows(t *testing.T) {
 	// Steady state (the AllocsPerRun analogue for pooled codecs): a second
 	// wave of flows must construct nothing new.
 	for i := 0; i < 8; i++ {
-		e.AddFlow(flowPayload(rng, 44), FlowConfig{Channel: newAWGNChannel(15, 0, int64(2000+i))})
+		e.AddFlow(flowPayload(rng, 44), FlowConfig{Channel: channel.NewAWGN(15, int64(2000+i))})
 	}
 	for _, r := range e.Drain(0) {
 		if r.Err != nil {
@@ -112,10 +116,12 @@ func TestEngineStressManyFlows(t *testing.T) {
 	}
 }
 
-// TestEngineFlowChurn: flows arrive as others finish; the engine must
-// keep multiplexing correctly through membership changes.
+// TestEngineFlowChurn: flows arrive as others finish, over links that
+// lose 10% of each flow's shares; the engine must keep multiplexing
+// correctly through membership changes.
 func TestEngineFlowChurn(t *testing.T) {
 	cfg := engineParams()
+	cfg.Faults = &FaultConfig{Blackout: 0.1, BlackoutRounds: 1}
 	e := NewEngine(cfg)
 	defer e.Close()
 
@@ -127,7 +133,7 @@ func TestEngineFlowChurn(t *testing.T) {
 	admit := func() {
 		data := flowPayload(rng, 20+rng.Intn(80)) // ragged sizes: mixed block lengths
 		id := e.AddFlow(data, FlowConfig{
-			Channel: newAWGNChannel(10+float64(admitted%3)*5, 0.1, int64(admitted)),
+			Channel: channel.NewAWGN(10+float64(admitted%3)*5, int64(admitted)),
 		})
 		want[id] = data
 		admitted++
@@ -164,7 +170,7 @@ func TestEngineBackpressure(t *testing.T) {
 	want := make(map[FlowID][]byte)
 	for i := 0; i < 8; i++ {
 		data := flowPayload(rng, 66)
-		want[e.AddFlow(data, FlowConfig{Channel: newAWGNChannel(15, 0, int64(i))})] = data
+		want[e.AddFlow(data, FlowConfig{Channel: channel.NewAWGN(15, int64(i))})] = data
 	}
 	results := e.Drain(0)
 	if len(results) != 8 {
@@ -187,7 +193,7 @@ func TestEngineGiveUp(t *testing.T) {
 	e := NewEngine(cfg)
 	defer e.Close()
 	e.AddFlow(flowPayload(rand.New(rand.NewSource(1)), 40), FlowConfig{
-		Channel:   newAWGNChannel(-25, 0, 3),
+		Channel:   channel.NewAWGN(-25, 3),
 		MaxRounds: 10,
 	})
 	results := e.Drain(0)
@@ -204,7 +210,7 @@ func TestEngineGiveUp(t *testing.T) {
 func TestEngineZeroLengthFlow(t *testing.T) {
 	e := NewEngine(engineParams())
 	defer e.Close()
-	e.AddFlow(nil, FlowConfig{Channel: newAWGNChannel(15, 0, 8)})
+	e.AddFlow(nil, FlowConfig{Channel: channel.NewAWGN(15, 8)})
 	results := e.Drain(0)
 	if len(results) != 1 {
 		t.Fatalf("resolved %d flows, want 1", len(results))
@@ -225,7 +231,7 @@ func TestEngineCapacityRate(t *testing.T) {
 		e := NewEngine(engineParams())
 		defer e.Close()
 		data := flowPayload(rand.New(rand.NewSource(17)), 88)
-		e.AddFlow(data, FlowConfig{Channel: newAWGNChannel(12, 0, 21), Rate: rate})
+		e.AddFlow(data, FlowConfig{Channel: channel.NewAWGN(12, 21), Rate: rate})
 		res := e.Drain(0)
 		if len(res) != 1 || res[0].Err != nil {
 			t.Fatalf("rate %T: %+v", rate, res)
@@ -324,7 +330,7 @@ func TestEngineZeroFaultsMatchesFaultFree(t *testing.T) {
 		for i := 0; i < 12; i++ {
 			snr := []float64{6, 10, 14}[i%3]
 			e.AddFlow(flowPayload(rng, 10+rng.Intn(80)), FlowConfig{
-				Channel: newAWGNChannel(snr, 0, int64(300+i)),
+				Channel: channel.NewAWGN(snr, int64(300+i)),
 				Rate:    CapacityRate{SNREstimateDB: snr},
 			})
 		}

@@ -1,10 +1,10 @@
 // Adversarial-link fault injection: a seeded, deterministic injector
 // that wraps both the forward frame path and the reverse (ACK) path of
-// an engine flow. The polite impairments modeled so far — whole-frame
-// loss, symbol noise, delayed/lossy acks — are what a well-behaved
-// simulation produces; real half-duplex radio links also reorder,
+// an engine flow. The polite impairments — symbol noise from the flow's
+// channel.Model, delayed/lossy acks — are what a well-behaved
+// simulation produces; real half-duplex radio links also lose, reorder,
 // duplicate, truncate and bit-flip traffic in both directions, and go
-// dark for whole bursts. The injector produces exactly those faults, at
+// dark for whole bursts. This is the one place a forward share is lost. The injector produces exactly those faults, at
 // the wire-byte level, so the strict frame/ack parsers and the typed
 // error paths behind them are exercised on the live path rather than
 // only under fuzzing. Every fault is independently parameterized,
@@ -197,7 +197,7 @@ func flipBits(rng *rand.Rand, b []byte, k int) []byte {
 
 // deliver runs one round of the forward path: it applies the configured
 // faults to the flow's share of this round's frame (nil when the flow
-// did not transmit or its share was erased) and returns the frames the
+// did not transmit) and returns the frames the
 // receiver actually sees this round — the surviving share plus any
 // held-back shares now due, parsed back from their wire bytes. Mangled
 // images that no longer parse are dropped here; that is the point: a

@@ -2,7 +2,7 @@
 // emitting passes until the receiver says stop, so the reverse (ACK)
 // channel is part of the code's operating point. This file models it
 // honestly instead of assuming §6's perfect instantaneous feedback: acks
-// cross a FeedbackChannel with configurable delay, jitter and loss
+// cross a FeedbackChannel with configurable delay and loss
 // (wire-encoded both ways, so the ack codec sits on the live path), and
 // the sender reacts through per-block retransmission timers with
 // exponential backoff, a bounded in-flight block window, and fast
@@ -20,10 +20,9 @@ import (
 // still explicit feedback loop: acks cross the queue and arrive the same
 // round they were sent.
 type FeedbackConfig struct {
-	// DelayRounds is the base ack delivery delay in engine rounds.
+	// DelayRounds is the ack delivery delay in engine rounds. Displaced
+	// acks come from the fault injector (FaultConfig.AckReorder).
 	DelayRounds int
-	// JitterRounds adds a uniform extra delay in [0, JitterRounds].
-	JitterRounds int
 	// Loss is the probability an individual ack is dropped in transit.
 	Loss float64
 	// RTO is the initial per-block retransmission timeout in rounds
@@ -115,14 +114,14 @@ type pendingAck struct {
 }
 
 // FeedbackChannel carries acks from a receiver back to its sender with
-// delay, jitter and loss. It is single-threaded, like the engine API that
+// delay and loss. It is single-threaded, like the engine API that
 // drives it: Send enqueues, Advance ticks one round and delivers what is
 // due. Acks are wire-encoded on Send and decoded on delivery; an ack that
 // fails to decode is counted lost (defense in depth — the queue itself
 // never corrupts bytes).
 type FeedbackChannel struct {
 	cfg   FeedbackConfig
-	rng   *rand.Rand
+	rng   *rand.Rand // loss draws; nil when Loss is 0
 	now   int
 	queue []pendingAck
 	// inj, when non-nil, applies adversarial reverse-path faults
@@ -134,13 +133,14 @@ type FeedbackChannel struct {
 	sent, lost, delivered int
 }
 
-// NewFeedbackChannel creates a feedback channel; seed drives the loss and
-// jitter randomness.
+// NewFeedbackChannel creates a feedback channel; seed drives the loss
+// randomness.
 func NewFeedbackChannel(cfg FeedbackConfig, seed int64) *FeedbackChannel {
-	return &FeedbackChannel{
-		cfg: cfg,
-		rng: rand.New(rand.NewSource(seed ^ 0x666565646261636b)), // "feedback"
+	f := &FeedbackChannel{cfg: cfg}
+	if cfg.Loss > 0 {
+		f.rng = rand.New(rand.NewSource(seed ^ 0x666565646261636b)) // "feedback"
 	}
+	return f
 }
 
 // setFaults installs an adversarial-fault injector on the reverse path.
@@ -157,9 +157,6 @@ func (f *FeedbackChannel) Send(a framing.Ack) {
 		return
 	}
 	delay := f.cfg.DelayRounds
-	if f.cfg.JitterRounds > 0 {
-		delay += f.rng.Intn(f.cfg.JitterRounds + 1)
-	}
 	wire := EncodeAck(a)
 	if f.inj != nil && f.inj.cfg.ackFaults() {
 		mangled, extra, dup, dupDelay := f.inj.mangleAck(wire)

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"spinal/internal/channel"
 	"spinal/internal/framing"
 )
 
@@ -94,35 +95,44 @@ func TestFeedbackChannelDelay(t *testing.T) {
 	}
 }
 
-// TestFeedbackChannelJitterAndOrder: jittered deliveries land within
-// [Delay, Delay+Jitter], and two acks sent the same round with equal
-// realized delay arrive in send order.
+// TestFeedbackChannelJitterAndOrder: acks the fault injector displaces
+// (FaultConfig.AckReorder) land within [Delay+1, Delay+ReorderDepth],
+// the rest exactly at Delay, and acks due in the same round arrive in
+// send order.
 func TestFeedbackChannelJitterAndOrder(t *testing.T) {
-	fb := NewFeedbackChannel(FeedbackConfig{DelayRounds: 2, JitterRounds: 3}, 9)
+	fb := NewFeedbackChannel(FeedbackConfig{DelayRounds: 2}, 9)
+	inj := newFaultInjector(FaultConfig{AckReorder: 0.5, ReorderDepth: 3}, 9)
+	fb.setFaults(inj)
 	const acks = 200
-	arrivals := 0
+	arrivals, late := 0, 0
 	for i := 0; i < acks; i++ {
 		fb.Send(framing.Ack{Seq: uint32(i), Decoded: []bool{false}})
 	}
 	for round := 0; round <= 5; round++ {
-		lastSeq := -1
+		prev := -1
 		for _, a := range fb.Advance() {
 			if round < 2 {
 				t.Fatalf("ack %d arrived at round %d, below the base delay", a.Seq, round)
 			}
 			arrivals++
+			if round > 2 {
+				late++
+			}
 			// All acks were sent before any Advance, so within one round
 			// the queue must deliver due entries FIFO: seqs strictly
-			// increasing. (Different jitter draws may interleave across
+			// increasing. (Different displacements may interleave across
 			// rounds; that is legal.)
-			if int(a.Seq) <= lastSeq {
-				t.Fatalf("round %d delivered ack %d after ack %d — the pop reordered the queue", round, a.Seq, lastSeq)
+			if int(a.Seq) <= prev {
+				t.Fatalf("round %d delivered ack %d after ack %d — the pop reordered the queue", round, a.Seq, prev)
 			}
-			lastSeq = int(a.Seq)
+			prev = int(a.Seq)
 		}
 	}
 	if arrivals != acks {
-		t.Fatalf("delivered %d/%d acks inside the jitter window", arrivals, acks)
+		t.Fatalf("delivered %d/%d acks inside the displacement window", arrivals, acks)
+	}
+	if late != inj.stats.AcksReordered || late == 0 {
+		t.Fatalf("%d acks arrived late, injector displaced %d", late, inj.stats.AcksReordered)
 	}
 }
 
@@ -173,7 +183,7 @@ func TestEngineFeedbackDelayDelivers(t *testing.T) {
 	want := make(map[FlowID][]byte)
 	for i := 0; i < 4; i++ {
 		data := flowPayload(rng, 88)
-		want[e.AddFlow(data, FlowConfig{Channel: newAWGNChannel(12, 0, int64(100+i))})] = data
+		want[e.AddFlow(data, FlowConfig{Channel: channel.NewAWGN(12, int64(100+i))})] = data
 	}
 	results := e.Drain(0)
 	if len(results) != 4 {
@@ -208,7 +218,7 @@ func TestEngineFeedbackLossDelivers(t *testing.T) {
 	want := make(map[FlowID][]byte)
 	for i := 0; i < 6; i++ {
 		data := flowPayload(rng, 110)
-		want[e.AddFlow(data, FlowConfig{Channel: newAWGNChannel(14, 0, int64(200+i))})] = data
+		want[e.AddFlow(data, FlowConfig{Channel: channel.NewAWGN(14, int64(200+i))})] = data
 	}
 	var acksLost, retx int
 	for _, r := range e.Drain(0) {
@@ -239,7 +249,7 @@ func TestEngineFeedbackWindow(t *testing.T) {
 	e := NewEngine(cfg)
 	defer e.Close()
 	data := flowPayload(rand.New(rand.NewSource(47)), 110) // 5 blocks
-	id := e.AddFlow(data, FlowConfig{Channel: newAWGNChannel(20, 0, 9)})
+	id := e.AddFlow(data, FlowConfig{Channel: channel.NewAWGN(20, 9)})
 	res := e.Drain(0)
 	if len(res) != 1 || res[0].ID != id || res[0].Err != nil {
 		t.Fatalf("unexpected results %+v", res)
@@ -262,7 +272,7 @@ func TestEngineFeedbackTotalAckLoss(t *testing.T) {
 	e := NewEngine(cfg)
 	defer e.Close()
 	e.AddFlow(flowPayload(rand.New(rand.NewSource(53)), 40), FlowConfig{
-		Channel:   newAWGNChannel(20, 0, 10),
+		Channel:   channel.NewAWGN(20, 10),
 		MaxRounds: 64,
 	})
 	res := e.Drain(0)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"spinal/internal/channel"
 )
 
 // engineRun drives a one-flow engine to completion and returns the result.
@@ -31,13 +33,13 @@ func TestHalfDuplexChargesAckAirtime(t *testing.T) {
 	data := make([]byte, 300)
 	rng.Read(data)
 
-	free := engineRun(t, EngineConfig{}, FlowConfig{Channel: newAWGNChannel(12, 0, 5)}, data)
+	free := engineRun(t, EngineConfig{}, FlowConfig{Channel: channel.NewAWGN(12, 5)}, data)
 	if free.Err != nil || free.Stats.AckSymbols != 0 {
 		t.Fatalf("free-ack run: err=%v ackSymbols=%d", free.Err, free.Stats.AckSymbols)
 	}
 
 	hd := engineRun(t, EngineConfig{HalfDuplex: &HalfDuplexConfig{}},
-		FlowConfig{Channel: newAWGNChannel(12, 0, 5)}, data)
+		FlowConfig{Channel: channel.NewAWGN(12, 5)}, data)
 	if hd.Err != nil {
 		t.Fatal(hd.Err)
 	}
@@ -75,7 +77,7 @@ func TestHalfDuplexChargesLostAcks(t *testing.T) {
 			Feedback:   &FeedbackConfig{Loss: 1}, // every ack dies in transit
 			MaxRounds:  24,
 		},
-		FlowConfig{Channel: newAWGNChannel(15, 0, 7)}, data)
+		FlowConfig{Channel: channel.NewAWGN(15, 7)}, data)
 	if r.Err == nil {
 		t.Fatal("flow delivered despite a dead reverse channel")
 	}
@@ -113,7 +115,7 @@ func TestFeedbackObserverEvents(t *testing.T) {
 	ob := &recordingObserver{}
 	r := engineRun(t,
 		EngineConfig{Feedback: &FeedbackConfig{DelayRounds: 2}, Observer: ob, MaxRounds: 512},
-		FlowConfig{Channel: newAWGNChannel(12, 0, 13)}, data)
+		FlowConfig{Channel: channel.NewAWGN(12, 13)}, data)
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}

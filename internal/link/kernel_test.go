@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"spinal/internal/channel"
 	"spinal/internal/core"
 )
 
@@ -21,12 +22,13 @@ func TestEngineKernelEquivalence(t *testing.T) {
 		cfg := engineParams()
 		cfg.Params.Kernel = kernel
 		cfg.Seed = 11
+		cfg.Faults = &FaultConfig{Blackout: 0.05, BlackoutRounds: 1}
 		e := NewEngine(cfg)
 		defer e.Close()
 		rng := rand.New(rand.NewSource(17))
 		for i := 0; i < 6; i++ {
 			e.AddFlow(flowPayload(rng, 20+rng.Intn(60)), FlowConfig{
-				Channel: newAWGNChannel(10+float64(i), 0.05, int64(i+1)),
+				Channel: channel.NewAWGN(10+float64(i), int64(i+1)),
 			})
 		}
 		return e.Drain(0)

@@ -2,13 +2,14 @@
 // segments a datagram into CRC-protected code blocks, spinal-encodes each
 // block independently, and streams frames of symbols; the receiver
 // decodes blocks as symbols accumulate, verifies CRCs, and returns ACKs
-// with one bit per code block. Sequence numbers let the receiver stay
-// synchronized across erased frames.
+// with one bit per code block. Per-batch symbol IDs keep the receiver
+// synchronized across lost frames.
 //
-// The Sender and Receiver are transport-agnostic state machines: tests
-// drive them in-process through simulated channels, the
+// The Sender and Receiver are transport-agnostic state machines: the
 // examples/filetransfer program drives them over UDP, and the Engine
-// multiplexes many of them over a shared medium with pooled codecs.
+// multiplexes many of them over a shared medium with pooled codecs. An
+// Engine flow crosses a channel.Model, which adds noise and never drops
+// a share; shares are lost only in the fault injector (FaultConfig).
 package link
 
 import (
@@ -260,10 +261,9 @@ type rxBlock struct {
 // Engine. A datagram of a hundred blocks therefore needs a hundred symbol
 // accumulators but only one decoder per distinct block size.
 type Receiver struct {
-	code    icode.Code
-	blocks  []rxBlock
-	decs    map[int]icode.Decoder // standalone decoders, keyed by nBits
-	lastSeq uint32
+	code   icode.Code
+	blocks []rxBlock
+	decs   map[int]icode.Decoder // standalone decoders, keyed by nBits
 }
 
 // NewReceiver creates a receiver with the same spinal code parameters as
@@ -427,7 +427,6 @@ func (r *Receiver) HandleFrame(f *Frame) (framing.Ack, error) {
 			return framing.Ack{}, err
 		}
 	}
-	r.lastSeq = f.Seq
 	var err error
 	progress := false
 	for i := range f.Batches {
@@ -519,85 +518,4 @@ type Stats struct {
 func (s Stats) String() string {
 	return fmt.Sprintf("frames=%d symbols=%d blocks=%d rate=%.3f b/sym",
 		s.Frames, s.SymbolsSent, s.Blocks, s.Rate)
-}
-
-// Channel perturbs a frame's symbols in place; implementations model the
-// medium between sender and receiver (noise, erasure of whole frames).
-type Channel interface {
-	// Apply transforms transmitted symbols into received symbols. A nil
-	// return means the whole frame was erased (receiver missed it).
-	Apply(sym []complex128) []complex128
-}
-
-// Transfer drives a complete sender→receiver exchange through ch,
-// returning the received datagram and statistics. maxFrames bounds the
-// exchange (0 means 10000).
-func Transfer(datagram []byte, p core.Params, maxBlockBits int, ch Channel, maxFrames int) ([]byte, Stats, error) {
-	return TransferWithCode(icode.Spinal(p), datagram, maxBlockBits, ch, maxFrames)
-}
-
-// TransferWithCode is Transfer over an arbitrary channel code.
-func TransferWithCode(c icode.Code, datagram []byte, maxBlockBits int, ch Channel, maxFrames int) ([]byte, Stats, error) {
-	if maxFrames == 0 {
-		maxFrames = 10000
-	}
-	snd := NewCodeSender(c, datagram, maxBlockBits)
-	rcv := NewCodeReceiver(c)
-	var st Stats
-	st.Blocks = snd.Blocks()
-	for frame := 0; frame < maxFrames; frame++ {
-		f := snd.NextFrame()
-		if f == nil {
-			break
-		}
-		st.Frames++
-		rx := ch.Apply(f.Symbols())
-		if rx != nil {
-			f2 := *f
-			f2.Batches = rebatch(f.Batches, rx)
-			ack, herr := rcv.HandleFrame(&f2)
-			// Only the nil-frame and bad-layout failures leave the ACK
-			// empty; every other typed error (stale, malformed batch, bad
-			// symbol, full accumulator) rides alongside a valid ACK that
-			// must still be applied — dropping it would silently swallow
-			// the receiver's progress report.
-			if herr == nil || (!errors.Is(herr, ErrNilFrame) && !errors.Is(herr, ErrBadLayout)) {
-				snd.HandleAck(ack)
-			}
-		}
-		if snd.Done() {
-			break
-		}
-	}
-	st.SymbolsSent = snd.SymbolsSent()
-	got, err := rcv.Datagram()
-	if err != nil {
-		return nil, st, err
-	}
-	if st.SymbolsSent > 0 {
-		st.Rate = float64(len(datagram)*8) / float64(st.SymbolsSent)
-	}
-	return got, st, nil
-}
-
-// Symbols flattens the frame's symbols in batch order for channel
-// application.
-func (f *Frame) Symbols() []complex128 {
-	out := make([]complex128, 0, f.SymbolCount())
-	for _, b := range f.Batches {
-		out = append(out, b.Symbols...)
-	}
-	return out
-}
-
-// rebatch redistributes channel-output symbols back into per-block
-// batches.
-func rebatch(batches []Batch, rx []complex128) []Batch {
-	out := make([]Batch, len(batches))
-	off := 0
-	for i, b := range batches {
-		out[i] = Batch{Block: b.Block, IDs: b.IDs, Symbols: rx[off : off+len(b.Symbols)]}
-		off += len(b.Symbols)
-	}
-	return out
 }

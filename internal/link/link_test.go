@@ -2,6 +2,7 @@ package link
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -10,46 +11,49 @@ import (
 	"spinal/internal/framing"
 )
 
-// awgnChannel adapts channel.AWGN to the link.Channel interface with
-// optional whole-frame erasure.
-type awgnChannel struct {
-	ch      *channel.AWGN
-	erasure float64
-	rng     *rand.Rand
-}
-
-func newAWGNChannel(snrDB, erasure float64, seed int64) *awgnChannel {
-	return &awgnChannel{
-		ch:      channel.NewAWGN(snrDB, seed),
-		erasure: erasure,
-		rng:     rand.New(rand.NewSource(seed + 1)),
-	}
-}
-
-func (a *awgnChannel) Apply(sym []complex128) []complex128 {
-	if a.rng.Float64() < a.erasure {
-		return nil
-	}
-	return a.ch.Transmit(sym)
-}
-
 func linkParams() core.Params {
 	return core.Params{K: 4, B: 32, D: 1, C: 6, Tail: 2, Ways: 8}
 }
 
+// frameSymbols flattens a frame's symbols in batch order, so one
+// channel.Model call can cross the whole frame.
+func frameSymbols(f *Frame) []complex128 {
+	out := make([]complex128, 0, f.SymbolCount())
+	for _, b := range f.Batches {
+		out = append(out, b.Symbols...)
+	}
+	return out
+}
+
+// rebatch redistributes channel-output symbols back into per-block
+// batches.
+func rebatch(batches []Batch, rx []complex128) []Batch {
+	out := make([]Batch, len(batches))
+	off := 0
+	for i, b := range batches {
+		out[i] = Batch{Block: b.Block, IDs: b.IDs, Symbols: rx[off : off+len(b.Symbols)]}
+		off += len(b.Symbols)
+	}
+	return out
+}
+
+// Apart from the erasure case, the TestTransfer cases run one datagram as
+// the only flow of an engine (engineRun) at the default pacing, one
+// subpass per block per round.
+
 func TestTransferSmallDatagram(t *testing.T) {
 	data := []byte("the quick brown fox jumps over the lazy dog")
-	got, st, err := Transfer(data, linkParams(), 0, newAWGNChannel(15, 0, 1), 0)
-	if err != nil {
-		t.Fatal(err)
+	r := engineRun(t, EngineConfig{}, FlowConfig{Channel: channel.NewAWGN(15, 1)}, data)
+	if r.Err != nil {
+		t.Fatal(r.Err)
 	}
-	if !bytes.Equal(got, data) {
+	if !bytes.Equal(r.Datagram, data) {
 		t.Fatal("datagram corrupted")
 	}
-	if st.Blocks != 1 {
-		t.Fatalf("blocks = %d, want 1", st.Blocks)
+	if r.Stats.Blocks != 1 {
+		t.Fatalf("blocks = %d, want 1", r.Stats.Blocks)
 	}
-	if st.Rate <= 0 {
+	if r.Stats.Rate <= 0 {
 		t.Fatal("no rate recorded")
 	}
 }
@@ -58,32 +62,53 @@ func TestTransferMultiBlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	data := make([]byte, 600) // 5 blocks at 1024-bit framing
 	rng.Read(data)
-	got, st, err := Transfer(data, linkParams(), 0, newAWGNChannel(20, 0, 3), 0)
-	if err != nil {
-		t.Fatal(err)
+	r := engineRun(t, EngineConfig{}, FlowConfig{Channel: channel.NewAWGN(20, 3)}, data)
+	if r.Err != nil {
+		t.Fatal(r.Err)
 	}
-	if !bytes.Equal(got, data) {
+	if !bytes.Equal(r.Datagram, data) {
 		t.Fatal("datagram corrupted")
 	}
-	if st.Blocks != 5 {
-		t.Fatalf("blocks = %d, want 5", st.Blocks)
+	if r.Stats.Blocks != 5 {
+		t.Fatalf("blocks = %d, want 5", r.Stats.Blocks)
 	}
 }
 
+// TestTransferSurvivesFrameErasure drives a standalone Sender/Receiver
+// pair and drops 30% of the frames: the receiver sees gaps in Seq, and
+// the per-batch symbol IDs must keep it synchronized.
 func TestTransferSurvivesFrameErasure(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	data := make([]byte, 200)
 	rng.Read(data)
-	// 30% of frames vanish entirely; sequence-number design must cope.
-	got, st, err := Transfer(data, linkParams(), 0, newAWGNChannel(15, 0.3, 5), 0)
+	p := linkParams()
+	snd := NewSender(data, p, 0)
+	rcv := NewReceiver(p)
+	ch := channel.NewAWGN(15, 5)
+	loss := rand.New(rand.NewSource(6))
+	frames, dropped := 0, 0
+	for ; frames < 10000 && !snd.Done(); frames++ {
+		f := snd.NextFrame()
+		if loss.Float64() < 0.3 {
+			dropped++
+			continue
+		}
+		f.Batches = rebatch(f.Batches, ch.Transmit(frameSymbols(f)))
+		ack, err := rcv.HandleFrame(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snd.HandleAck(ack)
+	}
+	got, err := rcv.Datagram()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("datagram corrupted under frame erasure")
 	}
-	if st.Frames <= 1 {
-		t.Fatal("suspiciously few frames")
+	if dropped == 0 || frames <= 1 {
+		t.Fatalf("%d frames, %d dropped: no sequence gap exercised", frames, dropped)
 	}
 }
 
@@ -91,17 +116,14 @@ func TestTransferLowSNRUsesMoreSymbols(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	data := make([]byte, 120)
 	rng.Read(data)
-	_, stHigh, err := Transfer(data, linkParams(), 0, newAWGNChannel(25, 0, 7), 0)
-	if err != nil {
-		t.Fatal(err)
+	high := engineRun(t, EngineConfig{}, FlowConfig{Channel: channel.NewAWGN(25, 7)}, data)
+	low := engineRun(t, EngineConfig{}, FlowConfig{Channel: channel.NewAWGN(5, 7)}, data)
+	if high.Err != nil || low.Err != nil {
+		t.Fatalf("errors: high %v, low %v", high.Err, low.Err)
 	}
-	_, stLow, err := Transfer(data, linkParams(), 0, newAWGNChannel(5, 0, 7), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stLow.SymbolsSent <= stHigh.SymbolsSent {
+	if low.Stats.SymbolsSent <= high.Stats.SymbolsSent {
 		t.Fatalf("low SNR used %d symbols, high SNR %d — rateless adaptation missing",
-			stLow.SymbolsSent, stHigh.SymbolsSent)
+			low.Stats.SymbolsSent, high.Stats.SymbolsSent)
 	}
 }
 
@@ -137,7 +159,7 @@ func TestReceiverIncremental(t *testing.T) {
 			done = true
 			break
 		}
-		rx := ch.Transmit(f.Symbols())
+		rx := ch.Transmit(frameSymbols(f))
 		f.Batches = rebatch(f.Batches, rx)
 		ack, err := rcv.HandleFrame(f)
 		if err != nil {
@@ -169,21 +191,24 @@ func TestDatagramIncompleteError(t *testing.T) {
 }
 
 func TestTransferEmptyDatagram(t *testing.T) {
-	got, _, err := Transfer(nil, linkParams(), 0, newAWGNChannel(20, 0, 11), 0)
-	if err != nil {
-		t.Fatal(err)
+	r := engineRun(t, EngineConfig{}, FlowConfig{Channel: channel.NewAWGN(20, 11)}, nil)
+	if r.Err != nil {
+		t.Fatal(r.Err)
 	}
-	if len(got) != 0 {
+	if len(r.Datagram) != 0 {
 		t.Fatal("empty datagram round trip produced data")
 	}
 }
 
 func TestTransferGivesUpAtBudget(t *testing.T) {
-	// At -20 dB with a tiny frame budget, Transfer must return an error
-	// rather than spin forever.
+	// At -20 dB with a 5-round budget the flow must resolve with
+	// ErrFlowBudget rather than spin forever.
 	data := make([]byte, 50)
-	_, _, err := Transfer(data, linkParams(), 0, newAWGNChannel(-20, 0, 13), 5)
-	if err == nil {
-		t.Fatal("expected incomplete transfer at -20 dB with 5 frames")
+	r := engineRun(t, EngineConfig{}, FlowConfig{Channel: channel.NewAWGN(-20, 13), MaxRounds: 5}, data)
+	if !errors.Is(r.Err, ErrFlowBudget) {
+		t.Fatalf("err = %v, want ErrFlowBudget at -20 dB with 5 rounds", r.Err)
+	}
+	if r.Stats.Frames > 5 {
+		t.Fatalf("%d frames past a 5-round budget", r.Stats.Frames)
 	}
 }

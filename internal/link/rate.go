@@ -17,13 +17,25 @@ type RateObserver interface {
 	ObserveDecode(blockBits, symbolsSpent int)
 }
 
+// minEstDB and maxEstDB bound the SNR estimates the rate policies act
+// on: TrackingRate's default clamp, and where capacityBurst sends
+// non-finite estimates.
+const minEstDB, maxEstDB = -10, 40
+
 // capacityBurst is the capacity-seeded burst CapacityRate and
 // TrackingRate share, in units of unitSymbols symbols (≥ 1 unit):
 // enough to bring a blockBits-bit block to blockBits/(margin·C(snrDB))
 // symbols sent, the receiver's likely decoding point, then growth times
 // that target per call once it is passed. A zero margin means 0.8, a zero
-// growth 0.25.
+// growth 0.25. A NaN or −Inf estimate paces as minEstDB, +Inf as
+// maxEstDB; finite estimates are used as given.
 func capacityBurst(snrDB, margin, growth float64, blockBits, unitSymbols, symbolsSent int) int {
+	switch {
+	case math.IsNaN(snrDB), math.IsInf(snrDB, -1):
+		snrDB = minEstDB
+	case math.IsInf(snrDB, 1):
+		snrDB = maxEstDB
+	}
 	if margin == 0 {
 		margin = 0.8
 	}
@@ -79,7 +91,7 @@ type TrackingRate struct {
 
 // NewTrackingRate creates a tracking policy starting from initialSNRdB.
 func NewTrackingRate(initialSNRdB float64) *TrackingRate {
-	t := &TrackingRate{MinDB: -10, MaxDB: 40}
+	t := &TrackingRate{MinDB: minEstDB, MaxDB: maxEstDB}
 	t.estDB = clampF(initialSNRdB, t.MinDB, t.MaxDB)
 	return t
 }
@@ -104,7 +116,7 @@ func (t *TrackingRate) maxRoundSymbols() int {
 func (t *TrackingRate) bounds() (lo, hi float64) {
 	lo, hi = t.MinDB, t.MaxDB
 	if lo == 0 && hi == 0 {
-		lo, hi = -10, 40
+		lo, hi = minEstDB, maxEstDB
 	}
 	return lo, hi
 }
@@ -150,8 +162,9 @@ func (t *TrackingRate) ObserveDecode(blockBits, symbolsSpent int) {
 	t.estDB = clampF(t.estDB, lo, hi)
 }
 
+// clampF bounds v to [lo, hi], sending NaN to lo.
 func clampF(v, lo, hi float64) float64 {
-	if v < lo {
+	if v < lo || math.IsNaN(v) {
 		return lo
 	}
 	if v > hi {

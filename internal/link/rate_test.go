@@ -3,6 +3,7 @@ package link
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -43,7 +44,7 @@ func TestPolicyWithStaleEstimate(t *testing.T) {
 	data := make([]byte, 200)
 	rng.Read(data)
 	r := engineRun(t, EngineConfig{HalfDuplex: &HalfDuplexConfig{}, MaxRounds: 10000},
-		FlowConfig{Channel: newAWGNChannel(5, 0, 25), Rate: CapacityRate{SNREstimateDB: 15}}, data)
+		FlowConfig{Channel: channel.NewAWGN(5, 25), Rate: CapacityRate{SNREstimateDB: 15}}, data)
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}
@@ -110,6 +111,40 @@ func TestTrackingRateIgnoresDegenerateObservations(t *testing.T) {
 	tr.ObserveDecode(192, -3)
 	if tr.EstimateDB() != 12 {
 		t.Fatalf("degenerate observations moved the estimate to %.1f", tr.EstimateDB())
+	}
+}
+
+// TestNonFiniteSNREstimates: a NaN or −Inf estimate paces as −10 dB and
+// +Inf as 40 dB (TrackingRate's default bounds), for CapacityRate and
+// TrackingRate alike, and a NaN starting estimate still tracks.
+func TestNonFiniteSNREstimates(t *testing.T) {
+	for _, c := range []struct {
+		est  float64
+		want int // subpasses for a fresh 1024-bit block, 9 symbols each
+	}{
+		{math.NaN(), 1035},
+		{math.Inf(-1), 1035},
+		{-10, 1035},
+		{math.Inf(1), 11},
+		{40, 11},
+		{10, 42},
+	} {
+		if got := (CapacityRate{SNREstimateDB: c.est}).SubpassBudget(1024, 9, 0); got != c.want {
+			t.Errorf("CapacityRate{%v}: %d subpasses, want %d", c.est, got, c.want)
+		}
+		tr := NewTrackingRate(c.est)
+		tr.MaxRoundSymbols = 1 << 20
+		if got := tr.SubpassBudget(1024, 9, 0); got != c.want {
+			t.Errorf("NewTrackingRate(%v): %d subpasses, want %d", c.est, got, c.want)
+		}
+	}
+	tr := NewTrackingRate(math.NaN())
+	if est := tr.EstimateDB(); est != -10 {
+		t.Fatalf("NewTrackingRate(NaN) estimate %v, want -10", est)
+	}
+	tr.ObserveDecode(192, 93)
+	if est := tr.EstimateDB(); math.IsNaN(est) || est == -10 {
+		t.Fatalf("estimate %v did not move after ObserveDecode", est)
 	}
 }
 
@@ -193,7 +228,7 @@ func TestChaseCombiningNeverWorse(t *testing.T) {
 			if f == nil {
 				break
 			}
-			rx := ch.Transmit(f.Symbols())
+			rx := ch.Transmit(frameSymbols(f))
 			f.Batches = rebatch(f.Batches, rx)
 			if _, err := chase.HandleFrame(f); err != nil && !errors.Is(err, ErrStaleFrame) {
 				t.Fatal(err)
@@ -250,7 +285,7 @@ func TestTrackingRateConvergesUnderFeedbackDelay(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		data := flowPayload(rng, 154) // 7 blocks → 7 delayed observations each
 		e.AddFlow(data, FlowConfig{
-			Channel: newAWGNChannel(15, 0, int64(300+round)),
+			Channel: channel.NewAWGN(15, int64(300+round)),
 			Rate:    tr,
 		})
 		res := e.Drain(0)
@@ -266,11 +301,6 @@ func TestTrackingRateConvergesUnderFeedbackDelay(t *testing.T) {
 	}
 }
 
-// modelChannel adapts a channel.Model to link.Channel for engine tests.
-type modelChannel struct{ m channel.Model }
-
-func (c modelChannel) Apply(sym []complex128) []complex128 { return c.m.Transmit(sym) }
-
 // TestEngineTrackingRateDelivers: a tracking-paced flow over a bursty
 // Gilbert–Elliott channel completes intact, and the engine's decode
 // feedback loop (RateObserver plumbing) actually moved the estimate.
@@ -280,7 +310,7 @@ func TestEngineTrackingRateDelivers(t *testing.T) {
 	data := flowPayload(rand.New(rand.NewSource(23)), 132)
 	tr := NewTrackingRate(18)
 	id := e.AddFlow(data, FlowConfig{
-		Channel: modelChannel{channel.NewGilbertElliott(18, 2, 0.004, 0.016, 77)},
+		Channel: channel.NewGilbertElliott(18, 2, 0.004, 0.016, 77),
 		Rate:    tr,
 	})
 	res := e.Drain(0)
@@ -298,20 +328,20 @@ func TestEngineTrackingRateDelivers(t *testing.T) {
 	}
 }
 
-// TestEngineSetFlowChannel: swapping a flow's medium mid-flight (handoff)
+// TestEngineSetChannel: swapping a flow's medium mid-flight (handoff)
 // keeps the transfer correct, and the swap reports liveness accurately.
-func TestEngineSetFlowChannel(t *testing.T) {
+func TestEngineSetChannel(t *testing.T) {
 	e := NewEngine(engineParams())
 	defer e.Close()
 	data := flowPayload(rand.New(rand.NewSource(29)), 88)
 	// Start on a hopeless channel, then hand off to a good one.
-	id := e.AddFlow(data, FlowConfig{Channel: newAWGNChannel(-20, 0, 31)})
+	id := e.AddFlow(data, FlowConfig{Channel: channel.NewAWGN(-20, 31)})
 	for i := 0; i < 4; i++ {
 		if res := e.Step(); len(res) != 0 {
 			t.Fatalf("flow resolved on a -20 dB channel: %+v", res)
 		}
 	}
-	if !e.SetFlowChannel(id, newAWGNChannel(18, 0, 32)) {
+	if !e.SetChannel(id, channel.NewAWGN(18, 32)) {
 		t.Fatal("active flow not found for channel swap")
 	}
 	res := e.Drain(0)
@@ -321,7 +351,7 @@ func TestEngineSetFlowChannel(t *testing.T) {
 	if !bytes.Equal(res[0].Datagram, data) {
 		t.Fatal("datagram corrupted across handoff")
 	}
-	if e.SetFlowChannel(id, nil) {
+	if e.SetChannel(id, nil) {
 		t.Fatal("resolved flow reported as active")
 	}
 }

@@ -57,7 +57,7 @@ func TestReceiverDuplicateFrames(t *testing.T) {
 	// continue normally.
 	for i := 0; i < 3; i++ {
 		dup := *f
-		dup.Batches = rebatch(f.Batches, f.Symbols())
+		dup.Batches = rebatch(f.Batches, frameSymbols(f))
 		if _, err := rcv.HandleFrame(&dup); err != nil {
 			t.Fatal(err)
 		}
@@ -79,14 +79,14 @@ func TestReceiverDuplicateFrames(t *testing.T) {
 	}
 }
 
-// TestFrameSymbolsRoundTrip: Symbols/rebatch are inverses.
+// TestFrameSymbolsRoundTrip: frameSymbols/rebatch are inverses.
 func TestFrameSymbolsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	data := make([]byte, 300)
 	rng.Read(data)
 	snd := NewSender(data, linkParams(), 0)
 	f := snd.NextFrame()
-	flat := f.Symbols()
+	flat := frameSymbols(f)
 	if len(flat) != f.SymbolCount() {
 		t.Fatal("SymbolCount mismatch")
 	}
@@ -163,7 +163,7 @@ func TestHandleFrameStale(t *testing.T) {
 	for i := 0; i < 50 && !ack.AllDecoded(); i++ {
 		f := snd.NextFrame()
 		clean = *f
-		clean.Batches = rebatch(f.Batches, f.Symbols()) // noiseless
+		clean.Batches = rebatch(f.Batches, frameSymbols(f)) // noiseless
 		ack, err = rcv.HandleFrame(&clean)
 		if err != nil {
 			t.Fatal(err)
@@ -213,7 +213,7 @@ func TestZeroLengthDatagram(t *testing.T) {
 		if f == nil {
 			break
 		}
-		f.Batches = rebatch(f.Batches, f.Symbols())
+		f.Batches = rebatch(f.Batches, frameSymbols(f))
 		ack, err := rcv.HandleFrame(f)
 		if err != nil {
 			t.Fatal(err)

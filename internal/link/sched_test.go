@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"spinal/internal/channel"
 )
 
 // jainIndex is Jain's fairness index over per-flow throughputs:
@@ -89,7 +91,7 @@ func runFairnessMix(t *testing.T, sched *SchedulerConfig, flows, every int, seed
 		payloads[i] = make([]byte, size)
 		rng.Read(payloads[i])
 		id := eng.AddFlow(payloads[i], FlowConfig{
-			Channel: newAWGNChannel(10, 0, seed+int64(i)*977),
+			Channel: channel.NewAWGN(10, seed+int64(i)*977),
 			Rate:    CapacityRate{SNREstimateDB: 10},
 		})
 		if int(id) != i {
@@ -162,12 +164,12 @@ func TestDWFQWeightShares(t *testing.T) {
 	payload := make([]byte, 512)
 	rng.Read(payload)
 	heavy := eng.AddFlow(payload, FlowConfig{
-		Channel: newAWGNChannel(10, 0, 11),
+		Channel: channel.NewAWGN(10, 11),
 		Rate:    CapacityRate{SNREstimateDB: 10},
 		Weight:  4,
 	})
 	light := eng.AddFlow(append([]byte(nil), payload...), FlowConfig{
-		Channel: newAWGNChannel(10, 0, 13),
+		Channel: channel.NewAWGN(10, 13),
 		Rate:    CapacityRate{SNREstimateDB: 10},
 		Weight:  1,
 	})
@@ -212,11 +214,11 @@ func TestDWFQPriorityClasses(t *testing.T) {
 	payload := make([]byte, 384)
 	rng.Read(payload)
 	lo := eng.AddFlow(payload, FlowConfig{
-		Channel: newAWGNChannel(10, 0, 31),
+		Channel: channel.NewAWGN(10, 31),
 		Rate:    CapacityRate{SNREstimateDB: 10},
 	})
 	hi := eng.AddFlow(append([]byte(nil), payload...), FlowConfig{
-		Channel:  newAWGNChannel(10, 0, 37),
+		Channel:  channel.NewAWGN(10, 37),
 		Rate:     CapacityRate{SNREstimateDB: 10},
 		Priority: 1,
 	})
@@ -252,11 +254,11 @@ func TestDWFQDeadline(t *testing.T) {
 	defer eng.Close()
 	data := []byte("deadline-bound datagram")
 	doomed := eng.AddFlow(data, FlowConfig{
-		Channel:  newAWGNChannel(-10, 0, 41), // hopeless SNR
+		Channel:  channel.NewAWGN(-10, 41), // hopeless SNR
 		Deadline: 4,
 	})
 	easy := eng.AddFlow(data, FlowConfig{
-		Channel:  newAWGNChannel(15, 0, 43),
+		Channel:  channel.NewAWGN(15, 43),
 		Rate:     CapacityRate{SNREstimateDB: 15},
 		Deadline: 256,
 	})
@@ -303,7 +305,7 @@ func TestDWFQHalfDuplexCharge(t *testing.T) {
 	payload := make([]byte, 200)
 	rng.Read(payload)
 	eng.AddFlow(payload, FlowConfig{
-		Channel: newAWGNChannel(12, 0, 51),
+		Channel: channel.NewAWGN(12, 51),
 		Rate:    CapacityRate{SNREstimateDB: 12},
 	})
 	results := eng.Drain(0)

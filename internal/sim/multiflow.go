@@ -26,10 +26,6 @@ type MultiFlowConfig struct {
 	// SNRsDB is the set of per-flow channel SNRs, assigned round-robin
 	// (nil ⇒ {8, 12, 18, 25}).
 	SNRsDB []float64
-	// Erasure is the probability a flow's share of a frame is lost.
-	Erasure float64
-	// FrameLoss is the probability an entire shared frame is erased.
-	FrameLoss float64
 	// MaxBlockBits, FrameSymbols and Shards pass through to the engine.
 	MaxBlockBits int
 	FrameSymbols int
@@ -77,8 +73,6 @@ func MeasureMultiFlow(cfg MultiFlowConfig) MultiFlowResult {
 		link.WithMaxBlockBits(cfg.MaxBlockBits),
 		link.WithCodecPool(cfg.Shards),
 		link.WithFrameSymbols(cfg.FrameSymbols),
-		link.WithFrameLoss(cfg.FrameLoss),
-		link.WithSeed(cfg.Seed),
 	)
 	if err != nil {
 		// No option combination above is invalid; fail loudly if the API
@@ -103,8 +97,7 @@ func MeasureMultiFlow(cfg MultiFlowConfig) MultiFlowResult {
 		// fixed-SNR AWGN mix (the scenario driver covers time-varying
 		// media).
 		id, err := s.Send(data,
-			link.WithRawChannel(NewFlowChannel(channel.NewAWGN(snr, cfg.Seed+int64(admitted)*7919),
-				cfg.Erasure, cfg.Seed^int64(admitted))),
+			link.WithChannel(channel.NewAWGN(snr, cfg.Seed+int64(admitted)*7919)),
 			link.WithRatePolicy(link.CapacityRate{SNREstimateDB: snr}))
 		if err != nil {
 			panic(err) // flow-scoped options only; cannot fail

@@ -10,8 +10,8 @@ func multiFlowParams() core.Params {
 	return core.Params{K: 4, B: 16, D: 1, C: 6, Tail: 2, Ways: 8}
 }
 
-// TestMeasureMultiFlow: a mixed-size, mixed-SNR workload with churn and
-// loss delivers every datagram and reports a sane aggregate rate.
+// TestMeasureMultiFlow: a mixed-size, mixed-SNR workload with churn
+// delivers every datagram and reports a sane aggregate rate.
 func TestMeasureMultiFlow(t *testing.T) {
 	res := MeasureMultiFlow(MultiFlowConfig{
 		Params:       multiFlowParams(),
@@ -20,8 +20,6 @@ func TestMeasureMultiFlow(t *testing.T) {
 		MinBytes:     20,
 		MaxBytes:     120,
 		SNRsDB:       []float64{10, 15, 22},
-		Erasure:      0.1,
-		FrameLoss:    0.05,
 		MaxBlockBits: 192,
 		Shards:       4,
 		Seed:         42,

@@ -20,18 +20,6 @@ import (
 	"spinal/link"
 )
 
-// FlowChannel adapts a stateful channel.Model — plus optional whole-share
-// erasure — to the link tier's channel interface. It is an alias of the
-// public link.ModelChannel: the scenario driver consumes the public API
-// it helps pin, and no second adapter exists to drift.
-type FlowChannel = link.ModelChannel
-
-// NewFlowChannel wraps model; erasure is the probability a flow's whole
-// share of a frame is lost, drawn from seed.
-func NewFlowChannel(model channel.Model, erasure float64, seed int64) *FlowChannel {
-	return link.NewModelChannel(model, erasure, seed)
-}
-
 // ScenarioConfig drives MeasureScenario.
 type ScenarioConfig struct {
 	Params core.Params
@@ -63,8 +51,6 @@ type ScenarioConfig struct {
 	Concurrency int
 	// MinBytes/MaxBytes bound datagram sizes (defaults 64/160).
 	MinBytes, MaxBytes int
-	// Erasure is the probability a flow's share of a frame is lost.
-	Erasure float64
 	// MaxRounds is the per-flow give-up budget in scheduling rounds
 	// (0 ⇒ 64) — the outage deadline.
 	MaxRounds int
@@ -480,8 +466,8 @@ func MeasureScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	// per-round StateDB sum must visit flows in a fixed order or float
 	// rounding would leak map iteration order into the golden results.
 	type activeFlow struct {
-		id link.FlowID
-		fc *FlowChannel
+		id    link.FlowID
+		model channel.Model
 	}
 	var active []activeFlow
 	admitted := 0
@@ -511,14 +497,13 @@ func MeasureScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 		}
 		data := make([]byte, n)
 		rng.Read(data)
-		fc := NewFlowChannel(model, cfg.Erasure, cfg.Seed^int64(admitted))
-		id, err := s.Send(data, link.WithRawChannel(fc), link.WithRatePolicy(rate))
+		id, err := s.Send(data, link.WithChannel(model), link.WithRatePolicy(rate))
 		if err != nil {
 			return err
 		}
 		want[id] = data
 		meta[id] = flowMeta{admitRound: res.Rounds, elephant: elephant}
-		active = append(active, activeFlow{id, fc})
+		active = append(active, activeFlow{id, model})
 		admitted++
 		return nil
 	}
@@ -538,7 +523,7 @@ func MeasureScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 		res.Rounds++
 		// Observe the SNR trajectory the active population is riding.
 		for _, af := range active {
-			stateSum += af.fc.StateDB()
+			stateSum += af.model.StateDB()
 			stateN++
 		}
 		for _, r := range finished {

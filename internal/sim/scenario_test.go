@@ -307,23 +307,41 @@ func typeName(v any) string {
 	return "?"
 }
 
-// TestFlowChannelErasure: the shared adapter erases whole shares at the
-// configured probability and exposes the wrapped model's state.
-func TestFlowChannelErasure(t *testing.T) {
-	fc := NewFlowChannel(channel.NewAWGN(20, 3), 0.3, 5)
-	if math.Abs(fc.StateDB()-20) > 1e-9 {
-		t.Fatalf("StateDB = %g", fc.StateDB())
+// TestBlackoutErasesShares: a flow's medium never drops a share; an
+// independent per-round share erasure with probability p is the fault
+// injector's FaultConfig{Blackout: p, BlackoutRounds: 1}, and it
+// swallows that fraction of the shares a flow transmits.
+func TestBlackoutErasesShares(t *testing.T) {
+	e := link.NewEngine(link.EngineConfig{
+		Params:       multiFlowParams(),
+		MaxBlockBits: 192,
+		Shards:       2,
+		Seed:         5,
+		Faults:       &link.FaultConfig{Blackout: 0.3, BlackoutRounds: 1},
+	})
+	defer e.Close()
+	const flows = 200
+	for i := 0; i < flows; i++ {
+		e.AddFlow(make([]byte, 66), link.FlowConfig{Channel: channel.NewAWGN(6, int64(i))})
 	}
-	lost := 0
-	const n = 20000
-	sym := make([]complex128, 2)
-	for i := 0; i < n; i++ {
-		if fc.Apply(sym) == nil {
-			lost++
+	frames, blacked := 0, 0
+	res := e.Drain(0)
+	if len(res) != flows {
+		t.Fatalf("resolved %d flows, want %d", len(res), flows)
+	}
+	for _, r := range res {
+		if r.Err != nil {
+			t.Fatalf("flow %d: %v", r.ID, r.Err)
 		}
+		frames += r.Stats.Frames
+		blacked += r.Stats.Faults.FramesBlackedOut
 	}
-	if got := float64(lost) / n; math.Abs(got-0.3) > 0.02 {
-		t.Fatalf("erasure rate %.3f, want 0.3", got)
+	if frames < 5000 {
+		t.Fatalf("only %d shares transmitted; too few to measure the erasure rate", frames)
+	}
+	t.Logf("erased %d of %d shares", blacked, frames)
+	if got := float64(blacked) / float64(frames); math.Abs(got-0.3) > 0.02 {
+		t.Fatalf("erased %d of %d shares (%.3f), want 0.3", blacked, frames, got)
 	}
 }
 

@@ -52,8 +52,8 @@ type Conn struct {
 
 // Dial opens a Conn over model with the given code parameters. Options
 // configure the underlying Session (rate policies, feedback, half-duplex
-// accounting, ...); model takes precedence over any WithChannel or
-// WithRawChannel among them.
+// accounting, ...); model takes precedence over any WithChannel among
+// them. A nil model means noiseless.
 func Dial(p spinal.Params, model channel.Model, opts ...Option) (*Conn, error) {
 	return DialContext(context.Background(), p, model, opts...)
 }

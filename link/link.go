@@ -111,7 +111,7 @@ type SchedulerConfig = ilink.SchedulerConfig
 type SchedulerStats = ilink.SchedulerStats
 
 // FeedbackConfig describes the reverse (ACK) path and the sender's ARQ
-// reaction to it: delivery delay/jitter/loss, retransmission timeouts
+// reaction to it: delivery delay and loss, retransmission timeouts
 // and the in-flight window. The receiver always chase-combines: symbols
 // from failed attempts are kept for the next one.
 type FeedbackConfig = ilink.FeedbackConfig
@@ -130,12 +130,6 @@ type FaultConfig = ilink.FaultConfig
 // FaultStats counts the faults injected into one flow, by direction and
 // kind (Stats.Faults).
 type FaultStats = ilink.FaultStats
-
-// Channel perturbs a flow's share of a frame in place; a nil return
-// means the share was erased. It is the raw medium interface beneath
-// channel.Model — implement Model instead unless you need erasures or
-// exotic media.
-type Channel = ilink.Channel
 
 // Sender is the transport-agnostic §6 sending state machine: it segments
 // a datagram into CRC-protected code blocks and streams rateless frames.
@@ -182,13 +176,6 @@ func EncodeAck(a Ack) []byte { return ilink.EncodeAck(a) }
 // DecodeAck parses a wire-format ack; the parser is strict, so
 // EncodeAck∘DecodeAck is the identity on every accepted input.
 func DecodeAck(data []byte) (Ack, error) { return ilink.DecodeAck(data) }
-
-// Transfer drives a complete single-datagram sender→receiver exchange
-// through ch, returning the received datagram and statistics. maxFrames
-// bounds the exchange (0 means 10000).
-func Transfer(datagram []byte, p spinal.Params, maxBlockBits int, ch Channel, maxFrames int) ([]byte, Stats, error) {
-	return ilink.Transfer(datagram, p, maxBlockBits, ch, maxFrames)
-}
 
 // Typed errors, re-exported so callers can errors.Is against the public
 // package alone.

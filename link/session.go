@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"spinal"
@@ -38,7 +37,7 @@ type config struct {
 
 // flowConfig is the flow-scoped option state.
 type flowConfig struct {
-	channel   Channel
+	channel   channel.Model
 	rate      RatePolicy
 	rateFn    func() RatePolicy
 	maxRounds int
@@ -52,20 +51,15 @@ type flowConfig struct {
 // session-scoped option.
 type Option func(*config)
 
-// WithChannel routes flows through model, adapted to the link's Channel
-// interface at the boundary. Flow- or session-scoped (a session-scoped
-// model is shared by every flow that does not override it — fine for
-// stateless media, but per-flow models see an interleaved symbol stream;
-// pass per-flow channels at Send when that matters).
+// WithChannel routes flows through model (nil means noiseless). The
+// medium adds noise and never drops a share; for lost shares use
+// WithFaults (Blackout with BlackoutRounds 1 is an independent per-round
+// share erasure). Flow- or session-scoped (a session-scoped model is
+// shared by every flow that does not override it — fine for stateless
+// media, but per-flow models see an interleaved symbol stream; pass
+// per-flow channels at Send when that matters).
 func WithChannel(model channel.Model) Option {
-	return func(c *config) { c.flow.channel = NewModelChannel(model, 0, 0) }
-}
-
-// WithRawChannel routes flows through a raw Channel implementation —
-// a ModelChannel with erasures, or any custom medium. Flow- or
-// session-scoped.
-func WithRawChannel(ch Channel) Option {
-	return func(c *config) { c.flow.channel = ch }
+	return func(c *config) { c.flow.channel = model }
 }
 
 // WithRatePolicy paces flows with p. Flow- or session-scoped; a
@@ -133,7 +127,7 @@ func WithScheduler(sc SchedulerConfig) Option {
 
 // WithFeedback replaces §6's instant perfect per-block acks with an
 // explicit reverse channel: acks cross a queue with the configured
-// delay/jitter/loss and the sender paces blocks with retransmission
+// delay and loss and the sender paces blocks with retransmission
 // timers, backoff and a bounded in-flight window. Session-scoped.
 func WithFeedback(fc FeedbackConfig) Option {
 	return func(c *config) {
@@ -218,17 +212,8 @@ func WithFrameSymbols(n int) Option {
 	}
 }
 
-// WithFrameLoss erases entire shared frames with probability p.
-// Session-scoped.
-func WithFrameLoss(p float64) Option {
-	return func(c *config) {
-		c.engine.FrameLoss = p
-		c.sessionOnly = append(c.sessionOnly, "WithFrameLoss")
-	}
-}
-
-// WithSeed seeds the session's randomness (frame loss, feedback jitter).
-// Session-scoped.
+// WithSeed seeds the session's randomness (ack loss under WithFeedback,
+// the fault injector under WithFaults). Session-scoped.
 func WithSeed(seed int64) Option {
 	return func(c *config) {
 		c.engine.Seed = seed
@@ -416,13 +401,9 @@ func (s *Session) SchedulerStats() SchedulerStats {
 // SetChannel replaces an active flow's medium mid-flight (nil means
 // noiseless) and reports whether the flow was still active.
 func (s *Session) SetChannel(id FlowID, model channel.Model) bool {
-	var ch Channel
-	if model != nil {
-		ch = NewModelChannel(model, 0, 0)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.eng.SetFlowChannel(id, ch)
+	return s.eng.SetChannel(id, model)
 }
 
 // Close releases the session's codec workers (a WithSharedPool pool is
@@ -447,33 +428,3 @@ func ctxErr(ctx context.Context) error {
 	}
 	return ctx.Err()
 }
-
-// ModelChannel adapts a stateful channel.Model — plus optional
-// whole-share erasure — to the link's Channel interface. It is the one
-// adapter between the channel tier and the link engine.
-type ModelChannel struct {
-	model   channel.Model
-	erasure float64
-	rng     *rand.Rand
-}
-
-// NewModelChannel wraps model; erasure is the probability a flow's whole
-// share of a frame is lost, drawn from seed.
-func NewModelChannel(model channel.Model, erasure float64, seed int64) *ModelChannel {
-	return &ModelChannel{
-		model:   model,
-		erasure: erasure,
-		rng:     rand.New(rand.NewSource(seed)),
-	}
-}
-
-// Apply implements Channel.
-func (c *ModelChannel) Apply(sym []complex128) []complex128 {
-	if c.erasure > 0 && c.rng.Float64() < c.erasure {
-		return nil
-	}
-	return c.model.Transmit(sym)
-}
-
-// StateDB reports the wrapped model's instantaneous SNR.
-func (c *ModelChannel) StateDB() float64 { return c.model.StateDB() }

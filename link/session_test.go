@@ -113,7 +113,7 @@ func TestSessionRejectsSessionScopedOptionsAtSend(t *testing.T) {
 		link.WithCodecPool(2),
 		link.WithMaxBlockBits(256),
 		link.WithFrameSymbols(1024),
-		link.WithFrameLoss(0.1),
+		link.WithFaults(link.FaultConfig{}),
 		link.WithSeed(7),
 		link.WithFeedbackObserver(nil),
 	} {
