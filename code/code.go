@@ -37,8 +37,8 @@ type Code = icode.Code
 type RateAdapter = icode.RateAdapter
 
 // Spinal adapts the spinal code with parameters p behind the Code
-// interface. The link engine recognizes it and runs its native pooled
-// codec path, so sessions over Spinal(p) behave bit-identically to
+// interface. It is the code a session runs by default, so sessions over
+// Spinal(p) send the same symbols and decode the same blocks as
 // sessions over p directly.
 func Spinal(p spinal.Params) Code { return icode.Spinal(p) }
 

@@ -188,10 +188,31 @@ func TestParse(t *testing.T) {
 			t.Fatalf("Parse(%q) succeeded, want error", bad)
 		}
 	}
-	if _, ok := SpinalParams(Spinal(p)); !ok {
-		t.Fatal("SpinalParams failed to unwrap the spinal adapter")
+}
+
+// FuzzParseCode holds code.Parse, the parser of spinalcat's -code flag,
+// to two properties on arbitrary specs: it never panics, and an
+// accepted spec's Name parses back to a code of the same Name.
+func FuzzParseCode(f *testing.F) {
+	for _, spec := range []string{
+		"", "spinal", "raptor", "strider", "turbo", "ldpc",
+		"ldpc:1/2", "ldpc:2/3", "ldpc:3/4", "ldpc:5/6",
+		"ldpc:", "spinal:x", "ldpc:1/3",
+	} {
+		f.Add(spec)
 	}
-	if _, ok := SpinalParams(Raptor()); ok {
-		t.Fatal("SpinalParams unwrapped a non-spinal code")
-	}
+	p := core.DefaultParams()
+	f.Fuzz(func(t *testing.T, spec string) {
+		c, err := Parse(spec, p)
+		if err != nil {
+			return
+		}
+		back, err := Parse(c.Name(), p)
+		if err != nil {
+			t.Fatalf("Parse(%q).Name() = %q does not parse: %v", spec, c.Name(), err)
+		}
+		if back.Name() != c.Name() {
+			t.Fatalf("Parse(%q).Name() = %q parses back to %q", spec, c.Name(), back.Name())
+		}
+	})
 }

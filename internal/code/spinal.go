@@ -3,25 +3,20 @@ package code
 import "spinal/internal/core"
 
 // spinalCode adapts the native spinal codec behind the Code interface.
-// The link engine recognizes it (SpinalParams) and runs the pooled
-// native path instead, so wrapping spinal costs nothing on the hot path;
-// this adapter serves the standalone Sender/Receiver and any caller
-// driving the interface directly.
+// It defaults its parameters once and keeps a template encoder, so every
+// block's encoder is a clone sharing the template's compiled hash and
+// constellation table and computes its spine once, at construction.
 type spinalCode struct {
-	p core.Params
+	p    core.Params // defaulted
+	tmpl *core.Encoder
 }
 
 // Spinal adapts the spinal code with parameters p behind the Code
-// interface.
-func Spinal(p core.Params) Code { return &spinalCode{p: p} }
-
-// SpinalParams reports the spinal parameters when c is the Spinal
-// adapter — the engine's cue to keep the native pooled-codec fast path.
-func SpinalParams(c Code) (core.Params, bool) {
-	if s, ok := c.(*spinalCode); ok {
-		return s.p, true
-	}
-	return core.Params{}, false
+// interface. It panics on invalid parameters, as core.NewEncoder does.
+func Spinal(p core.Params) Code {
+	// A one-bit template: only its parameters and tables are used.
+	tmpl := core.NewEncoder([]byte{0}, 1, p)
+	return &spinalCode{p: tmpl.Params(), tmpl: tmpl}
 }
 
 func (s *spinalCode) Name() string { return "spinal" }
@@ -33,11 +28,11 @@ func (s *spinalCode) NewSchedule(nBits int) Schedule {
 }
 
 func (s *spinalCode) NewEncoder(bits []byte, nBits int) Encoder {
-	return core.NewEncoder(bits, nBits, s.p)
+	return s.tmpl.Clone(bits, nBits)
 }
 
 func (s *spinalCode) NewDecoder(nBits int) Decoder {
-	return WrapSpinalDecoder(core.NewDecoder(nBits, s.p))
+	return spinalDecoder{core.NewDecoder(nBits, s.p)}
 }
 
 // spinalDecoder narrows core.Decoder's (bytes, cost) Decode to the
@@ -47,10 +42,6 @@ func (s *spinalCode) NewDecoder(nBits int) Decoder {
 type spinalDecoder struct {
 	*core.Decoder
 }
-
-// WrapSpinalDecoder adapts a native spinal decoder (typically a pooled
-// worker's cached one) to the Decoder interface.
-func WrapSpinalDecoder(d *core.Decoder) Decoder { return spinalDecoder{d} }
 
 func (d spinalDecoder) Decode() ([]byte, bool) {
 	bits, _ := d.Decoder.Decode()

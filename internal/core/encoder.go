@@ -59,6 +59,17 @@ func (e *Encoder) Reset(msg []byte, nBits int) {
 	e.sp = e.appendSpine(e.sp[:0], msg, nBits)
 }
 
+// Clone returns a new encoder for the first nBits bits of msg under e's
+// parameters, sharing e's compiled hash and constellation table — the
+// cheap way to build one encoder per message from a template. msg and
+// nBits follow the NewEncoder rules.
+func (e *Encoder) Clone(msg []byte, nBits int) *Encoder {
+	c := &Encoder{p: e.p, sum: e.sum, cmask: e.cmask, table: e.table,
+		sp: make([]uint32, 0, numSpine(max(nBits, 0), e.p.K))}
+	c.Reset(msg, nBits)
+	return c
+}
+
 // appendSpine computes the spine s_1..s_{numSpine} for msg into dst.
 func (e *Encoder) appendSpine(dst []uint32, msg []byte, nBits int) []uint32 {
 	ns := numSpine(nBits, e.p.K)

@@ -221,3 +221,32 @@ func TestAppendSymbolsMatchesSymbols(t *testing.T) {
 		}
 	}
 }
+
+// TestEncoderCloneMatchesFresh: a clone of a template encoder generates
+// exactly the symbols a freshly constructed encoder does, and leaves the
+// template untouched.
+func TestEncoderCloneMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(93))
+	p := testParams()
+	tmpl := NewEncoder([]byte{0}, 1, p)
+	for _, nBits := range []int{1, 24, 80, 101} {
+		msg := randomMessage(rng, nBits)
+		enc, want := tmpl.Clone(msg, nBits), NewEncoder(msg, nBits, p)
+		if enc.NumSpine() != want.NumSpine() {
+			t.Fatalf("nBits %d: clone has %d spine values, want %d", nBits, enc.NumSpine(), want.NumSpine())
+		}
+		sched := enc.NewSchedule()
+		for sub := 0; sub < 2*p.Ways; sub++ {
+			ids := sched.NextSubpass()
+			got, exp := enc.Symbols(ids), want.Symbols(ids)
+			for i := range ids {
+				if got[i] != exp[i] {
+					t.Fatalf("nBits %d: symbol %v differs in the clone", nBits, ids[i])
+				}
+			}
+		}
+	}
+	if tmpl.NumSpine() != 1 {
+		t.Fatal("Clone changed the template's spine")
+	}
+}

@@ -8,7 +8,7 @@
 // retries, and demuxes them by connection ID into per-shard ingress
 // queues. Each shard (N ≈ GOMAXPROCS) owns an independent link.Session
 // whose codec work runs on one CodecPool shared across every shard, so a
-// flow costs warmed-up codecs no matter which shard serves it. Resolved
+// flow finds warmed-up decoders no matter which shard serves it. Resolved
 // flows leave through a batching egress writer that aggregates result
 // records per client address into single datagrams. SIGTERM (via
 // Shutdown) drains: new submissions are rejected with a typed status,
@@ -445,7 +445,6 @@ type ShardMetrics struct {
 // PoolMetrics is the shared codec pool's reuse telemetry.
 type PoolMetrics struct {
 	Shards        int   `json:"shards"`
-	EncodersBuilt int64 `json:"encoders_built"`
 	DecodersBuilt int64 `json:"decoders_built"`
 }
 
@@ -482,7 +481,6 @@ func (d *Daemon) Metrics() Metrics {
 	ps := d.pool.Stats()
 	m.Pool = PoolMetrics{
 		Shards:        d.pool.Shards(),
-		EncodersBuilt: ps.EncodersBuilt,
 		DecodersBuilt: ps.DecodersBuilt,
 	}
 	for _, sh := range d.shards {

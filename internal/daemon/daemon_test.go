@@ -107,8 +107,10 @@ func TestDaemonServes256Flows(t *testing.T) {
 	if m.Flows.Delivered != 256 || m.Flows.Outaged != 0 {
 		t.Fatalf("daemon accounting disagrees: %+v", m.Flows)
 	}
-	if m.Pool.EncodersBuilt == 0 || m.Pool.DecodersBuilt == 0 {
-		t.Fatalf("pool counters silent: %+v", m.Pool)
+	// Every flow is one 528-bit block, and the shard sessions share the
+	// pool's warm decoders: at most one decoder per pool shard.
+	if m.Pool.DecodersBuilt == 0 || m.Pool.DecodersBuilt > int64(m.Pool.Shards) {
+		t.Fatalf("pool built %d decoders for %d shards and one block size", m.Pool.DecodersBuilt, m.Pool.Shards)
 	}
 	// 256 results over at most a handful of client addresses must have
 	// batched: strictly fewer egress datagrams than records.

@@ -30,7 +30,7 @@ type RatePolicy interface {
 }
 
 // FixedRate transmits a constant number of subpasses per block per round;
-// values below 1 mean 1 (the Transfer loop's frame-at-a-time behaviour).
+// values below 1 mean 1 (Sender.NextFrame's frame-at-a-time pace).
 type FixedRate int
 
 // SubpassBudget implements RatePolicy.
@@ -66,22 +66,21 @@ func (p CapacityRate) SubpassBudget(blockBits, subpassSymbols, symbolsSent int) 
 
 // EngineConfig configures a multi-flow link engine.
 type EngineConfig struct {
-	// Params is the spinal code shared by every flow (it sizes the
-	// pooled codecs).
+	// Params is the spinal code of the pool the engine creates; flows run
+	// it unless Code is set. Ignored when Pool is set.
 	Params core.Params
 	// Pool, when non-nil, is an externally owned codec pool this engine
 	// shares with others — the daemon pattern: one warmed pool serving N
-	// per-core engines. Its parameters must match Params (the pool's
-	// workers build codecs from the parameters the pool was created
-	// with). The engine never closes a shared pool; Shards is ignored.
-	Pool *core.CodecPool
+	// per-core engines, whose flows run the pool's spinal code and share
+	// its cached decoders. The engine never closes a shared pool; Shards
+	// is ignored.
+	Pool *CodecPool
 	// Code, when non-nil, selects the channel code every flow runs
-	// instead of the spinal code of Params. The spinal adapter
-	// (code.Spinal) is recognized and unwrapped onto the native pooled
-	// fast path, so wrapping costs nothing; any other code runs through
-	// the same sharded pool with per-shard decoder caches. Codes that
-	// implement code.RateAdapter receive every decoded block's symbol
-	// spend, mirroring the rate policies' RateObserver hook.
+	// instead of the pool's spinal code. Its decoders are cached on the
+	// pool's shards under a key private to this engine, and Close drops
+	// them. Codes that implement code.RateAdapter receive every decoded
+	// block's symbol spend, mirroring the rate policies' RateObserver
+	// hook.
 	Code icode.Code
 	// MaxBlockBits bounds code blocks (0 ⇒ the §6 default of 1024).
 	MaxBlockBits int
@@ -253,33 +252,28 @@ type engineFlow struct {
 // rateless link. Each flow is segmented into CRC-protected code blocks,
 // and every round (Step) runs six stages: schedule admits one batch per
 // outstanding block from as many flows as fit a shared frame's symbol
-// budget (backpressure defers the rest); encode regenerates the batches'
-// symbols; air perturbs each flow's share with its medium; decode
-// accumulates what arrived and attempts the blocks that gained symbols;
-// ack reports decoded blocks back to the senders; resolve retires
-// finished and exhausted flows. Encode and decode run on a sharded pool
-// of persistent codec workers. Spinal codes make this embarrassingly
-// shardable: every code block decodes independently, so the pool stays
-// busy as long as any flow has outstanding blocks.
+// budget (backpressure defers the rest); encode generates the batches'
+// symbols from the senders' per-block encoders; air perturbs each flow's
+// share with its medium; decode accumulates what arrived and attempts
+// the blocks that gained symbols; ack reports decoded blocks back to the
+// senders; resolve retires finished and exhausted flows. Encode and
+// decode run on a sharded pool of persistent codec workers. Every code
+// block decodes independently (§6), so the pool stays busy as long as
+// any flow has outstanding blocks.
 //
 // The engine is single-threaded at its API (AddFlow/Step/Drain must not
 // be called concurrently); parallelism lives inside Step's codec rounds.
 type Engine struct {
 	cfg      EngineConfig
-	pool     *core.CodecPool
+	pool     *CodecPool
 	ownsPool bool // pool created here (Close stops it) vs shared (left running)
+	code     icode.Code
+	codeKey  int64 // the code's decoder-cache key on the pool (0: the pool's code)
 	flows    []*engineFlow
 	next     FlowID
 	rr       int   // round-robin admission cursor
 	sched    *dwfq // DWFQ state, nil under round-robin
 	seq      uint32
-
-	// gcode is the non-spinal channel code every flow runs, nil on the
-	// native spinal path; gcodecs are its per-shard decoder caches (one
-	// per pool shard — a shard's jobs run on one goroutine, so each cache
-	// is touched serially, exactly like core.Codec's).
-	gcode   icode.Code
-	gcodecs []*genericCodec
 
 	items  []txItem  // the round's scheduled batches
 	groups []rxGroup // the round's decode work, one group per (flow, block)
@@ -288,7 +282,7 @@ type Engine struct {
 	// indexes, and one prebuilt pool job per shard.
 	stage   poolStage
 	buckets [][]int
-	jobs    []func(*core.Codec)
+	jobs    []func(*worker)
 	wg      sync.WaitGroup
 
 	// Flow-conservation counters for the invariant checker: flows
@@ -317,81 +311,41 @@ type rxGroup struct {
 	rejected int
 }
 
-// genericCodec is one pool shard's decoder cache for a non-spinal code —
-// the generic counterpart of core.Codec's per-block-size cache. Encoders
-// live on the senders instead (Sender.ownEncoder): a (flow, block) pair
-// always lands on the same shard, so its encoder is touched serially too.
-type genericCodec struct {
-	code icode.Code
-	decs map[int]icode.Decoder
-}
-
-func (g *genericCodec) decoder(nBits int) icode.Decoder {
-	d, ok := g.decs[nBits]
-	if !ok {
-		d = g.code.NewDecoder(nBits)
-		g.decs[nBits] = d
-		return d
-	}
-	d.Reset()
-	return d
-}
-
-// NewEngine starts an engine and its codec pool. Close releases the pool.
+// NewEngine starts an engine and, unless cfg.Pool is set, its codec
+// pool. Close releases the pool.
 func NewEngine(cfg EngineConfig) *Engine {
-	gcode := cfg.Code
-	if gcode != nil {
-		if p, ok := icode.SpinalParams(gcode); ok {
-			// The spinal adapter unwraps onto the native pooled path:
-			// bit-identical behaviour and codec reuse, zero interface cost.
-			cfg.Params = p
-			gcode = nil
-		}
-	}
 	pool, ownsPool := cfg.Pool, false
 	if pool == nil {
-		pool, ownsPool = core.NewCodecPool(cfg.Params, cfg.Shards), true
+		pool, ownsPool = NewCodecPool(cfg.Params, cfg.Shards), true
 	}
 	e := &Engine{
 		cfg:      cfg,
 		pool:     pool,
 		ownsPool: ownsPool,
-		gcode:    gcode,
+		code:     pool.code,
 		buckets:  make([][]int, pool.Shards()),
-		jobs:     make([]func(*core.Codec), pool.Shards()),
+		jobs:     make([]func(*worker), pool.Shards()),
+	}
+	if cfg.Code != nil {
+		e.code, e.codeKey = cfg.Code, pool.newKey()
 	}
 	for s := range e.jobs {
-		e.jobs[s] = func(c *core.Codec) { e.runShard(c, s) }
+		e.jobs[s] = func(w *worker) { e.runShard(w, s) }
 	}
 	if cfg.Scheduler != nil {
 		e.sched = &dwfq{cfg: *cfg.Scheduler}
 	}
-	if gcode != nil {
-		e.gcodecs = make([]*genericCodec, e.pool.Shards())
-		for i := range e.gcodecs {
-			e.gcodecs[i] = &genericCodec{code: gcode, decs: make(map[int]icode.Decoder)}
-		}
-	}
 	return e
-}
-
-// code reports the channel code flows run under this engine.
-func (e *Engine) code() icode.Code {
-	if e.gcode != nil {
-		return e.gcode
-	}
-	return icode.Spinal(e.cfg.Params)
 }
 
 // AddFlow admits a datagram as a new flow and returns its ID. A nil
 // datagram is legal (a single CRC-only block). The flow starts
 // transmitting on the next Step.
 func (e *Engine) AddFlow(datagram []byte, fc FlowConfig) FlowID {
-	c := e.code()
 	fl := &engineFlow{
 		id:        e.next,
-		snd:       NewCodeSender(c, datagram, e.cfg.MaxBlockBits),
-		rcv:       NewCodeReceiver(c),
+		snd:       NewCodeSender(e.code, datagram, e.cfg.MaxBlockBits),
+		rcv:       NewCodeReceiver(e.code),
 		ch:        fc.Channel,
 		rate:      fc.Rate,
 		maxRounds: fc.MaxRounds,
@@ -458,43 +412,34 @@ func (e *Engine) SetChannel(id FlowID, ch channel.Model) bool {
 	return false
 }
 
-// PoolStats exposes the codec pool's construction counters (reuse
+// PoolStats exposes the codec pool's construction counter (reuse
 // telemetry for tests and monitoring).
-func (e *Engine) PoolStats() core.CodecPoolStats { return e.pool.Stats() }
+func (e *Engine) PoolStats() PoolStats { return e.pool.Stats() }
 
-// Close releases the codec workers (a shared EngineConfig.Pool is left
-// running for its owner to close). The engine must be idle.
+// Close releases the codec workers. A shared EngineConfig.Pool is left
+// running for its owner to close, minus the decoders this engine's own
+// Code cached on it. The engine must be idle.
 func (e *Engine) Close() {
-	if e.ownsPool {
+	switch {
+	case e.ownsPool:
 		e.pool.Close()
+	case e.codeKey != 0:
+		e.pool.forget(e.codeKey)
 	}
-}
-
-// workerDecoder returns the decoder a pool worker uses for an attempt:
-// the worker's own reusable spinal decoder on the native path, the
-// shard's cached generic decoder otherwise. Must be called from the job
-// running on that shard.
-func (e *Engine) workerDecoder(c *core.Codec, shard, nBits int) icode.Decoder {
-	if e.gcode != nil {
-		return e.gcodecs[shard%len(e.gcodecs)].decoder(nBits)
-	}
-	return icode.WrapSpinalDecoder(c.Decoder(nBits))
 }
 
 // observeDecode reports one decoded block's size and symbol spend to
-// whoever adapts on it: the flow's rate policy (RateObserver) and, on
-// the generic path, the code itself (code.RateAdapter — the LDPC shim's
-// rung learning). Runs on the engine thread.
+// whoever adapts on it: the flow's rate policy (RateObserver) and the
+// code itself (code.RateAdapter — the LDPC shim's rung learning). Runs
+// on the engine thread.
 func (e *Engine) observeDecode(fl *engineFlow, block int) {
 	nb := fl.snd.blocks[block].NumBits()
 	spent := fl.snd.symbolsFor(block)
 	if ob, ok := fl.rate.(RateObserver); ok {
 		ob.ObserveDecode(nb, spent)
 	}
-	if e.gcode != nil {
-		if ra, ok := e.gcode.(icode.RateAdapter); ok {
-			ra.ObserveDecode(nb, spent)
-		}
+	if ra, ok := e.code.(icode.RateAdapter); ok {
+		ra.ObserveDecode(nb, spent)
 	}
 }
 
@@ -530,7 +475,7 @@ func (e *Engine) fanOut(stage poolStage) {
 	for s, b := range e.buckets {
 		if len(b) > 0 {
 			e.wg.Add(1)
-			e.pool.Submit(s, e.jobs[s])
+			e.pool.submit(s, e.jobs[s])
 		}
 	}
 	e.wg.Wait()
@@ -540,13 +485,14 @@ func (e *Engine) fanOut(stage poolStage) {
 }
 
 // runShard is shard's pool job for the current fan-out.
-func (e *Engine) runShard(c *core.Codec, shard int) {
+func (e *Engine) runShard(w *worker, shard int) {
 	defer e.wg.Done()
 	for _, i := range e.buckets[shard] {
 		if e.stage == stageEncode {
-			e.encodeItem(c, &e.items[i])
+			it := &e.items[i]
+			it.batch.Symbols = it.fl.snd.encoder(it.batch.Block).Symbols(it.batch.IDs)
 		} else {
-			e.decodeGroup(c, shard, &e.groups[i])
+			e.decodeGroup(w, &e.groups[i])
 		}
 	}
 }
@@ -675,7 +621,10 @@ func (e *Engine) admit(fl *engineFlow, round, symbols int) int {
 	return symbols
 }
 
-// encode regenerates each scheduled batch's symbols on the pool.
+// encode generates each scheduled batch's symbols on the pool, from the
+// sender's encoder for the batch's block. A (flow, block) pair is unique
+// within a round and always routes to the same shard, so each encoder is
+// touched serially.
 func (e *Engine) encode() {
 	for i := range e.items {
 		if it := &e.items[i]; len(it.batch.IDs) > 0 {
@@ -683,20 +632,6 @@ func (e *Engine) encode() {
 		}
 	}
 	e.fanOut(stageEncode)
-}
-
-// encodeItem fills one batch's symbols. On the native path the worker's
-// reusable spinal encoder does it from the block bits (flows own no
-// encoders); a generic code uses the sender's per-block encoder — safe
-// because a (flow, block) pair is unique within a round and always
-// routes to the same shard.
-func (e *Engine) encodeItem(c *core.Codec, it *txItem) {
-	if e.gcode != nil {
-		it.batch.Symbols = it.fl.snd.ownEncoder(it.batch.Block).Symbols(it.batch.IDs)
-		return
-	}
-	bits, nb := it.fl.snd.blockBits(it.batch.Block)
-	it.batch.Symbols = c.Encoder(bits, nb).Symbols(it.batch.IDs)
 }
 
 // air puts the frame on the medium — each flow's channel over its own
@@ -757,10 +692,11 @@ func (e *Engine) decode() {
 
 // decodeGroup feeds a group's batches to the flow's receiver and, when
 // they brought new symbols, attempts the block: the decoder is the
-// worker's, reset and replayed from the block's accumulated symbols. A
-// batch that overflowed the accumulator still stored symbols up to the
-// bound, so a rejection does not skip the attempt.
-func (e *Engine) decodeGroup(c *core.Codec, shard int, g *rxGroup) {
+// worker's cached one for the engine's code and the block size, reset and
+// replayed from the block's accumulated symbols. A batch that overflowed
+// the accumulator still stored symbols up to the bound, so a rejection
+// does not skip the attempt.
+func (e *Engine) decodeGroup(w *worker, g *rxGroup) {
 	rcv := g.fl.rcv
 	// A corrupt frame that survived the parser can address a block the
 	// receiver does not have; accumulate rejects it, but nothing else in
@@ -775,7 +711,7 @@ func (e *Engine) decodeGroup(c *core.Codec, shard int, g *rxGroup) {
 		return // frame-shaped garbage: nothing to decode
 	}
 	if blk := &rcv.blocks[g.block]; !blk.got && blk.dirty {
-		g.decoded = rcv.attempt(g.block, e.workerDecoder(c, shard, blk.nBits))
+		g.decoded = rcv.attempt(g.block, w.decoder(e.code, e.codeKey, blk.nBits))
 	}
 }
 

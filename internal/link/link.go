@@ -103,11 +103,11 @@ func (f *Frame) SymbolCount() int {
 	return n
 }
 
-// Sender streams a datagram as rateless frames. It keeps only the block
-// bits and per-block schedules as state; encoders are built lazily for
-// the standalone NextFrame path and skipped entirely when an Engine
-// generates symbols on its codec pool. The code is any icode.Code — the
-// protocol machinery is code-agnostic.
+// Sender streams a datagram as rateless frames. It keeps the block bits,
+// per-block schedules and one encoder per block, built on the block's
+// first batch (by NextFrame standalone, on a codec-pool worker under an
+// Engine). The code is any icode.Code — the protocol machinery is
+// code-agnostic.
 type Sender struct {
 	code     icode.Code
 	blocks   []framing.Block
@@ -162,12 +162,6 @@ func (s *Sender) Done() bool {
 // SymbolsSent reports the cumulative number of symbols transmitted.
 func (s *Sender) SymbolsSent() int { return s.symbols }
 
-// blockBits returns block i's serialized bits and bit count, the inputs a
-// pooled encoder needs to regenerate its symbols.
-func (s *Sender) blockBits(i int) ([]byte, int) {
-	return s.bits[i], s.blocks[i].NumBits()
-}
-
 // batchIDs advances block i's schedule by subpasses (≥ 1), counts the
 // fresh symbols as transmitted, and returns a batch of their IDs with no
 // symbols attached (the Engine fills those on a codec-pool worker). A
@@ -193,12 +187,10 @@ func (s *Sender) batchIDs(i, subpasses int) Batch {
 // symbolsFor reports the symbols transmitted so far for block i.
 func (s *Sender) symbolsFor(i int) int { return s.perBlock[i] }
 
-// ownEncoder returns the sender's dedicated encoder for block i, built on
-// first use (standalone path only).
-func (s *Sender) ownEncoder(i int) icode.Encoder {
+// encoder returns the sender's encoder for block i, built on first use.
+func (s *Sender) encoder(i int) icode.Encoder {
 	if s.encs[i] == nil {
-		bits, nb := s.blockBits(i)
-		s.encs[i] = s.code.NewEncoder(bits, nb)
+		s.encs[i] = s.code.NewEncoder(s.bits[i], s.blocks[i].NumBits())
 	}
 	return s.encs[i]
 }
@@ -219,7 +211,7 @@ func (s *Sender) NextFrame() *Frame {
 			continue
 		}
 		b := s.batchIDs(i, 1)
-		b.Symbols = s.ownEncoder(i).Symbols(b.IDs)
+		b.Symbols = s.encoder(i).Symbols(b.IDs)
 		f.Batches = append(f.Batches, b)
 	}
 	return f

@@ -34,7 +34,7 @@ func goldenConfigs() []ScenarioConfig {
 	} {
 		for _, pol := range []string{"fixed", "capacity", "tracking"} {
 			cfg := ScenarioConfig{
-				Params:       multiFlowParams(),
+				Params:       scenarioParams(),
 				Scenario:     sc,
 				Policy:       pol,
 				Flows:        5,
@@ -71,7 +71,7 @@ func goldenConfigs() []ScenarioConfig {
 	// the soak test covers the parameter space.
 	for _, sc := range []string{"chaos", "chaos-feedback"} {
 		cfgs = append(cfgs, ScenarioConfig{
-			Params:       multiFlowParams(),
+			Params:       scenarioParams(),
 			Scenario:     sc,
 			Policy:       "tracking",
 			Flows:        5,
@@ -93,7 +93,7 @@ func goldenConfigs() []ScenarioConfig {
 	// byte-identical.
 	for _, code := range []string{"spinal", "raptor", "strider", "turbo", "ldpc"} {
 		cfgs = append(cfgs, ScenarioConfig{
-			Params:       multiFlowParams(),
+			Params:       scenarioParams(),
 			Code:         code,
 			Scenario:     "burst",
 			Policy:       "capacity",
@@ -109,7 +109,7 @@ func goldenConfigs() []ScenarioConfig {
 	}
 	for _, code := range []string{"raptor", "ldpc:1/2"} {
 		cfgs = append(cfgs, ScenarioConfig{
-			Params:       multiFlowParams(),
+			Params:       scenarioParams(),
 			Code:         code,
 			Scenario:     "feedback-delay",
 			Policy:       "tracking",
@@ -131,7 +131,7 @@ func goldenConfigs() []ScenarioConfig {
 	// entries stay byte-identical.
 	for _, sched := range []string{"rr", "dwfq"} {
 		cfgs = append(cfgs, ScenarioConfig{
-			Params:           multiFlowParams(),
+			Params:           scenarioParams(),
 			Scenario:         "mice-elephants",
 			Policy:           "capacity:12",
 			Flows:            32,
@@ -149,7 +149,7 @@ func goldenConfigs() []ScenarioConfig {
 	// 20%-lossy feedback, pinning the final SRTT estimate and the peak
 	// window alongside the airtime totals.
 	cfgs = append(cfgs, ScenarioConfig{
-		Params:       multiFlowParams(),
+		Params:       scenarioParams(),
 		Scenario:     "fetch-cubic",
 		MaxBytes:     16 << 10,
 		MaxBlockBits: 192,
@@ -160,13 +160,13 @@ func goldenConfigs() []ScenarioConfig {
 	return cfgs
 }
 
-// TestScenarioCodeSpinalEquivalence pins the zero-cost-unwrap contract:
-// a run routed through the Code interface with the spinal spec must
-// reproduce the native run's outcome exactly (only the Code label may
-// differ).
+// TestScenarioCodeSpinalEquivalence pins that WithCode(code.Spinal(p))
+// equals the default: a run with the spinal spec — its own code value,
+// decoders cached under its own key — must reproduce the default run's
+// outcome exactly (only the Code label may differ).
 func TestScenarioCodeSpinalEquivalence(t *testing.T) {
 	cfg := ScenarioConfig{
-		Params:       multiFlowParams(),
+		Params:       scenarioParams(),
 		Scenario:     "burst",
 		Policy:       "capacity",
 		Flows:        3,
@@ -189,7 +189,7 @@ func TestScenarioCodeSpinalEquivalence(t *testing.T) {
 	}
 	routed.Code = ""
 	if native != routed {
-		t.Fatalf("spinal routed through the Code interface drifted from native:\nnative: %+v\nrouted: %+v", native, routed)
+		t.Fatalf("WithCode(code.Spinal(p)) drifted from the default:\ndefault: %+v\nspinal:  %+v", native, routed)
 	}
 }
 

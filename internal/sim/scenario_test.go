@@ -6,15 +6,22 @@ import (
 	"testing"
 
 	"spinal/internal/channel"
+	"spinal/internal/core"
 	"spinal/internal/link"
 )
+
+// scenarioParams is the B = 16 spinal code the scenario tests and the
+// golden matrix run.
+func scenarioParams() core.Params {
+	return core.Params{K: 4, B: 16, D: 1, C: 6, Tail: 2, Ways: 8}
+}
 
 // burstScenario is the Gilbert–Elliott operating point of the EXPERIMENTS
 // goodput table: multi-block datagrams under a 16-round delivery deadline,
 // so a policy that cannot traverse bad bursts in time shows up as outage.
 func burstScenario(policy string, seed int64) ScenarioConfig {
 	return ScenarioConfig{
-		Params:       multiFlowParams(),
+		Params:       scenarioParams(),
 		Scenario:     "burst",
 		Policy:       policy,
 		Flows:        16,
@@ -82,7 +89,7 @@ func TestScenarioAllNamesDeliver(t *testing.T) {
 		"feedback-delay", "feedback-loss",
 	} {
 		res, err := MeasureScenario(ScenarioConfig{
-			Params:       multiFlowParams(),
+			Params:       scenarioParams(),
 			Scenario:     sc,
 			Policy:       "tracking",
 			Flows:        6,
@@ -114,7 +121,7 @@ func TestScenarioAllNamesDeliver(t *testing.T) {
 // multiple passes per block the norm) where only the reverse path varies.
 func feedbackScenario(scenario, policy string, seed int64) ScenarioConfig {
 	return ScenarioConfig{
-		Params:       multiFlowParams(),
+		Params:       scenarioParams(),
 		Scenario:     scenario,
 		Policy:       policy,
 		Flows:        8,
@@ -173,7 +180,7 @@ func TestFeedbackGoodputOrdering(t *testing.T) {
 // increment; splitting them would double-count abandoned flows.)
 func TestScenarioChurnOutageAccounting(t *testing.T) {
 	cfg := ScenarioConfig{
-		Params:       multiFlowParams(),
+		Params:       scenarioParams(),
 		Scenario:     "churn",
 		Policy:       "fixed", // trickle pacing under a tight deadline forces outages
 		Flows:        12,
@@ -313,7 +320,7 @@ func typeName(v any) string {
 // swallows that fraction of the shares a flow transmits.
 func TestBlackoutErasesShares(t *testing.T) {
 	e := link.NewEngine(link.EngineConfig{
-		Params:       multiFlowParams(),
+		Params:       scenarioParams(),
 		MaxBlockBits: 192,
 		Shards:       2,
 		Seed:         5,

@@ -174,11 +174,11 @@ func TestSharedPoolSessions(t *testing.T) {
 		}
 	}
 	// Three sequential single-flow sessions on a warmed shared pool must
-	// not have built three codecs per shard: the whole point is reuse
-	// across sessions. Each shard builds at most one encoder and one
-	// decoder per distinct block size.
+	// not have built a decoder per session: the whole point is reuse
+	// across sessions. One block size is in play, so each shard builds at
+	// most one decoder.
 	st := pool.Stats()
-	if st.EncodersBuilt > int64(pool.Shards()) {
-		t.Fatalf("shared pool rebuilt encoders per session: %+v", st)
+	if st.DecodersBuilt > int64(pool.Shards()) {
+		t.Fatalf("shared pool rebuilt decoders per session: %+v", st)
 	}
 }

@@ -2,29 +2,33 @@ package link
 
 import (
 	"spinal"
-	"spinal/internal/core"
+	ilink "spinal/internal/link"
 )
 
-// PoolStats counts codec constructions since a pool started — the
-// observable that proves workers reuse warmed codecs instead of
-// rebuilding them per job (spinald exports it on its telemetry
-// endpoint).
-type PoolStats = core.CodecPoolStats
+// PoolStats counts decoder constructions since a pool started — the
+// observable that proves workers reuse warmed decoders instead of
+// rebuilding them per attempt (spinald exports it on its telemetry
+// endpoint). It counts the decoders of every code the pool's sessions
+// run.
+type PoolStats = ilink.PoolStats
 
 // CodecPool is a sharded pool of persistent codec workers that several
 // Sessions can share — the daemon pattern: N per-core sessions, one
 // warmed pool, so handing a flow from one session to another never cools
-// the codecs. Create it once, pass it to each session with
+// the decoders. Each worker caches one decoder per code and block size.
+// Sessions without WithCode run the pool's spinal code and share its
+// decoders; a session with WithCode caches its own, and its Close drops
+// them. Create the pool once, pass it to each session with
 // WithSharedPool, and Close it after every sharing session has closed.
 type CodecPool struct {
-	p *core.CodecPool
+	p *ilink.CodecPool
 }
 
 // NewCodecPool starts a pool of shards persistent codec workers for the
-// given code parameters (shards ≤ 0 means GOMAXPROCS). Sessions sharing
-// the pool must use the same parameters.
+// spinal code of p (shards ≤ 0 means GOMAXPROCS). Sessions sharing the
+// pool without WithCode run that code.
 func NewCodecPool(p spinal.Params, shards int) *CodecPool {
-	return &CodecPool{p: core.NewCodecPool(p, shards)}
+	return &CodecPool{p: ilink.NewCodecPool(p, shards)}
 }
 
 // Shards reports the number of worker shards.

@@ -159,12 +159,13 @@ func WithHalfDuplex(bitsPerAckSymbol int) Option {
 }
 
 // WithCode runs every flow of the session over cd — any spinal/code
-// implementation: code.Spinal (the default behaviour, recognized and run
-// on the native pooled fast path), or a §8 baseline from spinal/baseline
-// (Raptor, Strider, turbo, the rate-switching LDPC shim). The whole
-// scenario surface — channels, rate policies, delayed/lossy
-// feedback, half-duplex accounting, fault injection — works unchanged
-// over any code. Session-scoped.
+// implementation: code.Spinal (the same symbols and decodes as the
+// default), or a §8 baseline from spinal/baseline (Raptor, Strider,
+// turbo, the rate-switching LDPC shim). Every code takes the same path:
+// senders own one encoder per block, and the pool's workers cache cd's
+// decoders per block size. The whole scenario surface — channels, rate
+// policies, delayed/lossy feedback, half-duplex accounting, fault
+// injection — works unchanged over any code. Session-scoped.
 func WithCode(cd code.Code) Option {
 	return func(c *config) {
 		c.engine.Code = cd

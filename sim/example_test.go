@@ -15,27 +15,6 @@ func quickParams() spinal.Params {
 	return p
 }
 
-// ExampleMeasureMultiFlow runs a small mixed workload — several datagram
-// sizes over several SNRs, multiplexed through one link engine — and
-// checks every flow delivered.
-func ExampleMeasureMultiFlow() {
-	res := sim.MeasureMultiFlow(sim.MultiFlowConfig{
-		Params:   quickParams(),
-		Flows:    6,
-		MinBytes: 64,
-		MaxBytes: 256,
-		SNRsDB:   []float64{10, 15},
-		Seed:     1,
-	})
-	fmt.Println("flows:", res.Flows)
-	fmt.Println("failures:", res.Failures)
-	fmt.Println("delivered something:", res.Bytes > 0 && res.Rate > 0)
-	// Output:
-	// flows: 6
-	// failures: 0
-	// delivered something: true
-}
-
 // ExampleMeasureDaemonLoad sweeps concurrent flows through one
 // spinald-style daemon and reports the multiplexing gain: with one flow
 // per shard, aggregate goodput grows with the flow count.

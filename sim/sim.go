@@ -27,23 +27,10 @@ type ScenarioConfig = isim.ScenarioConfig
 // reverse-channel and half-duplex accounting.
 type ScenarioResult = isim.ScenarioResult
 
-// MultiFlowConfig drives MeasureMultiFlow: many datagrams of mixed sizes
-// over channels of mixed SNRs, multiplexed with bounded concurrency.
-type MultiFlowConfig = isim.MultiFlowConfig
-
-// MultiFlowResult aggregates an engine workload.
-type MultiFlowResult = isim.MultiFlowResult
-
 // MeasureScenario runs the named time-varying channel workload through a
 // link session and aggregates goodput and outage statistics.
 func MeasureScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	return isim.MeasureScenario(cfg)
-}
-
-// MeasureMultiFlow runs the configured workload through a link session
-// and aggregates delivery statistics.
-func MeasureMultiFlow(cfg MultiFlowConfig) MultiFlowResult {
-	return isim.MeasureMultiFlow(cfg)
 }
 
 // Scenarios lists the named scenarios MeasureScenario accepts.
