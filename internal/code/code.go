@@ -79,6 +79,20 @@ type Decoder interface {
 	Decode() ([]byte, bool)
 }
 
+// NarrowDecoder is the optional first rung of a Decoder's escalation
+// ladder: a cheaper, less reliable decode of the same observations. The
+// link receiver tries it first in every attempt and runs Decode only when
+// the CRC rejects the narrow message — on the same observations, in the
+// same attempt, so the ladder costs no airtime. The spinal decoder
+// implements it with a narrower beam.
+type NarrowDecoder interface {
+	// DecodeNarrow decodes the observations accumulated since Reset with
+	// the cheaper search. The message follows Decode's buffer contract;
+	// ok is false when this decode has no narrow rung, and the caller
+	// then runs Decode alone.
+	DecodeNarrow() (msg []byte, ok bool)
+}
+
 // Code is a channel code the link layer can run: a family of
 // per-block-size schedules, encoders and decoders. Implementations must
 // be safe for concurrent NewEncoder/NewDecoder construction and

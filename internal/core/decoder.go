@@ -168,17 +168,37 @@ func (d *Decoder) Reset() {
 // KernelFloat always uses the reference path. KernelUsed reports the
 // choice, QuantTolerance the cost accuracy.
 func (d *Decoder) Decode() ([]byte, float64) {
-	if d.quantEligible() {
-		if msg, cost, ok := d.decodeQuantized(d.msgBuf); ok {
-			d.msgBuf = msg
-			d.lastKernel = KernelQuantized
-			return msg, cost
-		}
+	if msg, cost, ok := d.DecodeWidth(d.p.B); ok {
+		return msg, cost
 	}
 	d.lastKernel = KernelFloat
 	msg, cost := d.bs.run(d.eval, d.msgBuf)
 	d.msgBuf = msg
 	return msg, cost
+}
+
+// DecodeWidth is Decode with beam width w (1 ≤ w ≤ Params.B) in place of
+// Params.B: a cheaper, less reliable search over the same stored
+// symbols, which stay stored for a wider decode after it. Only the
+// quantized kernel runs
+// at a chosen width: when the decode is not eligible for it (see
+// Kernel), DecodeWidth decodes nothing and reports ok = false. At
+// w = Params.B it returns exactly what a quantized Decode returns, and
+// at any w what a decoder built with B = w would.
+func (d *Decoder) DecodeWidth(w int) (msg []byte, cost float64, ok bool) {
+	if w < 1 || w > d.p.B {
+		panic("core: decode width outside [1, Params.B]")
+	}
+	if !d.quantEligible() {
+		return nil, 0, false
+	}
+	msg, cost, ok = d.decodeQuantized(d.msgBuf, w)
+	if !ok {
+		return nil, 0, false
+	}
+	d.msgBuf = msg
+	d.lastKernel = KernelQuantized
+	return msg, cost, true
 }
 
 // KernelUsed reports the arithmetic the most recent Decode ran on:

@@ -23,7 +23,10 @@ type Params struct {
 	// K is the number of message bits hashed per spine value (§3.1). The
 	// decoding cost is exponential in K; the paper recommends 4.
 	K int
-	// B is the bubble decoder's beam width (§4.3).
+	// B is the bubble decoder's beam width (§4.3): the widest beam it
+	// searches with. Decode always runs at B; Decoder.DecodeWidth runs a
+	// narrower beam, and the link's spinal decoder tries B/4 first when
+	// B/4 ≥ 64 (see internal/code.Spinal).
 	B int
 	// D is the bubble decoder's subtree depth (§4.3). D=1 is the classical
 	// M-algorithm and the configuration of most experiments.
@@ -87,6 +90,11 @@ const (
 func DefaultParams() Params {
 	return Params{K: 4, B: 256, D: 1, C: 6, Tail: 2, Ways: 8}
 }
+
+// WithDefaults returns p with its optional fields filled (Hash, Mapper,
+// Tail, Ways), as every constructor fills them. It panics on invalid
+// parameters, as the constructors do.
+func WithDefaults(p Params) Params { return p.withDefaults() }
 
 // withDefaults fills optional fields and validates.
 func (p Params) withDefaults() Params {

@@ -118,10 +118,13 @@ func (d *Decoder) quantRange() float64 {
 }
 
 // decodeQuantized runs the fixed-point beam search over all stored
-// symbols. ok is false when no feasible quantization exists (the caller
-// then uses the float path); otherwise the message is written into dst
-// (grown if needed) and returned with its dequantized path cost.
-func (d *Decoder) decodeQuantized(dst []byte) ([]byte, float64, bool) {
+// symbols, keeping the best B of every step (1 ≤ B ≤ Params.B). ok is
+// false when no feasible quantization exists (the caller then uses the
+// float path); otherwise the message is written into dst (grown if
+// needed) and returned with its dequantized path cost. Scratch is sized
+// for Params.B whatever B is, so a narrow decode followed by a full one
+// on a warmed decoder allocates nothing.
+func (d *Decoder) decodeQuantized(dst []byte, B int) ([]byte, float64, bool) {
 	qz, ok := hw.NewQuantizer(d.quantRange(), d.nsyms)
 	if !ok {
 		return nil, 0, false
@@ -131,7 +134,7 @@ func (d *Decoder) decodeQuantized(dst []byte) ([]byte, float64, bool) {
 	q.tol = qz.Tolerance(d.nsyms)
 
 	k := d.p.K
-	B := d.p.B
+	maxB := d.p.B
 	ns := d.ns
 	L := len(d.table)
 	cshift := uint(d.p.C)
@@ -143,17 +146,17 @@ func (d *Decoder) decodeQuantized(dst []byte) ([]byte, float64, bool) {
 	if maxFan > blockCand {
 		blockCand = maxFan
 	}
-	q.bState = ensureU32(q.bState, B)
-	q.bCost = ensureI32(q.bCost, B)
-	q.bBack = ensureI32(q.bBack, B)
-	q.b2State = ensureU32(q.b2State, B)
-	q.b2Cost = ensureI32(q.b2Cost, B)
-	q.b2Back = ensureI32(q.b2Back, B)
-	q.sByOrg = ensureU32(q.sByOrg, B<<uint(k))
+	q.bState = ensureU32(q.bState, maxB)
+	q.bCost = ensureI32(q.bCost, maxB)
+	q.bBack = ensureI32(q.bBack, maxB)
+	q.b2State = ensureU32(q.b2State, maxB)
+	q.b2Cost = ensureI32(q.b2Cost, maxB)
+	q.b2Back = ensureI32(q.b2Back, maxB)
+	q.sByOrg = ensureU32(q.sByOrg, maxB<<uint(k))
 	q.pre = ensureU32(q.pre, blockCand)
 	q.wbuf = ensureU32(q.wbuf, blockCand)
-	if cap(q.keys) < 2*B+blockCand {
-		q.keys = make([]uint64, 0, 2*B+blockCand)
+	if cap(q.keys) < 2*maxB+blockCand {
+		q.keys = make([]uint64, 0, 2*maxB+blockCand)
 	}
 
 	bState, bCost, bBack := q.bState, q.bCost, q.bBack

@@ -115,7 +115,8 @@ func TestEncoderResetMatchesFresh(t *testing.T) {
 
 // TestDecodeSteadyStateAllocs: after warmup, Decode must not allocate at
 // all — the scratch beam, candidate and result buffers are all owned by
-// the decoder. The first row runs the quantized kernel; the others pin
+// the decoder. The first row runs the quantized kernel, also as a B/4
+// DecodeWidth followed by a full Decode; the others pin
 // every way onto the float path: forced, fading-aware, lookahead and a
 // non-default hash.
 func TestDecodeSteadyStateAllocs(t *testing.T) {
@@ -160,6 +161,17 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 			}
 			if avg := testing.AllocsPerRun(20, func() { dec.Decode() }); avg != 0 {
 				t.Fatalf("steady-state Decode allocates: %g allocs/op", avg)
+			}
+			if tc.kernel != KernelQuantized {
+				return
+			}
+			// The link's beam ladder: a narrow decode, then a full one on
+			// the same stored symbols.
+			if avg := testing.AllocsPerRun(20, func() {
+				dec.DecodeWidth(p.B / 4)
+				dec.Decode()
+			}); avg != 0 {
+				t.Fatalf("steady-state narrow-then-full decode allocates: %g allocs/op", avg)
 			}
 		})
 	}

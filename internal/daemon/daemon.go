@@ -433,6 +433,12 @@ type ShardMetrics struct {
 	BatchesRejected int64 `json:"batches_rejected"`
 	FrameFaults     int64 `json:"frame_faults"`
 	AckFaults       int64 `json:"ack_faults"`
+	// DecodeAttempts, NarrowAttempts and Escalations total the served
+	// flows' block decode attempts, those begun on the decoder's narrow
+	// beam rung, and the narrow rungs the CRC rejected (see link.Stats).
+	DecodeAttempts  int64 `json:"decode_attempts"`
+	NarrowAttempts  int64 `json:"narrow_attempts"`
+	Escalations     int64 `json:"escalations"`
 	QueueLen        int   `json:"queue_len"`
 	QueueCap        int   `json:"queue_cap"`
 	SchedQuanta     int64 `json:"sched_quanta_granted,omitempty"`

@@ -355,3 +355,47 @@ func TestDaemonRejectsWhileDraining(t *testing.T) {
 	}
 	d.state.Store(stateRunning) // let Cleanup shut down normally
 }
+
+// TestDoneCacheRing: the done cache keeps the newest DoneCache records,
+// evicts the oldest first, and its ring of keys never outgrows the cap
+// however many flows resolve — so the cache's memory stops growing once
+// it is full.
+func TestDoneCacheRing(t *testing.T) {
+	for _, limit := range []int{1, 5, 300, 1000} {
+		sh := &shard{d: &Daemon{cfg: Config{DoneCache: limit}}, id: 3, done: make(map[uint64]doneRec)}
+		for i := uint32(0); i < uint32(3*limit+7); i++ {
+			sh.remember(flowKey(1, i), record{conn: 1, seq: i, shard: 3, status: StatusDelivered, bytes: i})
+			if len(sh.done) > limit || len(sh.doneRing) > limit || cap(sh.doneRing) > limit {
+				t.Fatalf("limit %d after %d records: %d cached, ring len %d cap %d",
+					limit, i+1, len(sh.done), len(sh.doneRing), cap(sh.doneRing))
+			}
+			oldest := int(i) - limit + 1
+			if _, ok := sh.done[flowKey(1, uint32(oldest-1))]; oldest > 0 && ok {
+				t.Fatalf("limit %d: record %d not evicted after %d", limit, oldest-1, i)
+			}
+			if dr, ok := sh.done[flowKey(1, uint32(max(oldest, 0)))]; !ok || int(dr.bytes) != max(oldest, 0) {
+				t.Fatalf("limit %d: oldest kept record %d missing after %d", limit, max(oldest, 0), i)
+			}
+		}
+	}
+}
+
+// TestDaemonLadderCounters: at the paper's B=256 every decode attempt
+// begins on the narrow beam rung, and the shard metrics total the
+// attempts, narrow attempts and escalations of the flows served.
+func TestDaemonLadderCounters(t *testing.T) {
+	d, _ := startDaemon(t, Config{Shards: 2, SNRdB: 10, Seed: 17, Params: spinal.DefaultParams()})
+	res, err := RunLoad(LoadConfig{Addr: d.Addr().String(), Flows: 8, Size: 64, Seed: 5})
+	if err != nil || res.Delivered != 8 || res.Corrupted != 0 {
+		t.Fatalf("load: %v %v", res, err)
+	}
+	var attempts, narrow, escalations int64
+	for _, sm := range d.Metrics().Shards {
+		attempts += sm.DecodeAttempts
+		narrow += sm.NarrowAttempts
+		escalations += sm.Escalations
+	}
+	if attempts < 8 || narrow != attempts || escalations > narrow {
+		t.Fatalf("ladder counters: %d attempts, %d narrow, %d escalations", attempts, narrow, escalations)
+	}
+}

@@ -42,8 +42,10 @@ type shard struct {
 	// Owned by loop.
 	inflight map[link.FlowID]*pendingFlow
 	pending  map[uint64]struct{} // flowKey → in flight (dedup)
-	done     map[uint64]record   // flowKey → resolved record (replay)
-	doneFIFO []uint64
+	done     map[uint64]doneRec  // flowKey → resolved record (replay)
+	// doneRing holds the done keys in resolution order, at most
+	// Config.DoneCache of them; once full, doneHead is the oldest.
+	doneRing []uint64
 	doneHead int
 
 	admitted   atomic.Int64
@@ -58,6 +60,20 @@ type shard struct {
 	batchesRej atomic.Int64
 	frameFault atomic.Int64
 	ackFault   atomic.Int64
+	attempts   atomic.Int64
+	narrow     atomic.Int64
+	escalated  atomic.Int64
+}
+
+// doneRec is a resolved flow's record as the done cache keeps it, in 16
+// bytes: its conn and seq are the cache key, its shard is the shard's
+// own id, and a delivered payload is at most maxPayload bytes.
+type doneRec struct {
+	bytes      uint16
+	status     uint8
+	symbols    uint32
+	ackSymbols uint32
+	checksum   uint32
 }
 
 func newShard(d *Daemon, id int) (*shard, error) {
@@ -94,7 +110,7 @@ func newShard(d *Daemon, id int) (*shard, error) {
 		sess:     sess,
 		inflight: make(map[link.FlowID]*pendingFlow),
 		pending:  make(map[uint64]struct{}),
-		done:     make(map[uint64]record),
+		done:     make(map[uint64]doneRec),
 	}, nil
 }
 
@@ -148,9 +164,13 @@ func (sh *shard) soak() {
 // replayed. This is what makes the client's bounded-retry loop safe.
 func (sh *shard) admit(msg ingressMsg) {
 	key := flowKey(msg.conn, msg.seq)
-	if rec, ok := sh.done[key]; ok {
+	if dr, ok := sh.done[key]; ok {
 		sh.replays.Add(1)
-		sh.d.out.send(msg.from, rec)
+		sh.d.out.send(msg.from, record{
+			conn: msg.conn, seq: msg.seq, shard: uint16(sh.id),
+			status: dr.status, bytes: uint32(dr.bytes), symbols: dr.symbols,
+			ackSymbols: dr.ackSymbols, checksum: dr.checksum,
+		})
 		return
 	}
 	if _, ok := sh.pending[key]; ok {
@@ -227,6 +247,9 @@ func (sh *shard) finish(results []link.Result) {
 		sh.ackSymbols.Add(int64(r.Stats.AckSymbols))
 		sh.retrans.Add(int64(r.Stats.Retransmissions))
 		sh.batchesRej.Add(int64(r.Stats.BatchesRejected))
+		sh.attempts.Add(int64(r.Stats.DecodeAttempts))
+		sh.narrow.Add(int64(r.Stats.NarrowAttempts))
+		sh.escalated.Add(int64(r.Stats.Escalations))
 		f := r.Stats.Faults
 		sh.frameFault.Add(int64(f.FramesReordered + f.FramesDuplicated +
 			f.FramesTruncated + f.FramesCorrupted + f.FramesBlackedOut))
@@ -238,22 +261,25 @@ func (sh *shard) finish(results []link.Result) {
 	}
 }
 
-// remember caches a resolved record for replay, evicting FIFO at the
-// configured cap (Config.DoneCache).
+// remember caches a resolved record for replay, evicting the oldest at
+// the configured cap (Config.DoneCache). The ring of keys grows with the
+// cache up to the cap and is then overwritten in place, so the cache's
+// memory is bounded by the cap, not by the flows served.
 func (sh *shard) remember(key uint64, rec record) {
-	limit := sh.d.cfg.DoneCache
-	if len(sh.done) >= limit {
-		old := sh.doneFIFO[sh.doneHead]
-		sh.doneHead++
-		delete(sh.done, old)
-		// Compact the FIFO once the dead prefix dominates.
-		if sh.doneHead >= limit {
-			sh.doneFIFO = append(sh.doneFIFO[:0], sh.doneFIFO[sh.doneHead:]...)
-			sh.doneHead = 0
+	if limit := sh.d.cfg.DoneCache; len(sh.doneRing) < limit {
+		if len(sh.doneRing) == cap(sh.doneRing) {
+			grown := make([]uint64, len(sh.doneRing), min(max(2*cap(sh.doneRing), 256), limit))
+			copy(grown, sh.doneRing)
+			sh.doneRing = grown
 		}
+		sh.doneRing = append(sh.doneRing, key)
+	} else {
+		delete(sh.done, sh.doneRing[sh.doneHead])
+		sh.doneRing[sh.doneHead] = key
+		sh.doneHead = (sh.doneHead + 1) % limit
 	}
-	sh.done[key] = rec
-	sh.doneFIFO = append(sh.doneFIFO, key)
+	sh.done[key] = doneRec{status: rec.status, bytes: uint16(rec.bytes), symbols: rec.symbols,
+		ackSymbols: rec.ackSymbols, checksum: rec.checksum}
 }
 
 // metrics snapshots the shard for the telemetry endpoint.
@@ -273,6 +299,9 @@ func (sh *shard) metrics() ShardMetrics {
 		BatchesRejected: sh.batchesRej.Load(),
 		FrameFaults:     sh.frameFault.Load(),
 		AckFaults:       sh.ackFault.Load(),
+		DecodeAttempts:  sh.attempts.Load(),
+		NarrowAttempts:  sh.narrow.Load(),
+		Escalations:     sh.escalated.Load(),
 		QueueLen:        len(sh.in),
 		QueueCap:        cap(sh.in),
 	}

@@ -937,6 +937,9 @@ func (e *Engine) result(fl *engineFlow, ferr error) FlowResult {
 	for i := range fl.rcv.blocks {
 		st.SymbolsDeduped += fl.rcv.blocks[i].dups
 		st.SymbolsOverflowed += fl.rcv.blocks[i].overflow
+		st.DecodeAttempts += fl.rcv.blocks[i].attempts
+		st.NarrowAttempts += fl.rcv.blocks[i].narrow
+		st.Escalations += fl.rcv.blocks[i].escalations
 	}
 	if fl.inj != nil {
 		st.Faults = fl.inj.stats

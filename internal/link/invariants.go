@@ -30,6 +30,8 @@ func violate(round int, format string, args ...any) {
 //     configured in-flight window;
 //   - bounded receiver memory: no block's accumulator exceeds
 //     maxAccumSymbols, and its IDs and symbols stay in lockstep;
+//   - ladder accounting: a block's escalations never exceed its narrow
+//     attempts, nor those its decode attempts;
 //   - round budget: an active flow is always within its budget (at the
 //     budget it must have resolved this Step).
 func (e *Engine) checkInvariants(round int) {
@@ -88,6 +90,10 @@ func (e *Engine) checkInvariants(round int) {
 			if seen := blk.seen.len(); len(blk.ids) > maxAccumSymbols || seen > maxAccumSymbols {
 				violate(round, "flow %d block %d accumulator past bound: %d ids, %d seen",
 					fl.id, i, len(blk.ids), seen)
+			}
+			if blk.escalations > blk.narrow || blk.narrow > blk.attempts {
+				violate(round, "flow %d block %d ladder accounting: %d escalations, %d narrow, %d attempts",
+					fl.id, i, blk.escalations, blk.narrow, blk.attempts)
 			}
 		}
 		if fl.rounds > fl.maxRounds {

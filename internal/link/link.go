@@ -233,17 +233,21 @@ func (s *Sender) HandleAck(a framing.Ack) {
 // by ID, so replayed frames (ARQ duplicates, adversarial replay) are
 // no-ops; it is nil until the first symbol and recycled once the block
 // decodes. dups and overflow count what dedup and the accumulator bound
-// dropped.
+// dropped; attempts, narrow and escalations count decode attempts, those
+// that began on a narrow rung, and narrow rungs the CRC rejected.
 type rxBlock struct {
-	nBits    int
-	ids      []core.SymbolID
-	syms     []complex128
-	seen     *symbolSet
-	dirty    bool // new symbols since the last decode attempt
-	got      bool
-	payload  []byte
-	dups     int // duplicate symbol observations dropped
-	overflow int // symbols dropped at the accumulator bound
+	nBits       int
+	ids         []core.SymbolID
+	syms        []complex128
+	seen        *symbolSet
+	dirty       bool // new symbols since the last decode attempt
+	got         bool
+	payload     []byte
+	dups        int // duplicate symbol observations dropped
+	overflow    int // symbols dropped at the accumulator bound
+	attempts    int
+	narrow      int
+	escalations int
 }
 
 // Receiver reassembles a datagram from rateless frames. It owns no
@@ -355,13 +359,31 @@ func (r *Receiver) accumulate(b *Batch) (bool, error) {
 }
 
 // attempt replays block i's accumulated symbols into dec (which must be
-// freshly reset) and runs one decode, reporting whether the block newly
-// verified. On success the accumulators are released.
+// freshly reset) and decodes them, reporting whether the block newly
+// verified. A decoder with a narrow rung (icode.NarrowDecoder) tries it
+// first and escalates to Decode, on the same symbols, only when the CRC
+// rejects the narrow message. On success the accumulators are released.
 func (r *Receiver) attempt(i int, dec icode.Decoder) bool {
 	blk := &r.blocks[i]
 	blk.dirty = false
+	blk.attempts++
 	dec.Add(blk.ids, blk.syms)
+	if nd, ok := dec.(icode.NarrowDecoder); ok {
+		if decoded, ok := nd.DecodeNarrow(); ok {
+			blk.narrow++
+			if blk.accept(decoded) {
+				return true
+			}
+			blk.escalations++
+		}
+	}
 	decoded, _ := dec.Decode()
+	return blk.accept(decoded)
+}
+
+// accept verifies a decoded candidate and, when its CRC checks, marks
+// the block decoded and releases its accumulators.
+func (blk *rxBlock) accept(decoded []byte) bool {
 	payload, ok := framing.Verify(decoded)
 	if !ok {
 		return false
@@ -497,6 +519,13 @@ type Stats struct {
 	// SymbolsOverflowed counts symbols dropped at the per-block
 	// accumulator bound (ErrBlockFull's victims).
 	SymbolsOverflowed int
+	// DecodeAttempts counts block decode attempts: one per block per
+	// round that brought it new symbols. NarrowAttempts counts the
+	// attempts that began on the decoder's narrow rung (spinal at
+	// B/4 ≥ 64), and Escalations those whose narrow message failed the
+	// CRC and were decoded again at the full width on the same symbols.
+	// Escalations ≤ NarrowAttempts ≤ DecodeAttempts.
+	DecodeAttempts, NarrowAttempts, Escalations int
 	// Faults counts the faults injected into the flow's forward and
 	// reverse paths when the engine runs with a FaultConfig
 	// (EngineConfig.Faults; zero otherwise).

@@ -15,7 +15,7 @@ go test -run '^$' \
     -benchtime "$benchtime" -benchmem . >"$tmp"
 go test -run '^$' -bench 'BenchmarkFinishWords$|BenchmarkChildrenPrefixes$|BenchmarkExpandScore$' \
     -benchtime "$benchtime" -benchmem ./internal/hashfn/ >>"$tmp"
-go test -run '^$' -bench 'BenchmarkLinkEngine$' \
+go test -run '^$' -bench 'BenchmarkLinkEngine$|BenchmarkLinkEnginePaper$' \
     -benchtime "$benchtime" -benchmem ./internal/link/ >>"$tmp"
 go test -run '^$' -bench 'BenchmarkFetchPipeline$|BenchmarkFetchDelayed$' \
     -benchtime "$benchtime" -benchmem ./internal/transport/ >>"$tmp"

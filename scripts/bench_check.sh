@@ -2,7 +2,9 @@
 # Bench-regression gate for CI: re-runs the guarded benchmarks
 # (BenchmarkDecode, BenchmarkDecodeQuantized, the float path at D=1 and
 # D=2, the noisy decodes at spinald's two operating points,
-# BenchmarkLinkEngine, and BenchmarkFetchDelayed, the delayed-ack fetch
+# BenchmarkLinkEngine, BenchmarkLinkEnginePaper — one spinald shard at
+# B=256, the only guarded run of the decoder's beam ladder — and
+# BenchmarkFetchDelayed, the delayed-ack fetch
 # whose allocs/op would grow by a third if segments were resubmitted
 # again) and compares
 # them against the newest checked-in BENCH_*.json snapshot
@@ -39,7 +41,7 @@ trap 'rm -f "$tmp" "$best"' EXIT
 
 go test -run '^$' -bench 'BenchmarkDecode$|BenchmarkDecodeQuantized$|BenchmarkDecodeFloat256$|BenchmarkDecodeLookahead$|BenchmarkDecodeNoisyPaper$|BenchmarkDecodeNoisySmall$' \
     -benchtime "$benchtime" -benchmem -count 3 . >"$tmp"
-go test -run '^$' -bench 'BenchmarkLinkEngine$' -benchtime "$benchtime" -benchmem -count 3 ./internal/link/ >>"$tmp"
+go test -run '^$' -bench 'BenchmarkLinkEngine$|BenchmarkLinkEnginePaper$' -benchtime "$benchtime" -benchmem -count 3 ./internal/link/ >>"$tmp"
 go test -run '^$' -bench 'BenchmarkFetchDelayed$' -benchtime "$benchtime" -benchmem -count 3 ./internal/transport/ >>"$tmp"
 
 base_cpu="$(sed -n 's/.*"cpu": "\([^"]*\)".*/\1/p' "$baseline" | head -1)"

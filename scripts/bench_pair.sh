@@ -90,6 +90,10 @@ echo "bench_pair: $pkg '$regex', base $base_rev vs working tree," \
      "$pairs alternating pairs at $benchtime"
 for name in $(awk '{ print $1 }' "$tmp/runs" | sort -u); do
     echo "$name"
+    if ! awk -v n="$name" '$1 == n { s[$3] = 1 } END { exit !(("base" in s) && ("new" in s)) }' "$tmp/runs"; then
+        echo "  runs on one side only (new or removed benchmark): no pair ratio"
+        continue
+    fi
     for side in base new; do
         set -- $(awk -v n="$name" -v s="$side" '$1 == n && $3 == s { print $4 }' "$tmp/runs" | quart %.0f)
         allocs=$(awk -v n="$name" -v s="$side" '$1 == n && $3 == s { print $5 }' "$tmp/runs" | quart %.0f | cut -d' ' -f1)
