@@ -7,8 +7,8 @@
 // One receive loop owns the socket: it parses submissions, dedups
 // retries, and demuxes them by connection ID into per-shard ingress
 // queues. Each shard (N ≈ GOMAXPROCS) owns an independent link.Session
-// whose codec work runs on one CodecPool shared across every shard, so a
-// flow finds warmed-up decoders no matter which shard serves it. Resolved
+// with one codec worker of its own, so a shard never waits for another
+// shard's decodes and N shards keep N cores busy. Resolved
 // flows leave through a batching egress writer that aggregates result
 // records per client address into single datagrams. SIGTERM (via
 // Shutdown) drains: new submissions are rejected with a typed status,
@@ -52,13 +52,22 @@ const (
 // originally lacked.
 const recvTick = 200 * time.Millisecond
 
+// rcvBufBytes is the socket receive buffer the daemon asks for. A burst
+// of submissions that arrives while the receive loop is descheduled
+// waits in this buffer, and the kernel drops what does not fit: Linux's
+// default (208 KiB) held about 560 of 1 000 small submissions sent at
+// once. The kernel may grant less than asked (SocketMetrics.RcvBufBytes
+// reports what it granted).
+const rcvBufBytes = 4 << 20
+
 // Config configures a daemon.
 type Config struct {
 	// Listen is the UDP address to serve on (default "127.0.0.1:0").
 	Listen string
 	// Telemetry is the HTTP address of the /metrics endpoint ("" = off).
 	Telemetry string
-	// Shards is the number of per-core link sessions (0 ⇒ GOMAXPROCS).
+	// Shards is the number of per-core link sessions, each with one codec
+	// worker, and so the number of cores the codec uses (0 ⇒ GOMAXPROCS).
 	// Connection IDs map to shards by ID mod Shards.
 	Shards int
 	// Params is the spinal code every shard runs (zero ⇒ DefaultParams).
@@ -147,7 +156,7 @@ func (c *Config) flowSeed(conn, seq uint32) int64 {
 type Daemon struct {
 	cfg    Config
 	conn   *net.UDPConn
-	pool   *link.CodecPool
+	rcvbuf int // the socket receive buffer the kernel granted, in bytes
 	shards []*shard
 	out    *egress
 
@@ -189,20 +198,32 @@ func New(cfg Config) (*Daemon, error) {
 	if err != nil {
 		return nil, fmt.Errorf("daemon: listen: %w", err)
 	}
+	rcvbuf, err := sizeReadBuffer(conn, rcvBufBytes)
+	if err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("daemon: size receive buffer: %w", err)
+	}
 	d := &Daemon{
 		cfg:     cfg,
 		conn:    conn,
-		pool:    link.NewCodecPool(cfg.Params, cfg.Shards),
+		rcvbuf:  rcvbuf,
 		drainCh: make(chan struct{}),
 		started: time.Now(),
 	}
 	d.out = newEgress(conn, cfg.BatchRecords)
 	d.shards = make([]*shard, cfg.Shards)
+	closeShards := func() {
+		for _, sh := range d.shards {
+			if sh != nil {
+				sh.sess.Close()
+			}
+		}
+	}
 	for i := range d.shards {
 		sh, err := newShard(d, i)
 		if err != nil {
 			conn.Close()
-			d.pool.Close()
+			closeShards()
 			return nil, err
 		}
 		d.shards[i] = sh
@@ -211,7 +232,7 @@ func New(cfg Config) (*Daemon, error) {
 		ln, err := net.Listen("tcp", cfg.Telemetry)
 		if err != nil {
 			conn.Close()
-			d.pool.Close()
+			closeShards()
 			return nil, fmt.Errorf("daemon: telemetry listen: %w", err)
 		}
 		d.httpLn = ln
@@ -354,10 +375,6 @@ func (d *Daemon) shutdown(ctx context.Context) error {
 	if d.httpSrv != nil {
 		d.httpSrv.Close()
 	}
-	if drainErr == nil {
-		// Shards closed their sessions; now the shared pool.
-		d.pool.Close()
-	}
 	d.report(drainErr)
 	return drainErr
 }
@@ -392,7 +409,7 @@ func stateName(s int32) string {
 }
 
 // Metrics is the telemetry snapshot the /metrics endpoint serves as
-// JSON: per-shard engine accounting, the shared codec pool's
+// JSON: per-shard engine accounting, the shards' codec-pool
 // construction counters, and socket/egress counters.
 type Metrics struct {
 	State         string         `json:"state"`
@@ -448,13 +465,17 @@ type ShardMetrics struct {
 	SchedDeficit    int64 `json:"sched_deficit_outstanding,omitempty"`
 }
 
-// PoolMetrics is the shared codec pool's reuse telemetry.
+// PoolMetrics is the shards' codec-pool reuse telemetry, summed over
+// the shards: Shards counts the codec workers (one per shard), and
+// DecodersBuilt the decoders they built.
 type PoolMetrics struct {
 	Shards        int   `json:"shards"`
 	DecodersBuilt int64 `json:"decoders_built"`
 }
 
 // SocketMetrics counts the socket loop and the batching egress.
+// RcvBufBytes is the receive buffer the kernel granted the socket (0
+// where it cannot be read back).
 type SocketMetrics struct {
 	DatagramsIn    int64   `json:"datagrams_in"`
 	ParseErrors    int64   `json:"parse_errors"`
@@ -463,6 +484,7 @@ type SocketMetrics struct {
 	DatagramsOut   int64   `json:"datagrams_out"`
 	RecordsOut     int64   `json:"records_out"`
 	BatchingFactor float64 `json:"batching_factor"`
+	RcvBufBytes    int     `json:"rcvbuf_bytes"`
 }
 
 // Metrics snapshots the daemon's counters; safe to call concurrently
@@ -478,18 +500,16 @@ func (d *Daemon) Metrics() Metrics {
 			IngressDropped: d.ingressDropped.Load(),
 			DatagramsOut:   d.out.datagrams.Load(),
 			RecordsOut:     d.out.records.Load(),
+			RcvBufBytes:    d.rcvbuf,
 		},
+		Pool: PoolMetrics{Shards: len(d.shards)},
 	}
 	if m.Socket.DatagramsOut > 0 {
 		m.Socket.BatchingFactor =
 			float64(m.Socket.RecordsOut) / float64(m.Socket.DatagramsOut)
 	}
-	ps := d.pool.Stats()
-	m.Pool = PoolMetrics{
-		Shards:        d.pool.Shards(),
-		DecodersBuilt: ps.DecodersBuilt,
-	}
 	for _, sh := range d.shards {
+		m.Pool.DecodersBuilt += sh.sess.PoolStats().DecodersBuilt
 		sm := sh.metrics()
 		m.Shards = append(m.Shards, sm)
 		m.Flows.Admitted += sm.Admitted

@@ -78,7 +78,9 @@ type doneRec struct {
 
 func newShard(d *Daemon, id int) (*shard, error) {
 	opts := []link.Option{
-		link.WithSharedPool(d.pool),
+		// One codec worker per shard: the shards' sessions share no work
+		// queue, so one shard's decode never delays another's round.
+		link.WithCodecPool(1),
 		link.WithSeed(d.cfg.Seed + int64(id)),
 		// Half-duplex accounting: each record's ackSymbols carries the
 		// flow's reverse airtime, so clients compute honest goodput.

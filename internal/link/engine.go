@@ -3,6 +3,7 @@ package link
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 
 	"spinal/internal/channel"
 	icode "spinal/internal/code"
@@ -66,25 +67,17 @@ func (p CapacityRate) SubpassBudget(blockBits, subpassSymbols, symbolsSent int) 
 
 // EngineConfig configures a multi-flow link engine.
 type EngineConfig struct {
-	// Params is the spinal code of the pool the engine creates; flows run
-	// it unless Code is set. Ignored when Pool is set.
+	// Params is the spinal code every flow runs unless Code is set.
 	Params core.Params
-	// Pool, when non-nil, is an externally owned codec pool this engine
-	// shares with others — the daemon pattern: one warmed pool serving N
-	// per-core engines, whose flows run the pool's spinal code and share
-	// its cached decoders. The engine never closes a shared pool; Shards
-	// is ignored.
-	Pool *CodecPool
 	// Code, when non-nil, selects the channel code every flow runs
-	// instead of the pool's spinal code. Its decoders are cached on the
-	// pool's shards under a key private to this engine, and Close drops
-	// them. Codes that implement code.RateAdapter receive every decoded
-	// block's symbol spend, mirroring the rate policies' RateObserver
-	// hook.
+	// instead of the spinal code of Params. Codes that implement
+	// code.RateAdapter receive every decoded block's symbol spend,
+	// mirroring the rate policies' RateObserver hook.
 	Code icode.Code
 	// MaxBlockBits bounds code blocks (0 ⇒ the §6 default of 1024).
 	MaxBlockBits int
-	// Shards is the codec-pool worker count (0 ⇒ GOMAXPROCS).
+	// Shards is the codec-pool worker count, the number of cores a
+	// round's encode and decode work can use (0 ⇒ GOMAXPROCS).
 	Shards int
 	// FrameSymbols is the shared-frame symbol budget: the scheduler stops
 	// admitting batches once a frame holds this many symbols, and the
@@ -264,26 +257,25 @@ type engineFlow struct {
 // The engine is single-threaded at its API (AddFlow/Step/Drain must not
 // be called concurrently); parallelism lives inside Step's codec rounds.
 type Engine struct {
-	cfg      EngineConfig
-	pool     *CodecPool
-	ownsPool bool // pool created here (Close stops it) vs shared (left running)
-	code     icode.Code
-	codeKey  int64 // the code's decoder-cache key on the pool (0: the pool's code)
-	flows    []*engineFlow
-	next     FlowID
-	rr       int   // round-robin admission cursor
-	sched    *dwfq // DWFQ state, nil under round-robin
-	seq      uint32
+	cfg   EngineConfig
+	pool  *codecPool
+	code  icode.Code
+	flows []*engineFlow
+	next  FlowID
+	rr    int   // round-robin admission cursor
+	sched *dwfq // DWFQ state, nil under round-robin
+	seq   uint32
 
 	items  []txItem  // the round's scheduled batches
 	groups []rxGroup // the round's decode work, one group per (flow, block)
 
-	// Pool fan-out state (fanOut): the stage being run, each shard's item
-	// indexes, and one prebuilt pool job per shard.
-	stage   poolStage
-	buckets [][]int
-	jobs    []func(*worker)
-	wg      sync.WaitGroup
+	// Pool fan-out state (fanOut): the stage being run, the indexes of
+	// its items, the claim counter over them, and the prebuilt pool job.
+	stage poolStage
+	work  []int
+	claim atomic.Int64
+	job   func(*worker)
+	wg    sync.WaitGroup
 
 	// Flow-conservation counters for the invariant checker: flows
 	// admitted, resolved successfully, and resolved with an error.
@@ -311,27 +303,15 @@ type rxGroup struct {
 	rejected int
 }
 
-// NewEngine starts an engine and, unless cfg.Pool is set, its codec
-// pool. Close releases the pool.
+// NewEngine starts an engine and its codec pool. Close releases the
+// pool.
 func NewEngine(cfg EngineConfig) *Engine {
-	pool, ownsPool := cfg.Pool, false
-	if pool == nil {
-		pool, ownsPool = NewCodecPool(cfg.Params, cfg.Shards), true
+	code := cfg.Code
+	if code == nil {
+		code = icode.Spinal(cfg.Params)
 	}
-	e := &Engine{
-		cfg:      cfg,
-		pool:     pool,
-		ownsPool: ownsPool,
-		code:     pool.code,
-		buckets:  make([][]int, pool.Shards()),
-		jobs:     make([]func(*worker), pool.Shards()),
-	}
-	if cfg.Code != nil {
-		e.code, e.codeKey = cfg.Code, pool.newKey()
-	}
-	for s := range e.jobs {
-		e.jobs[s] = func(w *worker) { e.runShard(w, s) }
-	}
+	e := &Engine{cfg: cfg, pool: newCodecPool(code, cfg.Shards), code: code}
+	e.job = e.runJob
 	if cfg.Scheduler != nil {
 		e.sched = &dwfq{cfg: *cfg.Scheduler}
 	}
@@ -416,17 +396,8 @@ func (e *Engine) SetChannel(id FlowID, ch channel.Model) bool {
 // telemetry for tests and monitoring).
 func (e *Engine) PoolStats() PoolStats { return e.pool.Stats() }
 
-// Close releases the codec workers. A shared EngineConfig.Pool is left
-// running for its owner to close, minus the decoders this engine's own
-// Code cached on it. The engine must be idle.
-func (e *Engine) Close() {
-	switch {
-	case e.ownsPool:
-		e.pool.Close()
-	case e.codeKey != 0:
-		e.pool.forget(e.codeKey)
-	}
-}
+// Close releases the codec workers. The engine must be idle.
+func (e *Engine) Close() { e.pool.Close() }
 
 // observeDecode reports one decoded block's size and symbol spend to
 // whoever adapts on it: the flow's rate policy (RateObserver) and the
@@ -443,15 +414,6 @@ func (e *Engine) observeDecode(fl *engineFlow, block int) {
 	}
 }
 
-// shardOf routes a (flow, block) pair to a stable pool shard. Both
-// inputs are spread through the high bits before the shift so that the
-// blocks of one flow land on different shards (a two-flow transfer of a
-// large file must still use the whole pool).
-func shardOf(id FlowID, block int) int {
-	h := uint64(id)*0x9e3779b97f4a7c15 ^ uint64(block)*0xff51afd7ed558ccd
-	return int(h >> 33)
-}
-
 // poolStage names the per-item work a fan-out runs on the codec pool.
 type poolStage int
 
@@ -460,34 +422,39 @@ const (
 	stageDecode                  // e.groups: accumulate and attempt
 )
 
-// route assigns item i of the next fan-out to the shard of routing key
-// key.
-func (e *Engine) route(i, key int) {
-	s := key % len(e.buckets)
-	e.buckets[s] = append(e.buckets[s], i)
-}
-
-// fanOut runs stage over the routed items and returns once all are done.
-// Each shard gets at most one pool job, which runs the shard's items in
-// routing order.
+// fanOut runs stage over the items whose indexes e.work lists and
+// returns once all are done. Each of min(items, shards) pool jobs claims
+// the next index until the list is empty, so no worker idles while
+// another still has a queue: a long decode delays only the items its
+// own worker has not claimed yet. Which worker runs an item does not
+// change its result: items touch disjoint flow state (a (flow, block)
+// pair appears at most once a round), and decoders are reset before
+// every attempt.
 func (e *Engine) fanOut(stage poolStage) {
+	n := min(len(e.work), e.pool.Shards())
+	if n == 0 {
+		return
+	}
 	e.stage = stage
-	for s, b := range e.buckets {
-		if len(b) > 0 {
-			e.wg.Add(1)
-			e.pool.submit(s, e.jobs[s])
-		}
+	e.claim.Store(0)
+	e.wg.Add(n)
+	for s := range n {
+		e.pool.submit(s, e.job)
 	}
 	e.wg.Wait()
-	for s := range e.buckets {
-		e.buckets[s] = e.buckets[s][:0]
-	}
+	e.work = e.work[:0]
 }
 
-// runShard is shard's pool job for the current fan-out.
-func (e *Engine) runShard(w *worker, shard int) {
+// runJob is one pool job of the current fan-out: it claims and runs items
+// until none is left.
+func (e *Engine) runJob(w *worker) {
 	defer e.wg.Done()
-	for _, i := range e.buckets[shard] {
+	for {
+		k := int(e.claim.Add(1)) - 1
+		if k >= len(e.work) {
+			return
+		}
+		i := e.work[k]
 		if e.stage == stageEncode {
 			it := &e.items[i]
 			it.batch.Symbols = it.fl.snd.encoder(it.batch.Block).Symbols(it.batch.IDs)
@@ -623,12 +590,11 @@ func (e *Engine) admit(fl *engineFlow, round, symbols int) int {
 
 // encode generates each scheduled batch's symbols on the pool, from the
 // sender's encoder for the batch's block. A (flow, block) pair is unique
-// within a round and always routes to the same shard, so each encoder is
-// touched serially.
+// within a round, so no two jobs touch one encoder.
 func (e *Engine) encode() {
 	for i := range e.items {
-		if it := &e.items[i]; len(it.batch.IDs) > 0 {
-			e.route(i, shardOf(it.fl.id, it.batch.Block))
+		if len(e.items[i].batch.IDs) > 0 {
+			e.work = append(e.work, i)
 		}
 	}
 	e.fanOut(stageEncode)
@@ -681,8 +647,7 @@ func (e *Engine) addGroup(fl *engineFlow, block int) *rxGroup {
 // tallies the batches the receivers rejected.
 func (e *Engine) decode() {
 	for i := range e.groups {
-		g := &e.groups[i]
-		e.route(i, shardOf(g.fl.id, g.block))
+		e.work = append(e.work, i)
 	}
 	e.fanOut(stageDecode)
 	for i := range e.groups {
@@ -711,7 +676,7 @@ func (e *Engine) decodeGroup(w *worker, g *rxGroup) {
 		return // frame-shaped garbage: nothing to decode
 	}
 	if blk := &rcv.blocks[g.block]; !blk.got && blk.dirty {
-		g.decoded = rcv.attempt(g.block, w.decoder(e.code, e.codeKey, blk.nBits))
+		g.decoded = rcv.attempt(g.block, w.decoder(blk.nBits))
 	}
 }
 

@@ -50,9 +50,9 @@ func BenchmarkLinkEngine(b *testing.B) {
 	b.ReportMetric(float64(bytesDelivered*8)/float64(symbols), "bits/sym")
 }
 
-// BenchmarkLinkEnginePaper is one spinald shard at the paper's operating
-// point: 16 concurrent 64-byte flows (one 528-bit block each) at B=256
-// and 10 dB, CapacityRate pacing and half-duplex ack accounting, driven
+// BenchmarkLinkEnginePaper runs a spinald shard's load at the paper's
+// operating point on one engine with GOMAXPROCS codec workers: 16
+// concurrent 64-byte flows (one 528-bit block each) at B=256 and 10 dB, CapacityRate pacing and half-duplex ack accounting, driven
 // to completion per iteration. It is the guarded benchmark that runs the
 // decoder's beam ladder (B/4 first, B on a CRC failure); the other link
 // benchmarks run at B=32, below the ladder's floor.

@@ -248,18 +248,65 @@ func TestEngineCapacityRate(t *testing.T) {
 	}
 }
 
-// TestShardOfSpreadsBlocks guards the routing hash: the blocks of a
-// single flow (a large file over few flows) must spread across the pool,
-// not pile onto one shard.
-func TestShardOfSpreadsBlocks(t *testing.T) {
-	const shards = 8
-	for flow := FlowID(0); flow < 4; flow++ {
-		seen := make(map[int]bool)
-		for b := 0; b < 64; b++ {
-			seen[shardOf(flow, b)%shards] = true
+// TestEngineResultsIndependentOfWorkers: pool workers claim a round's
+// items in whatever order they get to them, so which worker encodes or
+// decodes a block varies from run to run; a flow's outcome must not.
+// The same flows — block sizes from 48 to 528 bits, one 64-byte flow on
+// the B=256 beam ladder, frame faults through the wire codec — run
+// through engines with 1, 2 and 4 workers, and must resolve in the same
+// order with byte-identical datagrams and equal Stats.
+func TestEngineResultsIndependentOfWorkers(t *testing.T) {
+	run := func(shards int) []FlowResult {
+		e := NewEngine(EngineConfig{
+			Params:       paperParams(),
+			MaxBlockBits: 528,
+			Shards:       shards,
+			Seed:         29,
+			Faults: &FaultConfig{FrameReorder: 0.3, FrameDup: 0.2, FrameTruncate: 0.1,
+				FrameCorrupt: 0.1, Blackout: 0.1, BlackoutRounds: 1},
+			CheckInvariants: true,
+		})
+		defer e.Close()
+		rng := rand.New(rand.NewSource(31))
+		for i, n := range []int{64, 4, 16, 40, 100, 9, 130, 22, 52, 1, 75, 33} {
+			// The estimate is right for a third of the flows, and high or
+			// low for the rest, so some blocks take several attempts.
+			e.AddFlow(flowPayload(rng, n), FlowConfig{
+				Channel: channel.NewAWGN([]float64{10, 7, 13}[i%3], int64(400+i)),
+				Rate:    CapacityRate{SNREstimateDB: 10},
+			})
 		}
-		if len(seen) < shards-1 {
-			t.Fatalf("flow %d: 64 blocks landed on only %d/%d shards", flow, len(seen), shards)
+		return e.Drain(0)
+	}
+	want := run(1)
+	if len(want) != 12 {
+		t.Fatalf("resolved %d flows, want 12", len(want))
+	}
+	for _, r := range want {
+		if r.Err != nil {
+			t.Fatalf("flow %d failed: %v", r.ID, r.Err)
+		}
+		if r.ID == 0 && r.Stats.NarrowAttempts == 0 {
+			t.Fatalf("the 528-bit flow did not run the beam ladder: %+v", r.Stats)
+		}
+	}
+	var blocks, attempts, faults int
+	for _, r := range want {
+		f := r.Stats.Faults
+		blocks += r.Stats.Blocks
+		attempts += r.Stats.DecodeAttempts
+		faults += f.FramesReordered + f.FramesDuplicated + f.FramesTruncated + f.FramesCorrupted + f.FramesBlackedOut
+	}
+	t.Logf("%d blocks, %d decode attempts, %d frame faults", blocks, attempts, faults)
+	for _, shards := range []int{2, 4} {
+		got := run(shards)
+		if !reflect.DeepEqual(got, want) {
+			for i := range min(len(got), len(want)) {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("%d workers: result %d differs from 1 worker's:\n got %+v\nwant %+v", shards, i, got[i], want[i])
+				}
+			}
+			t.Fatalf("%d workers resolved %d flows, 1 worker %d", shards, len(got), len(want))
 		}
 	}
 }

@@ -110,6 +110,12 @@ type SchedulerConfig = ilink.SchedulerConfig
 // Session.SchedulerStats).
 type SchedulerStats = ilink.SchedulerStats
 
+// PoolStats counts decoder constructions since a session's codec pool
+// started — the observable that proves workers reuse warmed decoders
+// instead of rebuilding them per attempt (spinald exports it on its
+// telemetry endpoint). See Session.PoolStats.
+type PoolStats = ilink.PoolStats
+
 // FeedbackConfig describes the reverse (ACK) path and the sender's ARQ
 // reaction to it: delivery delay and loss, retransmission timeouts
 // and the in-flight window. The receiver always chase-combines: symbols

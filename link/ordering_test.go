@@ -139,46 +139,3 @@ func TestConnCloseTyped(t *testing.T) {
 		t.Fatalf("Write after Close = %v, want ErrClosed", err)
 	}
 }
-
-// TestSharedPoolSessions pins WithSharedPool: several sessions run their
-// codec work on one externally owned pool, the pool survives each
-// session's Close, and the construction counters aggregate across them.
-func TestSharedPoolSessions(t *testing.T) {
-	p := orderingParams()
-	pool := link.NewCodecPool(p, 2)
-	defer pool.Close()
-	for i := range 3 {
-		s, err := link.NewSession(p,
-			link.WithSharedPool(pool),
-			link.WithChannel(channel.NewAWGN(12, int64(i))))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Send([]byte("shared pool payload")); err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Drain(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range res {
-			if r.Err != nil {
-				t.Fatalf("session %d flow failed: %v", i, r.Err)
-			}
-		}
-		if got := s.PoolStats(); got != pool.Stats() {
-			t.Fatalf("session PoolStats %+v != pool Stats %+v", got, pool.Stats())
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Three sequential single-flow sessions on a warmed shared pool must
-	// not have built a decoder per session: the whole point is reuse
-	// across sessions. One block size is in play, so each shard builds at
-	// most one decoder.
-	st := pool.Stats()
-	if st.DecodersBuilt > int64(pool.Shards()) {
-		t.Fatalf("shared pool rebuilt decoders per session: %+v", st)
-	}
-}

@@ -182,18 +182,6 @@ func WithCodecPool(shards int) Option {
 	}
 }
 
-// WithSharedPool runs the session's codec work on an externally owned
-// CodecPool shared with other sessions — the daemon pattern: N per-core
-// sessions, one warmed pool. The pool's code parameters must match the
-// session's; the session's Close leaves the pool running for its owner
-// to close. Session-scoped.
-func WithSharedPool(p *CodecPool) Option {
-	return func(c *config) {
-		c.engine.Pool = p.p
-		c.sessionOnly = append(c.sessionOnly, "WithSharedPool")
-	}
-}
-
 // WithMaxBlockBits bounds the code blocks datagrams are segmented into
 // (0 ⇒ the §6 default of 1024). Session-scoped.
 func WithMaxBlockBits(n int) Option {
@@ -385,9 +373,7 @@ func (s *Session) Active() int {
 	return s.eng.Active()
 }
 
-// PoolStats reports the session's codec-pool construction counters —
-// under WithSharedPool, the shared pool's, aggregated across every
-// session using it.
+// PoolStats reports the session's codec-pool construction counters.
 func (s *Session) PoolStats() PoolStats { return s.eng.PoolStats() }
 
 // SchedulerStats snapshots the DWFQ scheduler's accounting — credit
@@ -407,8 +393,7 @@ func (s *Session) SetChannel(id FlowID, model channel.Model) bool {
 	return s.eng.SetChannel(id, model)
 }
 
-// Close releases the session's codec workers (a WithSharedPool pool is
-// left running for its owner). A second Close — or any later call —
+// Close releases the session's codec workers. A second Close — or any later call —
 // returns ErrClosed; a Close during another goroutine's Drain takes
 // effect at the next round boundary.
 func (s *Session) Close() error {

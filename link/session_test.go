@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"spinal"
+	"spinal/baseline"
 	"spinal/channel"
 	"spinal/link"
 )
@@ -289,6 +290,48 @@ func TestSessionRatePolicyFactory(t *testing.T) {
 	for _, r := range results {
 		if r.Err != nil {
 			t.Fatal(r.Err)
+		}
+	}
+}
+
+// TestPoolStatsCountsEveryCode: a session's PoolStats counts the
+// decoders of whatever code it runs. A Raptor session and a spinal
+// session each deliver a byte-exact payload and count the decoder their
+// one worker built, and a second flow on a warmed session builds none.
+func TestPoolStatsCountsEveryCode(t *testing.T) {
+	payload := []byte("one datagram that every code must carry byte for byte")
+	for _, tc := range []struct {
+		name string
+		opts []link.Option
+	}{{"spinal", nil}, {"raptor", []link.Option{link.WithCode(baseline.Raptor())}}} {
+		s, err := link.NewSession(testParams(), append(tc.opts, link.WithCodecPool(1),
+			link.WithChannel(channel.NewAWGN(12, 1)))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		send := func() link.PoolStats {
+			t.Helper()
+			if _, err := s.Send(payload); err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Drain(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res) != 1 || res[0].Err != nil || !bytes.Equal(res[0].Datagram, payload) {
+				t.Fatalf("flow did not deliver the payload: %+v", res)
+			}
+			return s.PoolStats()
+		}
+		warm := send()
+		if warm.DecodersBuilt != 1 {
+			t.Fatalf("%s: one worker, one block size built %d decoders, want 1", tc.name, warm.DecodersBuilt)
+		}
+		if st := send(); st != warm {
+			t.Fatalf("%s: a second flow on the warmed session built decoders: %+v -> %+v", tc.name, warm, st)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -19,6 +19,8 @@ go test -run '^$' -bench 'BenchmarkLinkEngine$|BenchmarkLinkEnginePaper$' \
     -benchtime "$benchtime" -benchmem ./internal/link/ >>"$tmp"
 go test -run '^$' -bench 'BenchmarkFetchPipeline$|BenchmarkFetchDelayed$' \
     -benchtime "$benchtime" -benchmem ./internal/transport/ >>"$tmp"
+go test -run '^$' -bench 'BenchmarkDaemonSaturated$' \
+    -benchtime "$benchtime" -benchmem ./internal/daemon/ >>"$tmp"
 
 awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
 BEGIN { n = 0 }

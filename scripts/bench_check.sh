@@ -2,11 +2,13 @@
 # Bench-regression gate for CI: re-runs the guarded benchmarks
 # (BenchmarkDecode, BenchmarkDecodeQuantized, the float path at D=1 and
 # D=2, the noisy decodes at spinald's two operating points,
-# BenchmarkLinkEngine, BenchmarkLinkEnginePaper — one spinald shard at
-# B=256, the only guarded run of the decoder's beam ladder — and
+# BenchmarkLinkEngine, BenchmarkLinkEnginePaper — one engine at B=256
+# with 16 flows and two codec workers, the decoder's beam ladder —
 # BenchmarkFetchDelayed, the delayed-ack fetch
 # whose allocs/op would grow by a third if segments were resubmitted
-# again) and compares
+# again, and BenchmarkDaemonSaturated, a 2-shard B=256 daemon over
+# loopback, the only guarded run where one shard can stall another)
+# and compares
 # them against the newest checked-in BENCH_*.json snapshot
 # (scripts/bench.sh writes it).
 #
@@ -43,6 +45,7 @@ go test -run '^$' -bench 'BenchmarkDecode$|BenchmarkDecodeQuantized$|BenchmarkDe
     -benchtime "$benchtime" -benchmem -count 3 . >"$tmp"
 go test -run '^$' -bench 'BenchmarkLinkEngine$|BenchmarkLinkEnginePaper$' -benchtime "$benchtime" -benchmem -count 3 ./internal/link/ >>"$tmp"
 go test -run '^$' -bench 'BenchmarkFetchDelayed$' -benchtime "$benchtime" -benchmem -count 3 ./internal/transport/ >>"$tmp"
+go test -run '^$' -bench 'BenchmarkDaemonSaturated$' -benchtime "$benchtime" -benchmem -count 3 ./internal/daemon/ >>"$tmp"
 
 base_cpu="$(sed -n 's/.*"cpu": "\([^"]*\)".*/\1/p' "$baseline" | head -1)"
 now_cpu="$(awk '/^cpu:/ { print substr($0, 6); exit }' "$tmp" | sed 's/^ *//')"
