@@ -6,8 +6,9 @@
 // packages.
 //
 // With -flows N > 1 the input is split into N datagrams carried as
-// concurrent flows through one link.Session — shared frames, sharded
-// codec workers — and reassembled in order on stdout.
+// concurrent flows through one link.Session — shared frames, codec work
+// fanned out across cores each round — and reassembled in order on
+// stdout.
 //
 // With -scenario NAME no stdin is read: the session runs the named
 // workload — a time-varying channel (burst, walk, trace:<file>, churn)

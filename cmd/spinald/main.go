@@ -1,7 +1,8 @@
 // Command spinald serves spinal-coded link transfers over one UDP
 // socket: clients submit datagrams (spinalcat -loadgen speaks the
 // protocol), each is carried across a simulated AWGN channel by one of
-// N per-core link engines, each with its own codec worker, and the outcome
+// N per-core link engines, each running its codec work on its own
+// goroutine, and the outcome
 // — delivery status, byte count, CRC-32, forward and ack airtime —
 // returns in batched result datagrams. An optional HTTP endpoint
 // exports engine, pool and socket counters as JSON at /metrics.
@@ -35,7 +36,7 @@ func main() {
 	var (
 		listen       = flag.String("listen", "127.0.0.1:7447", "UDP address to serve")
 		telemetry    = flag.String("telemetry", "", "HTTP address for /metrics and /healthz (empty = off)")
-		shards       = flag.Int("shards", 0, "per-core link engines, each with one codec worker: the number of cores the codec uses (0 = GOMAXPROCS)")
+		shards       = flag.Int("shards", 0, "per-core link engines, each running its codec work on its own goroutine: the number of cores the codec uses (0 = GOMAXPROCS)")
 		snrDB        = flag.Float64("snr", 10, "simulated AWGN SNR each served flow crosses, in dB")
 		beam         = flag.Int("b", 256, "decoder beam width B")
 		seed         = flag.Int64("seed", 1, "channel noise seed")

@@ -1,7 +1,7 @@
 // Package daemon is the public face of spinald: a UDP datagram server
 // that carries client payloads across per-core sharded spinal link
-// engines, each with its own codec worker, with batched egress writes, a
-// JSON telemetry endpoint and graceful drain. cmd/spinald is a thin
+// engines, each running its codec work on its own goroutine, with
+// batched egress writes, a JSON telemetry endpoint and graceful drain. cmd/spinald is a thin
 // flag wrapper around this package; spinalcat's -loadgen mode drives a
 // running daemon through RunLoad.
 //
@@ -39,8 +39,8 @@ type FlowMetrics = idaemon.FlowMetrics
 // ShardMetrics is one shard's engine accounting.
 type ShardMetrics = idaemon.ShardMetrics
 
-// PoolMetrics is the shards' codec-pool reuse telemetry, summed over
-// the shards.
+// PoolMetrics is the shards' decoder-reuse telemetry, summed over the
+// shards.
 type PoolMetrics = idaemon.PoolMetrics
 
 // SocketMetrics counts the socket loop and the batching egress.

@@ -2,9 +2,9 @@ package code
 
 import (
 	"fmt"
-	"sync"
 
 	"spinal/internal/ldpc"
+	"spinal/internal/memo"
 )
 
 // ldpcSeed fixes the QC construction both ends share.
@@ -56,13 +56,19 @@ type ldpcCode struct {
 	name  string
 	specs []ldpcRungSpec
 
-	mu      sync.Mutex
-	codes   map[string]*ldpc.Code // keyed by rate/Z
-	ladders map[int][]ldpcRung    // keyed by nBits
+	// Constructions are deterministic and read-only once built.
+	codes   *memo.Memo[ldpcQC, *ldpc.Code]
+	ladders *memo.Memo[int, []ldpcRung] // keyed by nBits
 
 	// effEWMA tracks achieved bits/symbol via ObserveDecode; read on the
 	// engine thread only (NewSchedule), written there too.
 	effEWMA float64
+}
+
+// ldpcQC names one QC construction: a code rate and its lifting size Z.
+type ldpcQC struct {
+	rate string
+	z    int
 }
 
 // ldpcRung is one constructed rung of a block size's ladder.
@@ -78,8 +84,7 @@ type ldpcRung struct {
 // rate × modulation ladder).
 func LDPC(rate string) Code {
 	if rate == "" {
-		return &ldpcCode{name: "ldpc", specs: ldpcLadder,
-			codes: map[string]*ldpc.Code{}, ladders: map[int][]ldpcRung{}}
+		return newLDPC("ldpc", ldpcLadder)
 	}
 	c, err := LDPCPinned(rate)
 	if err != nil {
@@ -98,40 +103,31 @@ func LDPCPinned(rate string) (Code, error) {
 	for _, pts := range []int{256, 64, 16, 4} {
 		specs = append(specs, ldpcRungSpec{rate, pts})
 	}
-	return &ldpcCode{name: "ldpc:" + rate, specs: specs,
-		codes: map[string]*ldpc.Code{}, ladders: map[int][]ldpcRung{}}, nil
+	return newLDPC("ldpc:"+rate, specs), nil
+}
+
+func newLDPC(name string, specs []ldpcRungSpec) *ldpcCode {
+	l := &ldpcCode{name: name, specs: specs, codes: memo.New(func(k ldpcQC) *ldpc.Code {
+		return ldpc.NewQC(k.rate, k.z, ldpcSeed)
+	})}
+	l.ladders = memo.New(l.ladder)
+	return l
 }
 
 func (l *ldpcCode) Name() string { return l.name }
 
 func (l *ldpcCode) Chunks(int) int { return 1 }
 
-// codeFor returns the cached QC code for (rate, Z); construction is
-// deterministic and the result read-only.
-func (l *ldpcCode) codeFor(rate string, z int) *ldpc.Code {
-	key := fmt.Sprintf("%s/%d", rate, z)
-	c, ok := l.codes[key]
-	if !ok {
-		c = ldpc.NewQC(rate, z, ldpcSeed)
-		l.codes[key] = c
-	}
-	return c
-}
-
-// ladderFor builds (and caches) the rung ladder for nBits-bit blocks:
-// per rung, the smallest Z whose information length covers the block.
-func (l *ldpcCode) ladderFor(nBits int) []ldpcRung {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if lad, ok := l.ladders[nBits]; ok {
-		return lad
-	}
+// ladder builds the rung ladder for nBits-bit blocks (l.ladders caches
+// it): per rung, the smallest Z whose information length covers the
+// block.
+func (l *ldpcCode) ladder(nBits int) []ldpcRung {
 	var lad []ldpcRung
 	off := 0
 	for _, spec := range l.specs {
 		kb := ldpcInfoCols[spec.rate]
 		z := (nBits + kb - 1) / kb
-		code := l.codeFor(spec.rate, z)
+		code := l.codes.Get(ldpcQC{spec.rate, z})
 		m := newMapper(spec.points)
 		syms := (code.N() + m.bitsPerSymbol() - 1) / m.bitsPerSymbol()
 		lad = append(lad, ldpcRung{
@@ -143,7 +139,6 @@ func (l *ldpcCode) ladderFor(nBits int) []ldpcRung {
 		})
 		off += syms
 	}
-	l.ladders[nBits] = lad
 	return lad
 }
 
@@ -187,7 +182,7 @@ func (l *ldpcCode) ObserveDecode(blockBits, symbolsSent int) {
 }
 
 func (l *ldpcCode) NewSchedule(nBits int) Schedule {
-	lad := l.ladderFor(nBits)
+	lad := l.ladders.Get(nBits)
 	cycle := cycleSymbols(lad)
 	start := lad[l.startRung(lad)].off
 	// One pass is one ladder cycle; one subpass per rung keeps policy
@@ -213,7 +208,7 @@ type ldpcEncoder struct {
 }
 
 func (l *ldpcCode) NewEncoder(bits []byte, nBits int) Encoder {
-	lad := l.ladderFor(nBits)
+	lad := l.ladders.Get(nBits)
 	e := &ldpcEncoder{lad: lad, cycle: cycleSymbols(lad), cws: make([][]byte, len(lad))}
 	info := unpackBits(bits, nBits)
 	for i, r := range lad {
@@ -259,7 +254,7 @@ type ldpcDecoder struct {
 }
 
 func (l *ldpcCode) NewDecoder(nBits int) Decoder {
-	lad := l.ladderFor(nBits)
+	lad := l.ladders.Get(nBits)
 	return &ldpcDecoder{lad: lad, cycle: cycleSymbols(lad), nBits: nBits}
 }
 

@@ -1,8 +1,7 @@
 package code
 
 import (
-	"sync"
-
+	"spinal/internal/memo"
 	"spinal/internal/raptor"
 )
 
@@ -17,17 +16,19 @@ const raptorSeed = 0x5ea7_ab1e
 // raptorCode adapts the Raptor baseline (LT output symbols over an LDPC
 // precode, joint soft BP) behind the Code interface: the LT output bit
 // stream is truly rateless, so stream symbol i simply carries output
-// bits [i·bps, (i+1)·bps) — no cycling needed.
+// bits [i·bps, (i+1)·bps) — no cycling needed. Construction is
+// deterministic, so sender and receiver agree; each block size's code is
+// built once and shared read-only by every encoder and decoder.
 type raptorCode struct {
-	m mapper
-
-	mu    sync.Mutex
-	codes map[int]*raptor.Code // keyed by nBits
+	m     mapper
+	codes *memo.Memo[int, *raptor.Code] // keyed by nBits
 }
 
 // Raptor builds the Raptor/QAM-256 rateless baseline.
 func Raptor() Code {
-	return &raptorCode{m: newMapper(raptorQAMPoints), codes: make(map[int]*raptor.Code)}
+	return &raptorCode{m: newMapper(raptorQAMPoints), codes: memo.New(func(nBits int) *raptor.Code {
+		return raptor.New(kEff(nBits), raptorSeed)
+	})}
 }
 
 func (r *raptorCode) Name() string { return "raptor" }
@@ -40,20 +41,6 @@ func kEff(nBits int) int {
 		return 32
 	}
 	return nBits
-}
-
-// codeFor returns the cached Raptor code for nBits-bit blocks.
-// Construction is deterministic, so sender and receiver agree; the
-// constructed code is read-only and shared across pooled workers.
-func (r *raptorCode) codeFor(nBits int) *raptor.Code {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.codes[nBits]
-	if !ok {
-		c = raptor.New(kEff(nBits), raptorSeed)
-		r.codes[nBits] = c
-	}
-	return c
 }
 
 func (r *raptorCode) NewSchedule(nBits int) Schedule {
@@ -73,7 +60,7 @@ type raptorEncoder struct {
 func (r *raptorCode) NewEncoder(bits []byte, nBits int) Encoder {
 	msg := make([]byte, kEff(nBits))
 	copy(msg, unpackBits(bits, nBits))
-	return &raptorEncoder{c: r.codeFor(nBits), m: r.m, msg: msg}
+	return &raptorEncoder{c: r.codes.Get(nBits), m: r.m, msg: msg}
 }
 
 func (e *raptorEncoder) Symbols(ids []SymbolID) []complex128 {
@@ -103,7 +90,7 @@ type raptorDecoder struct {
 }
 
 func (r *raptorCode) NewDecoder(nBits int) Decoder {
-	return &raptorDecoder{c: r.codeFor(nBits), m: r.m, nBits: nBits}
+	return &raptorDecoder{c: r.codes.Get(nBits), m: r.m, nBits: nBits}
 }
 
 func (d *raptorDecoder) Decode() ([]byte, bool) {

@@ -1,8 +1,7 @@
 package code
 
 import (
-	"sync"
-
+	"spinal/internal/memo"
 	"spinal/internal/strider"
 )
 
@@ -23,15 +22,17 @@ var striderSubpassOrder = [8]int{7, 3, 5, 1, 6, 2, 4, 0}
 // rate-1/5 turbo base, SIC decoding) behind the Code interface, in its
 // Strider+ variant (8 subpasses per pass). Stream position i is symbol
 // i%ns of pass i/ns. Layer count scales with block size so the layered
-// rate cap L·LayerBits/(2·ns) does not strangle small blocks.
+// rate cap L·LayerBits/(2·ns) does not strangle small blocks. Each block
+// size's code is built once (deterministically) and shared read-only.
 type striderCode struct {
-	mu    sync.Mutex
-	codes map[int]*strider.Code // keyed by nBits
+	codes *memo.Memo[int, *strider.Code] // keyed by nBits
 }
 
 // Strider builds the Strider+ layered-superposition baseline.
 func Strider() Code {
-	return &striderCode{codes: make(map[int]*strider.Code)}
+	return &striderCode{codes: memo.New(func(nBits int) *strider.Code {
+		return strider.New(striderConfigFor(nBits))
+	})}
 }
 
 func (s *striderCode) Name() string { return "strider" }
@@ -62,19 +63,6 @@ func striderConfigFor(nBits int) strider.Config {
 	}
 }
 
-// codeFor returns the cached Strider code for nBits-bit blocks; the
-// construction is deterministic and the result read-only.
-func (s *striderCode) codeFor(nBits int) *strider.Code {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.codes[nBits]
-	if !ok {
-		c = strider.New(striderConfigFor(nBits))
-		s.codes[nBits] = c
-	}
-	return c
-}
-
 // striderSchedule walks passes in Strider+ subpass order. It goes quiet
 // (empty subpasses) once the pass budget is spent, so IDs never repeat.
 type striderSchedule struct {
@@ -84,7 +72,7 @@ type striderSchedule struct {
 }
 
 func (s *striderCode) NewSchedule(nBits int) Schedule {
-	return &striderSchedule{ns: s.codeFor(nBits).SymbolsPerPass()}
+	return &striderSchedule{ns: s.codes.Get(nBits).SymbolsPerPass()}
 }
 
 func (s *striderSchedule) SymbolsPerPass() int { return s.ns }
@@ -116,7 +104,7 @@ type striderEncoder struct {
 }
 
 func (s *striderCode) NewEncoder(bits []byte, nBits int) Encoder {
-	c := s.codeFor(nBits)
+	c := s.codes.Get(nBits)
 	msg := make([]byte, c.MessageBits())
 	copy(msg, unpackBits(bits, nBits))
 	return &striderEncoder{c: c, tx: c.Encode(msg), ns: c.SymbolsPerPass(),
@@ -151,7 +139,7 @@ type striderDecoder struct {
 }
 
 func (s *striderCode) NewDecoder(nBits int) Decoder {
-	c := s.codeFor(nBits)
+	c := s.codes.Get(nBits)
 	return &striderDecoder{c: c, ns: c.SymbolsPerPass(), nBits: nBits,
 		dec: strider.NewDecoder(c)}
 }

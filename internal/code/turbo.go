@@ -1,8 +1,7 @@
 package code
 
 import (
-	"sync"
-
+	"spinal/internal/memo"
 	"spinal/internal/turbo"
 )
 
@@ -22,31 +21,20 @@ var turboSections = [5]int{0, 1, 3, 2, 4}
 // Code interface over QPSK: a fixed-rate ARQ-style baseline — the stream
 // cycles the codeword and the receiver chase-combines repeats.
 type turboCode struct {
-	m mapper
-
-	mu    sync.Mutex
-	codes map[int]*turbo.Code // keyed by nBits
+	m     mapper
+	codes *memo.Memo[int, *turbo.Code] // keyed by nBits
 }
 
 // Turbo builds the plain turbo/QPSK fixed-rate baseline.
 func Turbo() Code {
-	return &turboCode{m: newMapper(4), codes: make(map[int]*turbo.Code)}
+	return &turboCode{m: newMapper(4), codes: memo.New(func(nBits int) *turbo.Code {
+		return turbo.NewCode(nBits, true, turboSeed)
+	})}
 }
 
 func (t *turboCode) Name() string { return "turbo" }
 
 func (t *turboCode) Chunks(int) int { return 1 }
-
-func (t *turboCode) codeFor(nBits int) *turbo.Code {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	c, ok := t.codes[nBits]
-	if !ok {
-		c = turbo.NewCode(nBits, true, turboSeed)
-		t.codes[nBits] = c
-	}
-	return c
-}
 
 // streamFromCoded rearranges turbo.Encode's per-bit groups into the
 // incremental-redundancy section order.
@@ -85,7 +73,7 @@ type turboEncoder struct {
 }
 
 func (t *turboCode) NewEncoder(bits []byte, nBits int) Encoder {
-	coded := t.codeFor(nBits).Encode(unpackBits(bits, nBits))
+	coded := t.codes.Get(nBits).Encode(unpackBits(bits, nBits))
 	return &turboEncoder{m: t.m, stream: streamFromCoded(coded, nBits), cycle: 5 * nBits / 2}
 }
 
@@ -108,7 +96,7 @@ type turboDecoder struct {
 }
 
 func (t *turboCode) NewDecoder(nBits int) Decoder {
-	return &turboDecoder{c: t.codeFor(nBits), m: t.m, nBits: nBits, cycle: 5 * nBits / 2}
+	return &turboDecoder{c: t.codes.Get(nBits), m: t.m, nBits: nBits, cycle: 5 * nBits / 2}
 }
 
 func (d *turboDecoder) Decode() ([]byte, bool) {

@@ -44,7 +44,7 @@ var residueOrder = map[int][]int{
 // message under p, applying the same parameter defaulting as the codecs.
 // It matches Encoder.NewSchedule and Decoder.NewSchedule without needing
 // either in hand — the link layer's senders schedule blocks whose
-// encoders live on a codec pool.
+// encoders run in the engine's codec fan-out.
 func NewScheduleFor(nBits int, p Params) *Schedule {
 	p = p.withDefaults()
 	return NewSchedule(numSpine(nBits, p.K), p.Ways, p.Tail)

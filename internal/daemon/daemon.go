@@ -7,10 +7,10 @@
 // One receive loop owns the socket: it parses submissions, dedups
 // retries, and demuxes them by connection ID into per-shard ingress
 // queues. Each shard (N ≈ GOMAXPROCS) owns an independent link.Session
-// with one codec worker of its own, so a shard never waits for another
-// shard's decodes and N shards keep N cores busy. Resolved
-// flows leave through a batching egress writer that aggregates result
-// records per client address into single datagrams. SIGTERM (via
+// that runs its codec work on the shard's goroutine, so a shard never
+// waits for another shard's decodes and N shards keep N cores busy.
+// Resolved flows leave through a batching egress writer that aggregates
+// result records per client address into single datagrams. SIGTERM (via
 // Shutdown) drains: new submissions are rejected with a typed status,
 // in-flight blocks flush, the egress empties, and a final report is
 // written.
@@ -66,8 +66,9 @@ type Config struct {
 	Listen string
 	// Telemetry is the HTTP address of the /metrics endpoint ("" = off).
 	Telemetry string
-	// Shards is the number of per-core link sessions, each with one codec
-	// worker, and so the number of cores the codec uses (0 ⇒ GOMAXPROCS).
+	// Shards is the number of per-core link sessions, each running its
+	// codec work on its own goroutine, and so the number of cores the
+	// codec uses (0 ⇒ GOMAXPROCS).
 	// Connection IDs map to shards by ID mod Shards.
 	Shards int
 	// Params is the spinal code every shard runs (zero ⇒ DefaultParams).
@@ -212,18 +213,10 @@ func New(cfg Config) (*Daemon, error) {
 	}
 	d.out = newEgress(conn, cfg.BatchRecords)
 	d.shards = make([]*shard, cfg.Shards)
-	closeShards := func() {
-		for _, sh := range d.shards {
-			if sh != nil {
-				sh.sess.Close()
-			}
-		}
-	}
 	for i := range d.shards {
 		sh, err := newShard(d, i)
 		if err != nil {
 			conn.Close()
-			closeShards()
 			return nil, err
 		}
 		d.shards[i] = sh
@@ -232,7 +225,6 @@ func New(cfg Config) (*Daemon, error) {
 		ln, err := net.Listen("tcp", cfg.Telemetry)
 		if err != nil {
 			conn.Close()
-			closeShards()
 			return nil, fmt.Errorf("daemon: telemetry listen: %w", err)
 		}
 		d.httpLn = ln
@@ -409,8 +401,8 @@ func stateName(s int32) string {
 }
 
 // Metrics is the telemetry snapshot the /metrics endpoint serves as
-// JSON: per-shard engine accounting, the shards' codec-pool
-// construction counters, and socket/egress counters.
+// JSON: per-shard engine accounting, the shards' decoder-construction
+// counters, and socket/egress counters.
 type Metrics struct {
 	State         string         `json:"state"`
 	UptimeSeconds float64        `json:"uptime_seconds"`
@@ -465,9 +457,9 @@ type ShardMetrics struct {
 	SchedDeficit    int64 `json:"sched_deficit_outstanding,omitempty"`
 }
 
-// PoolMetrics is the shards' codec-pool reuse telemetry, summed over
-// the shards: Shards counts the codec workers (one per shard), and
-// DecodersBuilt the decoders they built.
+// PoolMetrics is the shards' decoder-reuse telemetry, summed over the
+// shards: Shards counts the goroutines codec work runs on (one per
+// shard), and DecodersBuilt the decoders the shards built.
 type PoolMetrics struct {
 	Shards        int   `json:"shards"`
 	DecodersBuilt int64 `json:"decoders_built"`
@@ -475,7 +467,10 @@ type PoolMetrics struct {
 
 // SocketMetrics counts the socket loop and the batching egress.
 // RcvBufBytes is the receive buffer the kernel granted the socket (0
-// where it cannot be read back).
+// where it cannot be read back), and KernelDrops the submissions the
+// kernel dropped before the receive loop read them, chiefly at a full
+// receive buffer. KernelDrops is read from the live socket on Linux; it
+// is 0 elsewhere and once Shutdown has closed the socket.
 type SocketMetrics struct {
 	DatagramsIn    int64   `json:"datagrams_in"`
 	ParseErrors    int64   `json:"parse_errors"`
@@ -485,6 +480,7 @@ type SocketMetrics struct {
 	RecordsOut     int64   `json:"records_out"`
 	BatchingFactor float64 `json:"batching_factor"`
 	RcvBufBytes    int     `json:"rcvbuf_bytes"`
+	KernelDrops    int64   `json:"kernel_drops"`
 }
 
 // Metrics snapshots the daemon's counters; safe to call concurrently
@@ -501,6 +497,7 @@ func (d *Daemon) Metrics() Metrics {
 			DatagramsOut:   d.out.datagrams.Load(),
 			RecordsOut:     d.out.records.Load(),
 			RcvBufBytes:    d.rcvbuf,
+			KernelDrops:    kernelDrops(d.conn),
 		},
 		Pool: PoolMetrics{Shards: len(d.shards)},
 	}

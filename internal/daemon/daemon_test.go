@@ -107,11 +107,11 @@ func TestDaemonServes256Flows(t *testing.T) {
 	if m.Flows.Delivered != 256 || m.Flows.Outaged != 0 {
 		t.Fatalf("daemon accounting disagrees: %+v", m.Flows)
 	}
-	// Every flow is one 528-bit block, and each shard's one codec worker
+	// Every flow is one 528-bit block, and each shard's one decoder slot
 	// keeps its warm decoder: at most one decoder per shard, summed over
 	// the shards' sessions.
 	if m.Pool.Shards != 4 {
-		t.Fatalf("pool reports %d codec workers, want one per shard (4)", m.Pool.Shards)
+		t.Fatalf("pool reports %d codec goroutines, want one per shard (4)", m.Pool.Shards)
 	}
 	if m.Pool.DecodersBuilt == 0 || m.Pool.DecodersBuilt > 4 {
 		t.Fatalf("shards built %d decoders for 4 shards and one block size", m.Pool.DecodersBuilt)
@@ -432,7 +432,7 @@ func TestDaemonAbsorbsSubmitBurst(t *testing.T) {
 	if res.Delivered != flows || res.Retries != 0 || res.Corrupted != 0 {
 		t.Fatalf("burst of %d submissions: %v", flows, res)
 	}
-	if m := d.Metrics(); m.Socket.DatagramsIn != flows || m.Socket.IngressDropped != 0 {
+	if m := d.Metrics(); m.Socket.DatagramsIn != flows || m.Socket.IngressDropped != 0 || m.Socket.KernelDrops != 0 {
 		t.Fatalf("socket counters: %+v", m.Socket)
 	}
 }

@@ -78,8 +78,9 @@ type doneRec struct {
 
 func newShard(d *Daemon, id int) (*shard, error) {
 	opts := []link.Option{
-		// One codec worker per shard: the shards' sessions share no work
-		// queue, so one shard's decode never delays another's round.
+		// Codec work runs on the shard's own goroutine: the shards'
+		// sessions share no work, so one shard's decode never delays
+		// another's round.
 		link.WithCodecPool(1),
 		link.WithSeed(d.cfg.Seed + int64(id)),
 		// Half-duplex accounting: each record's ackSymbols carries the

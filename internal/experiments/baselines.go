@@ -4,31 +4,22 @@ import (
 	"bytes"
 	"math/cmplx"
 	"math/rand"
-	"sync"
+	"slices"
 
 	"spinal/internal/channel"
 	"spinal/internal/ldpc"
+	"spinal/internal/memo"
 	"spinal/internal/modem"
 	"spinal/internal/raptor"
 	"spinal/internal/sim"
 	"spinal/internal/strider"
 )
 
-// ldpcCodes caches constructed codes (construction is deterministic).
-var (
-	ldpcOnce  sync.Once
-	ldpcCache map[string]*ldpc.Code
-)
-
-func ldpcFor(rate string) *ldpc.Code {
-	ldpcOnce.Do(func() {
-		ldpcCache = make(map[string]*ldpc.Code)
-		for i, r := range ldpc.Rates {
-			ldpcCache[r] = ldpc.NewQC(r, 27, int64(1000+i))
-		}
-	})
-	return ldpcCache[rate]
-}
+// ldpcCodes caches the envelope's codes, one per rate of ldpc.Rates,
+// each seeded by its index (construction is deterministic).
+var ldpcCodes = memo.New(func(rate string) *ldpc.Code {
+	return ldpc.NewQC(rate, 27, int64(1000+slices.Index(ldpc.Rates, rate)))
+})
 
 // ldpcEnvelope measures the best-envelope throughput of the LDPC family
 // (every rate × modulation pair, §8's SoftRate-like genie selection) at
@@ -46,7 +37,7 @@ func ldpcEnvelope(snrDB float64, blocksPerPoint int, seed int64) float64 {
 		}
 	}
 	rates := sim.Parallel(len(jobs), func(j int) float64 {
-		code := ldpcFor(jobs[j].rate)
+		code := ldpcCodes.Get(jobs[j].rate)
 		qam := modem.NewQAM(jobs[j].pts)
 		rng := rand.New(rand.NewSource(seed + int64(j)*977))
 		okCount := 0

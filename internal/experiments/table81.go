@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"spinal/internal/ofdm"
+	"spinal/internal/sim"
 )
 
 // Table8_1 reproduces Table 8.1: empirical PAPR of 802.11a/g OFDM with
@@ -29,17 +30,9 @@ func Table8_1(cfg Config) []*Table {
 		Title:  fmt.Sprintf("802.11a/g OFDM PAPR (%d symbols per row; paper: 5M)", trials),
 		Header: []string{"constellation", "mean PAPR (dB)", "99.99% below (dB)"},
 	}
-	results := make([]ofdm.PAPRStats, len(rows))
-	done := make(chan int, len(rows))
-	for i := range rows {
-		go func(i int) {
-			results[i] = ofdm.MeasurePAPR(rows[i].src, trials, 4, cfg.Seed+int64(i))
-			done <- i
-		}(i)
-	}
-	for range rows {
-		<-done
-	}
+	results := sim.Parallel(len(rows), func(i int) ofdm.PAPRStats {
+		return ofdm.MeasurePAPR(rows[i].src, trials, 4, cfg.Seed+int64(i))
+	})
 	for i, r := range rows {
 		t.AddRow(r.name, f2(results[i].MeanDB), f2(results[i].P9999DB))
 	}

@@ -94,7 +94,6 @@ func TestChaosSoak(t *testing.T) {
 			payload[id] = data
 		}
 		results := eng.Drain(0)
-		eng.Close()
 		if len(results) != len(payload) {
 			t.Fatalf("config %d: %d flows resolved, want %d", c, len(results), len(payload))
 		}
@@ -137,7 +136,6 @@ func TestChaosDeterministic(t *testing.T) {
 			Faults:          &fc,
 			CheckInvariants: true,
 		})
-		defer eng.Close()
 		rng := rand.New(rand.NewSource(5))
 		for i := 0; i < 6; i++ {
 			data := make([]byte, 40+rng.Intn(60))

@@ -2,6 +2,7 @@ package link
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -76,8 +77,9 @@ type EngineConfig struct {
 	Code icode.Code
 	// MaxBlockBits bounds code blocks (0 ⇒ the §6 default of 1024).
 	MaxBlockBits int
-	// Shards is the codec-pool worker count, the number of cores a
-	// round's encode and decode work can use (0 ⇒ GOMAXPROCS).
+	// Shards bounds the goroutines a round's encode and decode work
+	// runs on, the stepping one included, and so the cores it can use
+	// (0 ⇒ GOMAXPROCS).
 	Shards int
 	// FrameSymbols is the shared-frame symbol budget: the scheduler stops
 	// admitting batches once a frame holds this many symbols, and the
@@ -201,7 +203,7 @@ type FlowResult struct {
 
 // engineFlow is one flow's state machine: today's Sender/Receiver pair
 // plus pacing and accounting. The codec-heavy work (symbol generation,
-// decode attempts) runs on the engine's sharded pool, not here.
+// decode attempts) runs in Step's fan-outs, not here.
 type engineFlow struct {
 	id        FlowID
 	snd       *Sender
@@ -250,15 +252,16 @@ type engineFlow struct {
 // share with its medium; decode accumulates what arrived and attempts
 // the blocks that gained symbols; ack reports decoded blocks back to the
 // senders; resolve retires finished and exhausted flows. Encode and
-// decode run on a sharded pool of persistent codec workers. Every code
-// block decodes independently (§6), so the pool stays busy as long as
-// any flow has outstanding blocks.
+// decode fan out over up to Shards goroutines: the one calling Step and
+// helpers started for that fan-out alone. Every code block decodes
+// independently (§6), so each goroutine stays busy as long as the
+// round has unclaimed blocks.
 //
 // The engine is single-threaded at its API (AddFlow/Step/Drain must not
-// be called concurrently); parallelism lives inside Step's codec rounds.
+// be called concurrently); parallelism lives inside Step's codec rounds,
+// and no goroutine outlives a Step, so an engine needs no Close.
 type Engine struct {
 	cfg   EngineConfig
-	pool  *codecPool
 	code  icode.Code
 	flows []*engineFlow
 	next  FlowID
@@ -269,12 +272,14 @@ type Engine struct {
 	items  []txItem  // the round's scheduled batches
 	groups []rxGroup // the round's decode work, one group per (flow, block)
 
-	// Pool fan-out state (fanOut): the stage being run, the indexes of
-	// its items, the claim counter over them, and the prebuilt pool job.
-	stage poolStage
+	// Fan-out state (fanOut): one decoder cache per goroutine a fan-out
+	// may use, the decoders they built, the stage being run, the indexes
+	// of its items, and the claim counter over them.
+	slots []worker
+	built atomic.Int64
+	stage stage
 	work  []int
 	claim atomic.Int64
-	job   func(*worker)
 	wg    sync.WaitGroup
 
 	// Flow-conservation counters for the invariant checker: flows
@@ -283,7 +288,7 @@ type Engine struct {
 }
 
 // txItem is one scheduled batch's journey through a round: IDs assigned
-// on the engine thread, symbols filled by an encode job, then perturbed
+// on the engine thread, symbols filled in the encode fan-out, then perturbed
 // by the flow's channel.
 type txItem struct {
 	fl    *engineFlow
@@ -293,7 +298,7 @@ type txItem struct {
 // rxGroup collects the batches the receiver of one (flow, block) pair
 // gets in a round. Without faults that is one batch; under
 // fault injection, reorder and duplication can deliver several for the
-// same block. One decode job per group keeps pool jobs on disjoint
+// same block. One decode per group keeps concurrent decodes on disjoint
 // receiver state.
 type rxGroup struct {
 	fl       *engineFlow
@@ -303,15 +308,20 @@ type rxGroup struct {
 	rejected int
 }
 
-// NewEngine starts an engine and its codec pool. Close releases the
-// pool.
+// NewEngine builds an engine. It starts no goroutines.
 func NewEngine(cfg EngineConfig) *Engine {
 	code := cfg.Code
 	if code == nil {
 		code = icode.Spinal(cfg.Params)
 	}
-	e := &Engine{cfg: cfg, pool: newCodecPool(code, cfg.Shards), code: code}
-	e.job = e.runJob
+	shards := cfg.Shards
+	if shards <= 0 {
+		shards = runtime.GOMAXPROCS(0)
+	}
+	e := &Engine{cfg: cfg, code: code, slots: make([]worker, shards)}
+	for i := range e.slots {
+		e.slots[i] = worker{code: code, built: &e.built}
+	}
 	if cfg.Scheduler != nil {
 		e.sched = &dwfq{cfg: *cfg.Scheduler}
 	}
@@ -392,12 +402,20 @@ func (e *Engine) SetChannel(id FlowID, ch channel.Model) bool {
 	return false
 }
 
-// PoolStats exposes the codec pool's construction counter (reuse
-// telemetry for tests and monitoring).
-func (e *Engine) PoolStats() PoolStats { return e.pool.Stats() }
+// PoolStats counts decoder constructions since an engine started — the
+// observable that proves decodes reuse warmed decoders instead of
+// rebuilding them per attempt: each of the Shards decoder caches builds
+// at most one decoder per distinct block size, no matter how many blocks
+// it decodes.
+type PoolStats struct {
+	DecodersBuilt int64
+}
 
-// Close releases the codec workers. The engine must be idle.
-func (e *Engine) Close() { e.pool.Close() }
+// PoolStats reports the construction counter (reuse telemetry for tests
+// and monitoring).
+func (e *Engine) PoolStats() PoolStats {
+	return PoolStats{DecodersBuilt: e.built.Load()}
+}
 
 // observeDecode reports one decoded block's size and symbol spend to
 // whoever adapts on it: the flow's rate policy (RateObserver) and the
@@ -414,41 +432,45 @@ func (e *Engine) observeDecode(fl *engineFlow, block int) {
 	}
 }
 
-// poolStage names the per-item work a fan-out runs on the codec pool.
-type poolStage int
+// stage names the per-item work a fan-out runs.
+type stage int
 
 const (
-	stageEncode poolStage = iota // e.items: regenerate symbols
-	stageDecode                  // e.groups: accumulate and attempt
+	stageEncode stage = iota // e.items: regenerate symbols
+	stageDecode              // e.groups: accumulate and attempt
 )
 
-// fanOut runs stage over the items whose indexes e.work lists and
-// returns once all are done. Each of min(items, shards) pool jobs claims
-// the next index until the list is empty, so no worker idles while
-// another still has a queue: a long decode delays only the items its
-// own worker has not claimed yet. Which worker runs an item does not
-// change its result: items touch disjoint flow state (a (flow, block)
-// pair appears at most once a round), and decoders are reset before
-// every attempt.
-func (e *Engine) fanOut(stage poolStage) {
-	n := min(len(e.work), e.pool.Shards())
+// fanOut runs st over the items whose indexes e.work lists and returns
+// once all are done. The calling goroutine runs with decoder slot 0, and
+// one helper goroutine per further slot, min(items, Shards) − 1 of them,
+// lives for this fan-out alone. Each claims the next index until the
+// list is empty, so none idles while another still has items: a long
+// decode delays only the items its own goroutine has not claimed yet.
+// Which goroutine runs an item does not change its result: items touch
+// disjoint flow state (a (flow, block) pair appears at most once a
+// round), and decoders are reset before every attempt.
+func (e *Engine) fanOut(st stage) {
+	n := min(len(e.work), len(e.slots))
 	if n == 0 {
 		return
 	}
-	e.stage = stage
+	e.stage = st
 	e.claim.Store(0)
-	e.wg.Add(n)
-	for s := range n {
-		e.pool.submit(s, e.job)
+	e.wg.Add(n - 1)
+	for s := 1; s < n; s++ {
+		go func() {
+			defer e.wg.Done()
+			e.run(&e.slots[s])
+		}()
 	}
+	e.run(&e.slots[0])
 	e.wg.Wait()
 	e.work = e.work[:0]
 }
 
-// runJob is one pool job of the current fan-out: it claims and runs items
+// run claims and runs the current fan-out's items, decoding with slot w,
 // until none is left.
-func (e *Engine) runJob(w *worker) {
-	defer e.wg.Done()
+func (e *Engine) run(w *worker) {
 	for {
 		k := int(e.claim.Add(1)) - 1
 		if k >= len(e.work) {
@@ -588,9 +610,9 @@ func (e *Engine) admit(fl *engineFlow, round, symbols int) int {
 	return symbols
 }
 
-// encode generates each scheduled batch's symbols on the pool, from the
+// encode generates each scheduled batch's symbols in a fan-out, from the
 // sender's encoder for the batch's block. A (flow, block) pair is unique
-// within a round, so no two jobs touch one encoder.
+// within a round, so no two goroutines touch one encoder.
 func (e *Engine) encode() {
 	for i := range e.items {
 		if len(e.items[i].batch.IDs) > 0 {
@@ -642,9 +664,9 @@ func (e *Engine) addGroup(fl *engineFlow, block int) *rxGroup {
 	return g
 }
 
-// decode runs decodeGroup for every group on the pool — groups are
-// unique per (flow, block), so jobs touch disjoint receiver state — and
-// tallies the batches the receivers rejected.
+// decode runs decodeGroup for every group in a fan-out — groups are
+// unique per (flow, block), so concurrent decodes touch disjoint
+// receiver state — and tallies the batches the receivers rejected.
 func (e *Engine) decode() {
 	for i := range e.groups {
 		e.work = append(e.work, i)
@@ -655,9 +677,37 @@ func (e *Engine) decode() {
 	}
 }
 
+// worker is one decoder cache. A Decoder's search scratch is sized for
+// one block size, so the cache holds one decoder per block size, and
+// steady-state attempts build nothing. A worker serves one goroutine at
+// a time; its decoders are not retained across attempts.
+type worker struct {
+	code  icode.Code
+	decs  map[int]icode.Decoder
+	built *atomic.Int64 // counts constructions when non-nil
+}
+
+// decoder returns the cache's decoder for nBits-bit blocks, reset to an
+// empty symbol store.
+func (w *worker) decoder(nBits int) icode.Decoder {
+	if d, ok := w.decs[nBits]; ok {
+		d.Reset()
+		return d
+	}
+	if w.decs == nil {
+		w.decs = make(map[int]icode.Decoder)
+	}
+	d := w.code.NewDecoder(nBits)
+	w.decs[nBits] = d
+	if w.built != nil {
+		w.built.Add(1)
+	}
+	return d
+}
+
 // decodeGroup feeds a group's batches to the flow's receiver and, when
-// they brought new symbols, attempts the block: the decoder is the
-// worker's cached one for the engine's code and the block size, reset and
+// they brought new symbols, attempts the block: the decoder is slot w's
+// cached one for the engine's code and the block size, reset and
 // replayed from the block's accumulated symbols. A batch that overflowed
 // the accumulator still stored symbols up to the bound, so a rejection
 // does not skip the attempt.
@@ -665,7 +715,7 @@ func (e *Engine) decodeGroup(w *worker, g *rxGroup) {
 	rcv := g.fl.rcv
 	// A corrupt frame that survived the parser can address a block the
 	// receiver does not have; accumulate rejects it, but nothing else in
-	// this job may index by it.
+	// this decode may index by it.
 	inRange := g.block >= 0 && g.block < len(rcv.blocks)
 	for i := range g.batches {
 		if ok, err := rcv.accumulate(&g.batches[i]); ok && err != nil {

@@ -26,7 +26,6 @@ func BenchmarkLinkEngine(b *testing.B) {
 		payloads[i] = flowPayload(rng, size)
 	}
 	e := NewEngine(cfg)
-	defer e.Close()
 
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -51,9 +50,10 @@ func BenchmarkLinkEngine(b *testing.B) {
 }
 
 // BenchmarkLinkEnginePaper runs a spinald shard's load at the paper's
-// operating point on one engine with GOMAXPROCS codec workers: 16
-// concurrent 64-byte flows (one 528-bit block each) at B=256 and 10 dB, CapacityRate pacing and half-duplex ack accounting, driven
-// to completion per iteration. It is the guarded benchmark that runs the
+// operating point on one engine whose codec work fans out over
+// GOMAXPROCS goroutines: 16 concurrent 64-byte flows (one 528-bit block
+// each) at B=256 and 10 dB, CapacityRate pacing and half-duplex ack
+// accounting, driven to completion per iteration. It is the guarded benchmark that runs the
 // decoder's beam ladder (B/4 first, B on a CRC failure); the other link
 // benchmarks run at B=32, below the ladder's floor.
 func BenchmarkLinkEnginePaper(b *testing.B) {
@@ -69,7 +69,6 @@ func BenchmarkLinkEnginePaper(b *testing.B) {
 		payloads[i] = flowPayload(rng, size)
 	}
 	e := NewEngine(cfg)
-	defer e.Close()
 
 	b.ReportAllocs()
 	b.ResetTimer()

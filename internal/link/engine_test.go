@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"spinal/internal/channel"
+	icode "spinal/internal/code"
+	"spinal/internal/core"
 )
 
 // engineParams keeps engine tests fast: a narrow beam is plenty at the
@@ -29,7 +31,6 @@ func flowPayload(rng *rand.Rand, n int) []byte {
 
 func TestEngineSingleFlow(t *testing.T) {
 	e := NewEngine(engineParams())
-	defer e.Close()
 	data := []byte("one flow through the multi-flow engine")
 	id := e.AddFlow(data, FlowConfig{Channel: channel.NewAWGN(15, 1)})
 	results := e.Drain(0)
@@ -51,7 +52,7 @@ func TestEngineSingleFlow(t *testing.T) {
 // mixed sizes and SNRs over lossy links (the fault injector swallows each
 // flow's share of a round with probability 0.3), all in flight at once,
 // with the engine's invariants checked after every Step. Every datagram
-// must arrive intact, and the codec pool must serve all of it from a
+// must arrive intact, and the decoder slots must serve all of it from a
 // bounded set of reused decoders. Run under -race in CI.
 func TestEngineStressManyFlows(t *testing.T) {
 	cfg := engineParams()
@@ -59,7 +60,6 @@ func TestEngineStressManyFlows(t *testing.T) {
 	cfg.CheckInvariants = true
 	cfg.Seed = 99
 	e := NewEngine(cfg)
-	defer e.Close()
 
 	rng := rand.New(rand.NewSource(7))
 	const flows = 36
@@ -89,15 +89,15 @@ func TestEngineStressManyFlows(t *testing.T) {
 		}
 	}
 
-	// Decoder reuse: one block size in play, so the pool needs at most one
-	// decoder per shard no matter how many flows ran.
+	// Decoder reuse: one block size in play, so the engine needs at most one
+	// decoder per slot no matter how many flows ran.
 	st := e.PoolStats()
 	shards := int64(cfg.Shards)
 	if st.DecodersBuilt > shards {
-		t.Errorf("pool built %d decoders for %d shards — blocks are not sharing them", st.DecodersBuilt, shards)
+		t.Errorf("built %d decoders for %d slots — blocks are not sharing them", st.DecodersBuilt, shards)
 	}
 
-	// Steady state (the AllocsPerRun analogue for pooled codecs): a second
+	// Steady state (the AllocsPerRun analogue for cached decoders): a second
 	// wave of flows must construct nothing new.
 	for i := 0; i < 8; i++ {
 		e.AddFlow(flowPayload(rng, 44), FlowConfig{Channel: channel.NewAWGN(15, int64(2000+i))})
@@ -113,6 +113,40 @@ func TestEngineStressManyFlows(t *testing.T) {
 	}
 }
 
+// TestEngineSlotsRoundTrip: 64 noiseless flows of 24-, 48- and 96-bit
+// blocks, for the spinal code and Raptor, through an engine with 4
+// decoder slots. Every flow must round-trip through the slots' cached
+// decoders, and each slot builds at most one decoder per block size.
+func TestEngineSlotsRoundTrip(t *testing.T) {
+	p := core.Params{K: 4, B: 16, D: 1, C: 6, Tail: 2, Ways: 8}
+	for _, c := range []icode.Code{icode.Spinal(p), icode.Raptor()} {
+		const slots = 4
+		e := NewEngine(EngineConfig{Code: c, Shards: slots})
+		sizes := []int{1, 4, 10} // payload bytes: 24-, 48- and 96-bit blocks
+		want := make(map[FlowID][]byte)
+		for j := 0; j < 64; j++ {
+			msg := make([]byte, sizes[j%len(sizes)])
+			for i := range msg {
+				msg[i] = byte(j*31 + i*7)
+			}
+			want[e.AddFlow(msg, FlowConfig{})] = msg
+		}
+		res := e.Drain(0)
+		if len(res) != len(want) {
+			t.Fatalf("%s: resolved %d flows, want %d", c.Name(), len(res), len(want))
+		}
+		for _, r := range res {
+			if r.Err != nil || !bytes.Equal(r.Datagram, want[r.ID]) {
+				t.Fatalf("%s: flow %d did not round-trip: %v", c.Name(), r.ID, r.Err)
+			}
+		}
+		maxDec := int64(slots * len(sizes))
+		if built := e.PoolStats().DecodersBuilt; built == 0 || built > maxDec {
+			t.Errorf("%s: built %d decoders, want 1..%d (slots × block sizes)", c.Name(), built, maxDec)
+		}
+	}
+}
+
 // TestEngineFlowChurn: flows arrive as others finish, over links that
 // lose 10% of each flow's shares; the engine must keep multiplexing
 // correctly through membership changes.
@@ -120,7 +154,6 @@ func TestEngineFlowChurn(t *testing.T) {
 	cfg := engineParams()
 	cfg.Faults = &FaultConfig{Blackout: 0.1, BlackoutRounds: 1}
 	e := NewEngine(cfg)
-	defer e.Close()
 
 	rng := rand.New(rand.NewSource(31))
 	const total = 24
@@ -162,7 +195,6 @@ func TestEngineBackpressure(t *testing.T) {
 	cfg := engineParams()
 	cfg.FrameSymbols = 64 // a handful of batches per shared frame
 	e := NewEngine(cfg)
-	defer e.Close()
 	rng := rand.New(rand.NewSource(5))
 	want := make(map[FlowID][]byte)
 	for i := 0; i < 8; i++ {
@@ -188,7 +220,6 @@ func TestEngineBackpressure(t *testing.T) {
 func TestEngineGiveUp(t *testing.T) {
 	cfg := engineParams()
 	e := NewEngine(cfg)
-	defer e.Close()
 	e.AddFlow(flowPayload(rand.New(rand.NewSource(1)), 40), FlowConfig{
 		Channel:   channel.NewAWGN(-25, 3),
 		MaxRounds: 10,
@@ -206,7 +237,6 @@ func TestEngineGiveUp(t *testing.T) {
 // engine as a single CRC-only block.
 func TestEngineZeroLengthFlow(t *testing.T) {
 	e := NewEngine(engineParams())
-	defer e.Close()
 	e.AddFlow(nil, FlowConfig{Channel: channel.NewAWGN(15, 8)})
 	results := e.Drain(0)
 	if len(results) != 1 {
@@ -226,7 +256,6 @@ func TestEngineZeroLengthFlow(t *testing.T) {
 func TestEngineCapacityRate(t *testing.T) {
 	run := func(rate RatePolicy) Stats {
 		e := NewEngine(engineParams())
-		defer e.Close()
 		data := flowPayload(rand.New(rand.NewSource(17)), 88)
 		e.AddFlow(data, FlowConfig{Channel: channel.NewAWGN(12, 21), Rate: rate})
 		res := e.Drain(0)
@@ -248,9 +277,10 @@ func TestEngineCapacityRate(t *testing.T) {
 	}
 }
 
-// TestEngineResultsIndependentOfWorkers: pool workers claim a round's
-// items in whatever order they get to them, so which worker encodes or
-// decodes a block varies from run to run; a flow's outcome must not.
+// TestEngineResultsIndependentOfWorkers: a fan-out's goroutines claim a
+// round's items in whatever order they get to them, so which goroutine
+// and decoder slot encodes or decodes a block varies from run to run; a
+// flow's outcome must not.
 // The same flows — block sizes from 48 to 528 bits, one 64-byte flow on
 // the B=256 beam ladder, frame faults through the wire codec — run
 // through engines with 1, 2 and 4 workers, and must resolve in the same
@@ -266,7 +296,6 @@ func TestEngineResultsIndependentOfWorkers(t *testing.T) {
 				FrameCorrupt: 0.1, Blackout: 0.1, BlackoutRounds: 1},
 			CheckInvariants: true,
 		})
-		defer e.Close()
 		rng := rand.New(rand.NewSource(31))
 		for i, n := range []int{64, 4, 16, 40, 100, 9, 130, 22, 52, 1, 75, 33} {
 			// The estimate is right for a third of the flows, and high or
@@ -324,7 +353,6 @@ func TestEngineAttemptsAfterOverflow(t *testing.T) {
 	cfg.FrameSymbols = 1 << 30
 	cfg.MaxRounds = 4
 	e := NewEngine(cfg)
-	defer e.Close()
 	data := []byte("spin")
 	e.AddFlow(data, FlowConfig{Rate: FixedRate(45000)})
 	res := e.Drain(0)
@@ -369,7 +397,6 @@ func TestEngineZeroFaultsMatchesFaultFree(t *testing.T) {
 		cfg.Faults = faults
 		cfg.CheckInvariants = true
 		e := NewEngine(cfg)
-		defer e.Close()
 		rng := rand.New(rand.NewSource(23))
 		for i := 0; i < 12; i++ {
 			snr := []float64{6, 10, 14}[i%3]

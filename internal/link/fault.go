@@ -148,10 +148,32 @@ type FaultStats struct {
 // overflow the queue is delivered immediately instead of held.
 const maxFaultQueue = 64
 
-// heldFrame is one wire image held back for future delivery.
-type heldFrame struct {
+// wireQueue holds wire images in flight, each due at a round: the
+// fault injector's held-back frame shares and a FeedbackChannel's acks.
+type wireQueue []heldWire
+
+// heldWire is one wire image held back for delivery at round due.
+type heldWire struct {
 	due  int
 	wire []byte
+}
+
+func (q *wireQueue) push(due int, wire []byte) {
+	*q = append(*q, heldWire{due: due, wire: wire})
+}
+
+// release removes the images due by round now and hands each to fn, in
+// insertion order among those due. fn must not push onto q.
+func (q *wireQueue) release(now int, fn func(wire []byte)) {
+	live := (*q)[:0]
+	for _, h := range *q {
+		if h.due > now {
+			live = append(live, h)
+			continue
+		}
+		fn(h.wire)
+	}
+	*q = live
 }
 
 // faultInjector applies one flow's FaultConfig. It is single-threaded,
@@ -163,7 +185,7 @@ type faultInjector struct {
 	rng   *rand.Rand
 	stats FaultStats
 
-	queue        []heldFrame
+	queue        wireQueue
 	blackoutLeft int
 }
 
@@ -245,16 +267,7 @@ func (in *faultInjector) deliver(f *Frame, round int) []*Frame {
 			wires = append(wires, wire)
 		}
 	}
-	// Release held shares now due, in hold order among those due.
-	live := in.queue[:0]
-	for _, h := range in.queue {
-		if h.due > round {
-			live = append(live, h)
-			continue
-		}
-		wires = append(wires, h.wire)
-	}
-	in.queue = live
+	in.queue.release(round, func(wire []byte) { wires = append(wires, wire) })
 
 	var out []*Frame
 	for _, w := range wires {
@@ -276,7 +289,7 @@ func (in *faultInjector) hold(wire []byte, round int, now *[][]byte) {
 		*now = append(*now, wire)
 		return
 	}
-	in.queue = append(in.queue, heldFrame{due: due, wire: wire})
+	in.queue.push(due, wire)
 }
 
 // mangleAck applies the reverse-path faults to one ack's wire bytes,

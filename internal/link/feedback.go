@@ -106,13 +106,6 @@ type FeedbackObserver interface {
 	ObserveFeedback(FeedbackEvent)
 }
 
-// pendingAck is one ack in flight on the reverse channel, in its wire
-// encoding (the codec is exercised on the live path, not just in tests).
-type pendingAck struct {
-	due  int
-	wire []byte
-}
-
 // FeedbackChannel carries acks from a receiver back to its sender with
 // delay and loss. It is single-threaded, like the engine API that
 // drives it: Send enqueues, Advance ticks one round and delivers what is
@@ -123,7 +116,7 @@ type FeedbackChannel struct {
 	cfg   FeedbackConfig
 	rng   *rand.Rand // loss draws; nil when Loss is 0
 	now   int
-	queue []pendingAck
+	queue wireQueue // acks in flight, wire-encoded
 	// inj, when non-nil, applies adversarial reverse-path faults
 	// (reorder, duplication, truncation, bit flips) to each ack's wire
 	// bytes in Send; mangled acks that no longer parse are counted lost
@@ -161,11 +154,11 @@ func (f *FeedbackChannel) Send(a framing.Ack) {
 	if f.inj != nil && f.inj.cfg.ackFaults() {
 		mangled, extra, dup, dupDelay := f.inj.mangleAck(wire)
 		if dup != nil {
-			f.queue = append(f.queue, pendingAck{due: f.now + delay + dupDelay, wire: dup})
+			f.queue.push(f.now+delay+dupDelay, dup)
 		}
 		wire, delay = mangled, delay+extra
 	}
-	f.queue = append(f.queue, pendingAck{due: f.now + delay, wire: wire})
+	f.queue.push(f.now+delay, wire)
 }
 
 // Advance ticks one engine round and returns the acks due for delivery,
@@ -173,21 +166,15 @@ func (f *FeedbackChannel) Send(a framing.Ack) {
 // round is delivered by the same round's Advance.
 func (f *FeedbackChannel) Advance() []framing.Ack {
 	var out []framing.Ack
-	live := f.queue[:0]
-	for _, p := range f.queue {
-		if p.due > f.now {
-			live = append(live, p)
-			continue
-		}
-		a, err := DecodeAck(p.wire)
+	f.queue.release(f.now, func(wire []byte) {
+		a, err := DecodeAck(wire)
 		if err != nil {
 			f.lost++
-			continue
+			return
 		}
 		f.delivered++
 		out = append(out, a)
-	}
-	f.queue = live
+	})
 	f.now++
 	return out
 }

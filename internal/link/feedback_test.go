@@ -178,7 +178,6 @@ func TestEngineFeedbackDelayDelivers(t *testing.T) {
 	cfg := engineParams()
 	cfg.Feedback = &FeedbackConfig{DelayRounds: 8}
 	e := NewEngine(cfg)
-	defer e.Close()
 	rng := rand.New(rand.NewSource(41))
 	want := make(map[FlowID][]byte)
 	for i := 0; i < 4; i++ {
@@ -213,7 +212,6 @@ func TestEngineFeedbackLossDelivers(t *testing.T) {
 	cfg.Feedback = &FeedbackConfig{DelayRounds: 1, Loss: 0.4}
 	cfg.Seed = 6
 	e := NewEngine(cfg)
-	defer e.Close()
 	rng := rand.New(rand.NewSource(43))
 	want := make(map[FlowID][]byte)
 	for i := 0; i < 6; i++ {
@@ -247,7 +245,6 @@ func TestEngineFeedbackWindow(t *testing.T) {
 	cfg := engineParams()
 	cfg.Feedback = &FeedbackConfig{DelayRounds: 0, Window: 1}
 	e := NewEngine(cfg)
-	defer e.Close()
 	data := flowPayload(rand.New(rand.NewSource(47)), 110) // 5 blocks
 	id := e.AddFlow(data, FlowConfig{Channel: channel.NewAWGN(20, 9)})
 	res := e.Drain(0)
@@ -270,7 +267,6 @@ func TestEngineFeedbackTotalAckLoss(t *testing.T) {
 	cfg := engineParams()
 	cfg.Feedback = &FeedbackConfig{DelayRounds: 1, Loss: 1.0}
 	e := NewEngine(cfg)
-	defer e.Close()
 	e.AddFlow(flowPayload(rand.New(rand.NewSource(53)), 40), FlowConfig{
 		Channel:   channel.NewAWGN(20, 10),
 		MaxRounds: 64,

@@ -16,7 +16,6 @@ func engineRun(t *testing.T, cfg EngineConfig, fc FlowConfig, data []byte) FlowR
 		cfg.FrameSymbols = 1 << 30
 	}
 	e := NewEngine(cfg)
-	defer e.Close()
 	e.AddFlow(data, fc)
 	res := e.Drain(0)
 	if len(res) != 1 {

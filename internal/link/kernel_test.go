@@ -15,7 +15,7 @@ import (
 // symbols, rate — as one pinned to the float64 reference path, frame
 // for frame. The engine itself never inspects Params.Kernel; this test
 // exists so a regression in that pass-through (or a kernel-dependent
-// outcome sneaking into the codec pool) fails here, next to the engine,
+// outcome sneaking into the decoder caches) fails here, next to the engine,
 // rather than only in the sim golden soak.
 func TestEngineKernelEquivalence(t *testing.T) {
 	run := func(kernel core.Kernel) []FlowResult {
@@ -24,7 +24,6 @@ func TestEngineKernelEquivalence(t *testing.T) {
 		cfg.Seed = 11
 		cfg.Faults = &FaultConfig{Blackout: 0.05, BlackoutRounds: 1}
 		e := NewEngine(cfg)
-		defer e.Close()
 		rng := rand.New(rand.NewSource(17))
 		for i := 0; i < 6; i++ {
 			e.AddFlow(flowPayload(rng, 20+rng.Intn(60)), FlowConfig{

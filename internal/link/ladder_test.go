@@ -36,7 +36,6 @@ func runPaperFlows(t *testing.T, cd icode.Code, payloads [][]byte) []FlowResult 
 		HalfDuplex:      &HalfDuplexConfig{},
 		CheckInvariants: true,
 	})
-	defer e.Close()
 	out := make([]FlowResult, len(payloads))
 	const wave = 16
 	for lo := 0; lo < len(payloads); lo += wave {
@@ -133,7 +132,6 @@ func TestNoLadderBelowB256(t *testing.T) {
 					b, r.ID, r.Stats.DecodeAttempts, r.Stats.NarrowAttempts, r.Stats.Escalations)
 			}
 		}
-		e.Close()
 	}
 }
 

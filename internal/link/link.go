@@ -7,9 +7,10 @@
 //
 // The Sender and Receiver are transport-agnostic state machines: the
 // examples/filetransfer program drives them over UDP, and the Engine
-// multiplexes many of them over a shared medium with pooled codecs. An
-// Engine flow crosses a channel.Model, which adds noise and never drops
-// a share; shares are lost only in the fault injector (FaultConfig).
+// multiplexes many of them over a shared medium, fanning each round's
+// codec work out across cores. An Engine flow crosses a channel.Model,
+// which adds noise and never drops a share; shares are lost only in the
+// fault injector (FaultConfig).
 package link
 
 import (
@@ -105,7 +106,7 @@ func (f *Frame) SymbolCount() int {
 
 // Sender streams a datagram as rateless frames. It keeps the block bits,
 // per-block schedules and one encoder per block, built on the block's
-// first batch (by NextFrame standalone, on a codec-pool worker under an
+// first batch (by NextFrame standalone, in the encode fan-out under an
 // Engine). The code is any icode.Code — the protocol machinery is
 // code-agnostic.
 type Sender struct {
@@ -164,7 +165,7 @@ func (s *Sender) SymbolsSent() int { return s.symbols }
 
 // batchIDs advances block i's schedule by subpasses (≥ 1), counts the
 // fresh symbols as transmitted, and returns a batch of their IDs with no
-// symbols attached (the Engine fills those on a codec-pool worker). A
+// symbols attached (the Engine fills those in its encode fan-out). A
 // single subpass's slice is returned as the schedule made it.
 func (s *Sender) batchIDs(i, subpasses int) Batch {
 	sc := s.scheds[i]
@@ -228,7 +229,7 @@ func (s *Sender) HandleAck(a framing.Ack) {
 }
 
 // rxBlock is a receiver's per-block state: the symbols accumulated so far
-// (replayed into a pooled decoder at each attempt) and, once the CRC
+// (replayed into a cached decoder at each attempt) and, once the CRC
 // verifies, the decoded payload. seen deduplicates symbol observations
 // by ID, so replayed frames (ARQ duplicates, adversarial replay) are
 // no-ops; it is nil until the first symbol and recycled once the block
@@ -252,14 +253,14 @@ type rxBlock struct {
 
 // Receiver reassembles a datagram from rateless frames. It owns no
 // decoders bound to blocks: accumulated symbols live in per-block state,
-// and each decode attempt replays them into a reset decoder — its own
-// per-block-size cache standalone, or a codec-pool worker's under the
-// Engine. A datagram of a hundred blocks therefore needs a hundred symbol
-// accumulators but only one decoder per distinct block size.
+// and each decode attempt replays them into a reset decoder — from its
+// own per-block-size cache standalone, or from a fan-out slot's under
+// the Engine. A datagram of a hundred blocks therefore needs a hundred
+// symbol accumulators but only one decoder per distinct block size.
 type Receiver struct {
 	code   icode.Code
 	blocks []rxBlock
-	decs   map[int]icode.Decoder // standalone decoders, keyed by nBits
+	dec    worker // standalone decoder cache
 }
 
 // NewReceiver creates a receiver with the same spinal code parameters as
@@ -271,7 +272,7 @@ func NewReceiver(p core.Params) *Receiver {
 // NewCodeReceiver is NewReceiver over an arbitrary channel code; it must
 // match the sender's.
 func NewCodeReceiver(c icode.Code) *Receiver {
-	return &Receiver{code: c}
+	return &Receiver{code: c, dec: worker{code: c}}
 }
 
 // init adopts the frame-advertised block layout.
@@ -397,22 +398,6 @@ func (blk *rxBlock) accept(decoded []byte) bool {
 	return true
 }
 
-// ownDecoder returns the receiver's reset decoder for nBits-bit blocks,
-// built on first use (standalone path only).
-func (r *Receiver) ownDecoder(nBits int) icode.Decoder {
-	if r.decs == nil {
-		r.decs = make(map[int]icode.Decoder)
-	}
-	d, ok := r.decs[nBits]
-	if !ok {
-		d = r.code.NewDecoder(nBits)
-		r.decs[nBits] = d
-		return d
-	}
-	d.Reset()
-	return d
-}
-
 // ack snapshots the per-block decode state.
 func (r *Receiver) ack(seq uint32) framing.Ack {
 	decoded := make([]bool, len(r.blocks))
@@ -460,7 +445,7 @@ func (r *Receiver) HandleFrame(f *Frame) (framing.Ack, error) {
 		if blk.got || !blk.dirty {
 			continue
 		}
-		r.attempt(i, r.ownDecoder(blk.nBits))
+		r.attempt(i, r.dec.decoder(blk.nBits))
 	}
 	return r.ack(f.Seq), err
 }

@@ -277,7 +277,6 @@ func TestTrackingRateConvergesUnderFeedbackDelay(t *testing.T) {
 	cfg.Feedback = &FeedbackConfig{DelayRounds: 4, Window: 1}
 	cfg.Seed = 71
 	e := NewEngine(cfg)
-	defer e.Close()
 	rng := rand.New(rand.NewSource(73))
 	tr := NewTrackingRate(0) // true channel: 15 dB
 	// Three consecutive datagrams from one sender station: the policy is
@@ -306,7 +305,6 @@ func TestTrackingRateConvergesUnderFeedbackDelay(t *testing.T) {
 // feedback loop (RateObserver plumbing) actually moved the estimate.
 func TestEngineTrackingRateDelivers(t *testing.T) {
 	e := NewEngine(engineParams())
-	defer e.Close()
 	data := flowPayload(rand.New(rand.NewSource(23)), 132)
 	tr := NewTrackingRate(18)
 	id := e.AddFlow(data, FlowConfig{
@@ -332,7 +330,6 @@ func TestEngineTrackingRateDelivers(t *testing.T) {
 // keeps the transfer correct, and the swap reports liveness accurately.
 func TestEngineSetChannel(t *testing.T) {
 	e := NewEngine(engineParams())
-	defer e.Close()
 	data := flowPayload(rand.New(rand.NewSource(29)), 88)
 	// Start on a hopeless channel, then hand off to a good one.
 	id := e.AddFlow(data, FlowConfig{Channel: channel.NewAWGN(-20, 31)})

@@ -74,7 +74,6 @@ func runFairnessMix(t *testing.T, sched *SchedulerConfig, flows, every int, seed
 		Scheduler:       sched,
 		CheckInvariants: true,
 	})
-	defer eng.Close()
 	rng := rand.New(rand.NewSource(seed))
 	run := fairnessRun{
 		rounds:     make([]int, flows),
@@ -159,7 +158,6 @@ func TestDWFQWeightShares(t *testing.T) {
 		Scheduler:       &SchedulerConfig{Quantum: 64},
 		CheckInvariants: true,
 	})
-	defer eng.Close()
 	rng := rand.New(rand.NewSource(7))
 	payload := make([]byte, 512)
 	rng.Read(payload)
@@ -209,7 +207,6 @@ func TestDWFQPriorityClasses(t *testing.T) {
 		Scheduler:       &SchedulerConfig{},
 		CheckInvariants: true,
 	})
-	defer eng.Close()
 	rng := rand.New(rand.NewSource(21))
 	payload := make([]byte, 384)
 	rng.Read(payload)
@@ -251,7 +248,6 @@ func TestDWFQDeadline(t *testing.T) {
 		Scheduler:       &SchedulerConfig{},
 		CheckInvariants: true,
 	})
-	defer eng.Close()
 	data := []byte("deadline-bound datagram")
 	doomed := eng.AddFlow(data, FlowConfig{
 		Channel:  channel.NewAWGN(-10, 41), // hopeless SNR
@@ -300,7 +296,6 @@ func TestDWFQHalfDuplexCharge(t *testing.T) {
 		Feedback:        &FeedbackConfig{DelayRounds: 2},
 		CheckInvariants: true,
 	})
-	defer eng.Close()
 	rng := rand.New(rand.NewSource(9))
 	payload := make([]byte, 200)
 	rng.Read(payload)

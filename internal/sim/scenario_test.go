@@ -326,7 +326,6 @@ func TestBlackoutErasesShares(t *testing.T) {
 		Seed:         5,
 		Faults:       &link.FaultConfig{Blackout: 0.3, BlackoutRounds: 1},
 	})
-	defer e.Close()
 	const flows = 200
 	for i := 0; i < flows; i++ {
 		e.AddFlow(make([]byte, 66), link.FlowConfig{Channel: channel.NewAWGN(6, int64(i))})

@@ -302,7 +302,7 @@ func BenchmarkFetchPipeline(b *testing.B) {
 
 // BenchmarkFetchDelayed is the fetch-delay4 workload in process: a fixed
 // 16 KiB payload as 1 KiB segments over a 10 dB AWGN link, B=16, acks 4
-// rounds late, half-duplex ack airtime, two codec workers, RTO bounds
+// rounds late, half-duplex ack airtime, a two-way codec fan-out, RTO bounds
 // 24/8/96 rounds. Delayed acks are where a segment
 // resubmit path would show, in rounds and allocations; every iteration
 // is the same seeded fetch, so allocs/op is a stable gate.

@@ -187,8 +187,8 @@ func ExampleWithHalfDuplex() {
 	// rate is airtime-honest: true
 }
 
-// ExampleWithCodecPool sizes the sharded codec-worker pool the session
-// runs its encode and decode jobs on.
+// ExampleWithCodecPool bounds the goroutines each round's encode and
+// decode work runs on.
 func ExampleWithCodecPool() {
 	s, err := link.NewSession(quickParams(),
 		link.WithChannel(channel.NewAWGN(15, 9)),

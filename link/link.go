@@ -110,10 +110,10 @@ type SchedulerConfig = ilink.SchedulerConfig
 // Session.SchedulerStats).
 type SchedulerStats = ilink.SchedulerStats
 
-// PoolStats counts decoder constructions since a session's codec pool
-// started — the observable that proves workers reuse warmed decoders
-// instead of rebuilding them per attempt (spinald exports it on its
-// telemetry endpoint). See Session.PoolStats.
+// PoolStats counts decoder constructions since a session started — the
+// observable that proves decodes reuse warmed decoders instead of
+// rebuilding them per attempt (spinald exports it on its telemetry
+// endpoint). See Session.PoolStats.
 type PoolStats = ilink.PoolStats
 
 // FeedbackConfig describes the reverse (ACK) path and the sender's ARQ

@@ -162,8 +162,8 @@ func WithHalfDuplex(bitsPerAckSymbol int) Option {
 // implementation: code.Spinal (the same symbols and decodes as the
 // default), or a §8 baseline from spinal/baseline (Raptor, Strider,
 // turbo, the rate-switching LDPC shim). Every code takes the same path:
-// senders own one encoder per block, and the pool's workers cache cd's
-// decoders per block size. The whole scenario surface — channels, rate
+// senders own one encoder per block, and each round's decodes draw cd's
+// decoders from per-block-size caches. The whole scenario surface — channels, rate
 // policies, delayed/lossy feedback, half-duplex accounting, fault
 // injection — works unchanged over any code. Session-scoped.
 func WithCode(cd code.Code) Option {
@@ -173,8 +173,10 @@ func WithCode(cd code.Code) Option {
 	}
 }
 
-// WithCodecPool sizes the session's sharded pool of persistent codec
-// workers (0 ⇒ GOMAXPROCS). Session-scoped.
+// WithCodecPool bounds the goroutines a round's codec work runs on: the
+// goroutine that steps the session plus up to shards − 1 helpers that
+// live for one round's encode or decode (0 ⇒ GOMAXPROCS). 1 runs every
+// round on the caller's goroutine. Session-scoped.
 func WithCodecPool(shards int) Option {
 	return func(c *config) {
 		c.engine.Shards = shards
@@ -247,7 +249,8 @@ func WithInvariantChecks() Option {
 // lands mid-Drain stops the drain at the next round boundary (the drain
 // returns the results resolved so far together with ErrClosed). The
 // engine itself still runs one round at a time; parallelism lives inside
-// each round's codec work, on the session's sharded worker pool.
+// each round's codec work (see WithCodecPool), and no goroutine outlives
+// the Step or Drain that started it.
 type Session struct {
 	eng *ilink.Engine
 	def flowConfig
@@ -373,7 +376,7 @@ func (s *Session) Active() int {
 	return s.eng.Active()
 }
 
-// PoolStats reports the session's codec-pool construction counters.
+// PoolStats reports the session's decoder-construction counter.
 func (s *Session) PoolStats() PoolStats { return s.eng.PoolStats() }
 
 // SchedulerStats snapshots the DWFQ scheduler's accounting — credit
@@ -393,9 +396,10 @@ func (s *Session) SetChannel(id FlowID, model channel.Model) bool {
 	return s.eng.SetChannel(id, model)
 }
 
-// Close releases the session's codec workers. A second Close — or any later call —
-// returns ErrClosed; a Close during another goroutine's Drain takes
-// effect at the next round boundary.
+// Close ends the session: any later call, a second Close included,
+// returns ErrClosed, and a Close during another goroutine's Drain takes
+// effect at the next round boundary. A session holds no goroutines, so
+// one that is dropped without Close leaks nothing.
 func (s *Session) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -403,7 +407,6 @@ func (s *Session) Close() error {
 		return ErrClosed
 	}
 	s.closed = true
-	s.eng.Close()
 	return nil
 }
 

@@ -5,8 +5,10 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"spinal"
 	"spinal/baseline"
@@ -334,4 +336,38 @@ func TestPoolStatsCountsEveryCode(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestSessionLeavesNoGoroutines: a session's codec work runs on the
+// goroutine that steps it plus helpers that live for one fan-out, so a
+// four-way session that sends and drains, and is never closed, leaves
+// the goroutine count where it started.
+func TestSessionLeavesNoGoroutines(t *testing.T) {
+	start := runtime.NumGoroutine()
+	s, err := link.NewSession(testParams(), link.WithCodecPool(4),
+		link.WithChannel(channel.NewAWGN(12, 3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for range 8 {
+		data := make([]byte, 200)
+		rng.Read(data)
+		if _, err := s.Send(data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := s.Drain(context.Background())
+	if err != nil || len(res) != 8 {
+		t.Fatalf("drained %d flows: %v", len(res), err)
+	}
+	// A helper that has signalled the fan-out may not have exited yet.
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > start && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if n > start {
+		t.Errorf("%d goroutines after Send and Drain, %d before", n, start)
+	}
+	runtime.KeepAlive(s)
 }

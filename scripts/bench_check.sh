@@ -3,7 +3,7 @@
 # (BenchmarkDecode, BenchmarkDecodeQuantized, the float path at D=1 and
 # D=2, the noisy decodes at spinald's two operating points,
 # BenchmarkLinkEngine, BenchmarkLinkEnginePaper — one engine at B=256
-# with 16 flows and two codec workers, the decoder's beam ladder —
+# with 16 flows and a two-way codec fan-out, the decoder's beam ladder —
 # BenchmarkFetchDelayed, the delayed-ack fetch
 # whose allocs/op would grow by a third if segments were resubmitted
 # again, and BenchmarkDaemonSaturated, a 2-shard B=256 daemon over
@@ -17,7 +17,7 @@
 #     That is deliberately loose: shared runners routinely jitter ±10%
 #     run to run, and taking the best of three runs absorbs most of the
 #     rest. Real regressions in these hot paths — an allocation sneaking
-#     into the decode loop, a codec pool silently rebuilt per call —
+#     into the decode loop, a decoder cache silently rebuilt per call —
 #     show up as 2x, not 1.2x. Tighten only with a dedicated runner.
 #   - ns/op is only compared when the current CPU matches the CPU
 #     recorded in the snapshot; across different hardware a wall-time
