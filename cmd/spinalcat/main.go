@@ -65,6 +65,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -145,6 +146,9 @@ func main() {
 // corrupt, bits, blackout, blackoutlen, ackreorder, ackdup, acktrunc,
 // ackcorrupt, seed — and chaos[=scale], the golden chaos-feedback mix
 // scaled by the given factor, which later keys may then override.
+// depth, bits and blackoutlen are whole numbers in [0, maxFaultCount]
+// (0 keeps the injector's default); NaN, infinities and out-of-range
+// values are rejected.
 func parseFaults(spec string) (*link.FaultConfig, error) {
 	if spec == "" {
 		return nil, nil
@@ -159,53 +163,84 @@ func parseFaults(spec string) (*link.FaultConfig, error) {
 			if err != nil {
 				return nil, fmt.Errorf("-faults %s: %v", field, err)
 			}
+			if math.IsNaN(num) || math.IsInf(num, 0) {
+				return nil, fmt.Errorf("-faults %s: not a finite number", field)
+			}
 		}
+		prob := func() (float64, error) {
+			if num < 0 || num > 1 {
+				return 0, fmt.Errorf("-faults %s: probability outside [0, 1]", field)
+			}
+			return num, nil
+		}
+		count := func() (int, error) {
+			if num < 0 || num > maxFaultCount || num != math.Trunc(num) {
+				return 0, fmt.Errorf("-faults %s: want a whole number in [0, %d]", field, maxFaultCount)
+			}
+			return int(num), nil
+		}
+		var err error
 		switch key {
 		case "chaos":
 			scale := 1.0
 			if hasVal {
 				scale = num
 			}
+			if scale < 0 {
+				return nil, fmt.Errorf("-faults %s: negative scale", field)
+			}
 			fc = sim.ChaosFaults(true).Scale(scale)
 		case "reorder":
 			if num >= 1 {
-				fc.ReorderDepth = int(num)
+				fc.ReorderDepth, err = count()
 				if fc.FrameReorder == 0 {
 					fc.FrameReorder = 0.15
 				}
 			} else {
-				fc.FrameReorder = num
+				fc.FrameReorder, err = prob()
 			}
 		case "depth":
-			fc.ReorderDepth = int(num)
+			fc.ReorderDepth, err = count()
 		case "dup":
-			fc.FrameDup = num
+			fc.FrameDup, err = prob()
 		case "trunc":
-			fc.FrameTruncate = num
+			fc.FrameTruncate, err = prob()
 		case "corrupt":
-			fc.FrameCorrupt = num
+			fc.FrameCorrupt, err = prob()
 		case "bits":
-			fc.CorruptBits = int(num)
+			fc.CorruptBits, err = count()
 		case "blackout":
-			fc.Blackout = num
+			fc.Blackout, err = prob()
 		case "blackoutlen":
-			fc.BlackoutRounds = int(num)
+			fc.BlackoutRounds, err = count()
 		case "ackreorder":
-			fc.AckReorder = num
+			fc.AckReorder, err = prob()
 		case "ackdup":
-			fc.AckDup = num
+			fc.AckDup, err = prob()
 		case "acktrunc":
-			fc.AckTruncate = num
+			fc.AckTruncate, err = prob()
 		case "ackcorrupt":
-			fc.AckCorrupt = num
+			fc.AckCorrupt, err = prob()
 		case "seed":
+			if math.Abs(num) >= 1<<63 {
+				return nil, fmt.Errorf("-faults %s: seed outside int64", field)
+			}
 			fc.Seed = int64(num)
 		default:
 			return nil, fmt.Errorf("-faults: unknown key %q (want chaos, reorder, depth, dup, trunc, corrupt, bits, blackout, blackoutlen, ackreorder, ackdup, acktrunc, ackcorrupt, seed)", key)
 		}
+		if err != nil {
+			return nil, err
+		}
 	}
 	return &fc, nil
 }
+
+// maxFaultCount bounds the -faults counts (depth, bits, blackoutlen): a
+// reorder depth or blackout of 1 024 rounds and 1 024 bit flips per
+// corrupted frame are far past any useful attack, and a larger count
+// only makes each fault cost more.
+const maxFaultCount = 1024
 
 // runLoadgen drives a running spinald through the public daemon package
 // and exits nonzero unless every flow resolved and verified. The

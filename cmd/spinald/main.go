@@ -1,10 +1,11 @@
-// Command spinald serves spinal-coded link transfers over one UDP
-// socket: clients submit datagrams (spinalcat -loadgen speaks the
-// protocol), each is carried across a simulated AWGN channel by one of
-// N per-core link engines, each running its codec work on its own
-// goroutine, and the outcome
-// — delivery status, byte count, CRC-32, forward and ack airtime —
-// returns in batched result datagrams. An optional HTTP endpoint
+// Command spinald serves spinal-coded link transfers on one UDP port:
+// clients submit datagrams (spinalcat -loadgen speaks the protocol),
+// each is carried across a simulated AWGN channel by one of N per-core
+// shards, and the outcome — delivery status, byte count, CRC-32,
+// forward and ack airtime — returns in batched result datagrams. Each
+// shard runs on one goroutine that reads its own socket, runs its link
+// engine's codec work and writes its own results; on Linux the kernel
+// steers each connection ID to its shard's socket. An optional HTTP endpoint
 // exports engine, pool and socket counters as JSON at /metrics.
 //
 // SIGTERM or SIGINT drains gracefully: new submissions are rejected
@@ -36,12 +37,11 @@ func main() {
 	var (
 		listen       = flag.String("listen", "127.0.0.1:7447", "UDP address to serve")
 		telemetry    = flag.String("telemetry", "", "HTTP address for /metrics and /healthz (empty = off)")
-		shards       = flag.Int("shards", 0, "per-core link engines, each running its codec work on its own goroutine: the number of cores the codec uses (0 = GOMAXPROCS)")
+		shards       = flag.Int("shards", 0, "per-core shards, each reading its own socket and running its own link engine on one goroutine: the number of cores spinald uses (0 = GOMAXPROCS; Linux only, other systems run one shard)")
 		snrDB        = flag.Float64("snr", 10, "simulated AWGN SNR each served flow crosses, in dB")
 		beam         = flag.Int("b", 256, "decoder beam width B")
 		seed         = flag.Int64("seed", 1, "channel noise seed")
 		sched        = flag.String("sched", "", "flow admission scheduler: rr (default) or dwfq, honoring each submission's wire weight")
-		queueDepth   = flag.Int("queue-depth", 0, "per-shard ingress queue capacity (0 = 1024)")
 		doneCache    = flag.Int("done-cache", 0, "per-shard resolved-flow replay cache, the idempotence window (0 = 8192)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "bound on the graceful drain after SIGTERM")
 	)
@@ -50,16 +50,15 @@ func main() {
 	p := spinal.DefaultParams()
 	p.B = *beam
 	d, err := daemon.New(daemon.Config{
-		Listen:     *listen,
-		Telemetry:  *telemetry,
-		Shards:     *shards,
-		Params:     p,
-		SNRdB:      *snrDB,
-		Seed:       *seed,
-		Scheduler:  *sched,
-		QueueDepth: *queueDepth,
-		DoneCache:  *doneCache,
-		Report:     os.Stderr,
+		Listen:    *listen,
+		Telemetry: *telemetry,
+		Shards:    *shards,
+		Params:    p,
+		SNRdB:     *snrDB,
+		Seed:      *seed,
+		Scheduler: *sched,
+		DoneCache: *doneCache,
+		Report:    os.Stderr,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -1,9 +1,13 @@
 // Package daemon is the public face of spinald: a UDP datagram server
 // that carries client payloads across per-core sharded spinal link
-// engines, each running its codec work on its own goroutine, with
-// batched egress writes, a JSON telemetry endpoint and graceful drain. cmd/spinald is a thin
-// flag wrapper around this package; spinalcat's -loadgen mode drives a
-// running daemon through RunLoad.
+// engines, with a JSON telemetry endpoint and graceful drain. Each shard
+// runs to completion on one goroutine: it reads its own socket, runs its
+// engine's codec work and writes its own batched results. On Linux the
+// shards' sockets share one port and the kernel steers each connection
+// ID to its shard; other unix systems run one shard, and New fails on
+// systems that are not unix. cmd/spinald is a thin flag wrapper around
+// this package; spinalcat's -loadgen mode drives a running daemon
+// through RunLoad.
 //
 // Like spinal/sim, this package is an experiment surface, not a
 // stability contract: configuration and metrics fields may grow between
@@ -24,7 +28,7 @@ const (
 
 // Config configures a daemon: socket and telemetry addresses, shard
 // count, code parameters, the simulated channel every served flow
-// crosses, and queue/batch sizing.
+// crosses, the scheduler and the replay cache.
 type Config = idaemon.Config
 
 // Daemon is a running spinald instance.
@@ -43,7 +47,8 @@ type ShardMetrics = idaemon.ShardMetrics
 // shards.
 type PoolMetrics = idaemon.PoolMetrics
 
-// SocketMetrics counts the socket loop and the batching egress.
+// SocketMetrics counts the shard sockets' traffic, summed over the
+// shards.
 type SocketMetrics = idaemon.SocketMetrics
 
 // LoadConfig drives RunLoad's concurrent flows against a daemon.

@@ -1,19 +1,21 @@
 // Package daemon is spinald's engine room: a UDP-facing service that
 // carries client datagrams across per-core sharded spinal link engines —
 // the library turned into a deployable system, modeled on the NDN-DPDK
-// service-daemon shape (one socket, per-core workers, batched I/O,
-// graceful drain, a telemetry endpoint).
+// forwarder shape (per-core workers that run input, processing and
+// output to completion, steered input, batched output, graceful drain,
+// a telemetry endpoint).
 //
-// One receive loop owns the socket: it parses submissions, dedups
-// retries, and demuxes them by connection ID into per-shard ingress
-// queues. Each shard (N ≈ GOMAXPROCS) owns an independent link.Session
-// that runs its codec work on the shard's goroutine, so a shard never
-// waits for another shard's decodes and N shards keep N cores busy.
-// Resolved flows leave through a batching egress writer that aggregates
-// result records per client address into single datagrams. SIGTERM (via
-// Shutdown) drains: new submissions are rejected with a typed status,
-// in-flight blocks flush, the egress empties, and a final report is
-// written.
+// Each shard (N ≈ GOMAXPROCS) owns one UDP socket and one goroutine.
+// On Linux the N sockets form an SO_REUSEPORT group on the daemon's
+// port, and a classic-BPF program steers each submission to socket
+// conn mod N, so every connection ID lands on one shard. The shard
+// reads its socket between rounds, parses and dedups submissions,
+// steps its own link.Session (codec work included) and writes each
+// round's result records, batched per client address, from the same
+// socket. No shard waits for another, so N shards keep N cores busy.
+// SIGTERM (via Shutdown) drains: new submissions are rejected with a
+// typed status, in-flight blocks flush and their records go out, and a
+// final report is written.
 //
 // Everything is deterministic given the config seed: each flow's
 // simulated channel is seeded from its (connection, submission) identity
@@ -25,7 +27,6 @@ package daemon
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -46,15 +47,9 @@ const (
 	stateStopped
 )
 
-// recvTick is the receive loop's read-deadline granularity: the loop
-// wakes at least this often to notice a state change instead of blocking
-// in ReadFromUDP forever — the termination path the filetransfer example
-// originally lacked.
-const recvTick = 200 * time.Millisecond
-
-// rcvBufBytes is the socket receive buffer the daemon asks for. A burst
-// of submissions that arrives while the receive loop is descheduled
-// waits in this buffer, and the kernel drops what does not fit: Linux's
+// rcvBufBytes is the receive buffer the daemon asks for on each shard
+// socket. A burst of submissions that arrives while the shard is
+// stepping waits in this buffer, and the kernel drops what does not fit: Linux's
 // default (208 KiB) held about 560 of 1 000 small submissions sent at
 // once. The kernel may grant less than asked (SocketMetrics.RcvBufBytes
 // reports what it granted).
@@ -67,9 +62,11 @@ type Config struct {
 	// Telemetry is the HTTP address of the /metrics endpoint ("" = off).
 	Telemetry string
 	// Shards is the number of per-core link sessions, each running its
-	// codec work on its own goroutine, and so the number of cores the
-	// codec uses (0 ⇒ GOMAXPROCS).
-	// Connection IDs map to shards by ID mod Shards.
+	// socket I/O and codec work on its own goroutine, and so the number
+	// of cores the daemon uses (0 ⇒ GOMAXPROCS). Connection IDs map to
+	// shards by ID mod Shards. Steering needs Linux: other unix systems
+	// run one shard on one socket whatever Shards asks for, and New
+	// fails on systems that are not unix.
 	Shards int
 	// Params is the spinal code every shard runs (zero ⇒ DefaultParams).
 	Params spinal.Params
@@ -90,10 +87,6 @@ type Config struct {
 	MaxBlockBits int
 	MaxRounds    int
 	FrameSymbols int
-	// QueueDepth is each shard's ingress queue capacity (0 ⇒ 1024).
-	// A full queue drops the submission — the client's bounded retry
-	// resubmits it — rather than blocking the socket loop.
-	QueueDepth int
 	// DoneCache bounds each shard's memory of resolved flows, the
 	// idempotence window for retried submissions (0 ⇒ 8192). Beyond the
 	// cap the oldest record is evicted FIFO and a very late retry is
@@ -105,8 +98,6 @@ type Config struct {
 	// fair queuing honoring each submission's wire weight. New rejects
 	// anything else.
 	Scheduler string
-	// BatchRecords caps result records per egress datagram (0 ⇒ 32).
-	BatchRecords int
 	// Faults, when non-nil, runs every served flow through the link
 	// layer's deterministic fault injector (chaos service).
 	Faults *link.FaultConfig
@@ -127,14 +118,8 @@ func (c *Config) withDefaults() {
 	if c.SNRdB == 0 {
 		c.SNRdB = 10
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 1024
-	}
 	if c.DoneCache <= 0 {
 		c.DoneCache = 8192
-	}
-	if c.BatchRecords <= 0 {
-		c.BatchRecords = 32
 	}
 	if c.Report == nil {
 		c.Report = io.Discard
@@ -156,34 +141,34 @@ func (c *Config) flowSeed(conn, seq uint32) int64 {
 // Daemon is a running spinald instance.
 type Daemon struct {
 	cfg    Config
-	conn   *net.UDPConn
-	rcvbuf int // the socket receive buffer the kernel granted, in bytes
+	rcvbuf int // the receive buffer the kernel granted each socket, in bytes
 	shards []*shard
-	out    *egress
 
-	state   atomic.Int32
-	drainCh chan struct{} // closed at drain start; shards watch it
-
+	state atomic.Int32
+	// flushed receives one send from each shard goroutine once its flows
+	// have flushed in a drain (or it has stopped).
+	flushed chan struct{}
+	loops   int // shard goroutines Start launched
 	shardWG sync.WaitGroup
-	recvWG  sync.WaitGroup
 
 	httpSrv *http.Server
 	httpLn  net.Listener
 
 	started time.Time
 
-	// Socket-loop counters.
-	datagramsIn    atomic.Int64
-	parseErrors    atomic.Int64
-	rejected       atomic.Int64
-	ingressDropped atomic.Int64
+	// Socket counters, summed over the shards' sockets.
+	datagramsIn  atomic.Int64
+	parseErrors  atomic.Int64
+	rejected     atomic.Int64
+	datagramsOut atomic.Int64
+	recordsOut   atomic.Int64
 
 	shutdownOnce sync.Once
 	shutdownErr  error
 }
 
-// New binds the daemon's sockets and builds its shards; Start launches
-// the loops.
+// New binds the daemon's sockets, one per shard, and builds its shards;
+// Start launches the shard loops.
 func New(cfg Config) (*Daemon, error) {
 	cfg.withDefaults()
 	switch cfg.Scheduler {
@@ -191,40 +176,30 @@ func New(cfg Config) (*Daemon, error) {
 	default:
 		return nil, fmt.Errorf("daemon: unknown scheduler %q (want rr or dwfq)", cfg.Scheduler)
 	}
-	addr, err := net.ResolveUDPAddr("udp", cfg.Listen)
+	conns, err := listen(cfg.Listen, cfg.Shards)
 	if err != nil {
-		return nil, fmt.Errorf("daemon: resolve %s: %w", cfg.Listen, err)
+		return nil, fmt.Errorf("daemon: listen %s: %w", cfg.Listen, err)
 	}
-	conn, err := net.ListenUDP("udp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("daemon: listen: %w", err)
-	}
-	rcvbuf, err := sizeReadBuffer(conn, rcvBufBytes)
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("daemon: size receive buffer: %w", err)
-	}
+	cfg.Shards = len(conns)
 	d := &Daemon{
 		cfg:     cfg,
-		conn:    conn,
-		rcvbuf:  rcvbuf,
-		drainCh: make(chan struct{}),
+		flushed: make(chan struct{}, len(conns)),
 		started: time.Now(),
 	}
-	d.out = newEgress(conn, cfg.BatchRecords)
-	d.shards = make([]*shard, cfg.Shards)
-	for i := range d.shards {
-		sh, err := newShard(d, i)
-		if err != nil {
-			conn.Close()
-			return nil, err
+	d.shards = make([]*shard, len(conns))
+	for i, c := range conns {
+		if d.rcvbuf, err = sizeReadBuffer(c, rcvBufBytes); err == nil {
+			d.shards[i], err = newShard(d, i, c)
 		}
-		d.shards[i] = sh
+		if err != nil {
+			closeAll(conns)
+			return nil, fmt.Errorf("daemon: shard %d: %w", i, err)
+		}
 	}
 	if cfg.Telemetry != "" {
 		ln, err := net.Listen("tcp", cfg.Telemetry)
 		if err != nil {
-			conn.Close()
+			closeAll(conns)
 			return nil, fmt.Errorf("daemon: telemetry listen: %w", err)
 		}
 		d.httpLn = ln
@@ -243,23 +218,21 @@ func New(cfg Config) (*Daemon, error) {
 	return d, nil
 }
 
-// Start launches the receive loop, the shard loops, the egress writer
-// and (if configured) the telemetry server.
+// Start launches the shard loops and (if configured) the telemetry
+// server.
 func (d *Daemon) Start() {
-	d.out.start()
+	d.loops = len(d.shards)
+	d.shardWG.Add(d.loops)
 	for _, sh := range d.shards {
-		d.shardWG.Add(1)
 		go sh.loop()
 	}
-	d.recvWG.Add(1)
-	go d.recvLoop()
 	if d.httpSrv != nil {
 		go d.httpSrv.Serve(d.httpLn)
 	}
 }
 
-// Addr reports the bound UDP address.
-func (d *Daemon) Addr() *net.UDPAddr { return d.conn.LocalAddr().(*net.UDPAddr) }
+// Addr reports the bound UDP address, which every shard socket shares.
+func (d *Daemon) Addr() *net.UDPAddr { return d.shards[0].conn.LocalAddr().(*net.UDPAddr) }
 
 // TelemetryAddr reports the bound telemetry address ("" when off).
 func (d *Daemon) TelemetryAddr() string {
@@ -269,65 +242,11 @@ func (d *Daemon) TelemetryAddr() string {
 	return d.httpLn.Addr().String()
 }
 
-// recvLoop owns the socket's read side: parse, dedup happens per shard,
-// demux by connection ID. The read deadline keeps the loop responsive
-// to state changes — a socket loop must always have a termination path.
-func (d *Daemon) recvLoop() {
-	defer d.recvWG.Done()
-	buf := make([]byte, 64<<10)
-	for {
-		d.conn.SetReadDeadline(time.Now().Add(recvTick))
-		n, from, err := d.conn.ReadFromUDP(buf)
-		if err != nil {
-			if d.state.Load() == stateStopped {
-				return
-			}
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				continue
-			}
-			// The socket died underneath us outside a shutdown; nothing
-			// to serve anymore.
-			return
-		}
-		d.datagramsIn.Add(1)
-		sub, err := parseSubmit(buf[:n])
-		if err != nil {
-			d.parseErrors.Add(1)
-			continue
-		}
-		if d.state.Load() != stateRunning {
-			// Draining: stop accepting, but answer — the client learns
-			// immediately instead of burning its retry budget.
-			d.rejected.Add(1)
-			d.out.send(from, record{
-				conn: sub.conn, seq: sub.seq, status: StatusRejected,
-			})
-			continue
-		}
-		sh := d.shards[int(sub.conn)%len(d.shards)]
-		msg := ingressMsg{
-			conn:   sub.conn,
-			seq:    sub.seq,
-			weight: sub.weight,
-			// The read buffer is reused; the shard owns a copy.
-			payload: append([]byte(nil), sub.payload...),
-			from:    from,
-		}
-		select {
-		case sh.in <- msg:
-		default:
-			// Backpressure: shed at the socket rather than stall every
-			// other shard; the client's bounded retry recovers.
-			d.ingressDropped.Add(1)
-		}
-	}
-}
-
 // Shutdown drains the daemon: reject new submissions, flush in-flight
-// flows, empty the egress, stop the loops, report. It is idempotent;
-// ctx bounds how long the drain may take (expired, the daemon stops
-// anyway and Shutdown reports the flows it abandoned).
+// flows and write their records, stop the shards, close the sockets,
+// report. It is idempotent; ctx bounds how long the drain may take
+// (expired, each shard stops after its current round and Shutdown
+// reports the flows it abandoned).
 func (d *Daemon) Shutdown(ctx context.Context) error {
 	d.shutdownOnce.Do(func() { d.shutdownErr = d.shutdown(ctx) })
 	return d.shutdownErr
@@ -338,37 +257,51 @@ func (d *Daemon) shutdown(ctx context.Context) error {
 		ctx = context.Background()
 	}
 	d.state.CompareAndSwap(stateRunning, stateDraining)
-	close(d.drainCh)
-
-	shardsDone := make(chan struct{})
-	go func() {
-		d.shardWG.Wait()
-		close(shardsDone)
-	}()
+	// Idle shards are parked in a read: wake them to see the drain.
+	d.wake()
 	var drainErr error
-	select {
-	case <-shardsDone:
-	case <-ctx.Done():
-		abandoned := 0
-		for _, sh := range d.shards {
-			abandoned += sh.sess.Active()
+	for n := 0; n < d.loops && drainErr == nil; n++ {
+		select {
+		case <-d.flushed:
+		case <-ctx.Done():
+			abandoned := 0
+			for _, sh := range d.shards {
+				abandoned += sh.sess.Active()
+			}
+			drainErr = fmt.Errorf("daemon: drain timed out with %d flows in flight: %w",
+				abandoned, ctx.Err())
 		}
-		drainErr = fmt.Errorf("daemon: drain timed out with %d flows in flight: %w",
-			abandoned, ctx.Err())
 	}
 
-	// Stop the socket loop, then flush and stop the egress writer (the
-	// shards and the socket loop are its only producers).
+	// Until now every shard still answered late submissions with
+	// StatusRejected. Stop them all, then close every socket together so
+	// the steering program's socket indexes never shift mid-drain.
 	d.state.Store(stateStopped)
-	d.conn.SetReadDeadline(time.Now())
-	d.recvWG.Wait()
-	d.out.stop()
-	d.conn.Close()
+	d.wake()
+	d.shardWG.Wait()
+	for _, sh := range d.shards {
+		sh.conn.Close()
+	}
 	if d.httpSrv != nil {
 		d.httpSrv.Close()
 	}
 	d.report(drainErr)
 	return drainErr
+}
+
+// closeAll closes the sockets.
+func closeAll(conns []*net.UDPConn) {
+	for _, c := range conns {
+		c.Close()
+	}
+}
+
+// wake makes every shard's pending or next socket read return at once,
+// so a parked shard looks at the daemon's state.
+func (d *Daemon) wake() {
+	for _, sh := range d.shards {
+		sh.conn.SetReadDeadline(time.Now())
+	}
 }
 
 // report writes the drain summary.
@@ -379,7 +312,7 @@ func (d *Daemon) report(drainErr error) {
 		m.Flows.Admitted, m.Flows.Delivered, m.Flows.Outaged, m.Socket.Rejected,
 		len(d.shards))
 	fmt.Fprintf(d.cfg.Report,
-		"spinald: %d symbols (+%d ack), egress %d records in %d datagrams (%.1f records/write)\n",
+		"spinald: %d symbols (+%d ack), %d records out in %d datagrams (%.1f records/write)\n",
 		m.Flows.Symbols, m.Flows.AckSymbols,
 		m.Socket.RecordsOut, m.Socket.DatagramsOut, m.Socket.BatchingFactor)
 	if drainErr != nil {
@@ -402,7 +335,7 @@ func stateName(s int32) string {
 
 // Metrics is the telemetry snapshot the /metrics endpoint serves as
 // JSON: per-shard engine accounting, the shards' decoder-construction
-// counters, and socket/egress counters.
+// counters, and socket counters.
 type Metrics struct {
 	State         string         `json:"state"`
 	UptimeSeconds float64        `json:"uptime_seconds"`
@@ -423,10 +356,11 @@ type FlowMetrics struct {
 	AckSymbols int64 `json:"ack_symbols"`
 }
 
-// ShardMetrics is one shard's engine accounting. QueueLen/QueueCap
-// snapshot the ingress queue (the backpressure signal behind
-// ingress_dropped); the Sched* counters mirror the shard session's
-// scheduler accounting and stay zero under the default round-robin.
+// ShardMetrics is one shard's engine and socket accounting. KernelDrops
+// counts the submissions the kernel dropped at the shard's socket, as
+// SocketMetrics.KernelDrops does for all of them; the Sched* counters
+// mirror the shard session's scheduler accounting and stay zero under
+// the default round-robin.
 type ShardMetrics struct {
 	Shard           int   `json:"shard"`
 	Active          int   `json:"active"`
@@ -445,10 +379,14 @@ type ShardMetrics struct {
 	// DecodeAttempts, NarrowAttempts and Escalations total the served
 	// flows' block decode attempts, those begun on the decoder's narrow
 	// beam rung, and the narrow rungs the CRC rejected (see link.Stats).
-	DecodeAttempts  int64 `json:"decode_attempts"`
-	NarrowAttempts  int64 `json:"narrow_attempts"`
-	Escalations     int64 `json:"escalations"`
-	QueueLen        int   `json:"queue_len"`
+	DecodeAttempts int64 `json:"decode_attempts"`
+	NarrowAttempts int64 `json:"narrow_attempts"`
+	Escalations    int64 `json:"escalations"`
+	KernelDrops    int64 `json:"kernel_drops"`
+	// Deprecated: shards have no ingress queue; they read their own
+	// sockets. QueueLen and QueueCap read 0.
+	QueueLen int `json:"queue_len"`
+	// Deprecated: see QueueLen.
 	QueueCap        int   `json:"queue_cap"`
 	SchedQuanta     int64 `json:"sched_quanta_granted,omitempty"`
 	SchedAdmitted   int64 `json:"sched_symbols_admitted,omitempty"`
@@ -465,16 +403,19 @@ type PoolMetrics struct {
 	DecodersBuilt int64 `json:"decoders_built"`
 }
 
-// SocketMetrics counts the socket loop and the batching egress.
-// RcvBufBytes is the receive buffer the kernel granted the socket (0
-// where it cannot be read back), and KernelDrops the submissions the
-// kernel dropped before the receive loop read them, chiefly at a full
-// receive buffer. KernelDrops is read from the live socket on Linux; it
-// is 0 elsewhere and once Shutdown has closed the socket.
+// SocketMetrics counts the shard sockets' traffic, summed over the
+// shards. RcvBufBytes is the receive buffer the kernel granted each
+// socket (0 where it cannot be read back), and KernelDrops the
+// submissions the kernel dropped before a shard read them, chiefly at a
+// full receive buffer. KernelDrops is read from the live sockets on
+// Linux; it is 0 elsewhere and once Shutdown has closed the sockets.
 type SocketMetrics struct {
-	DatagramsIn    int64   `json:"datagrams_in"`
-	ParseErrors    int64   `json:"parse_errors"`
-	Rejected       int64   `json:"rejected"`
+	DatagramsIn int64 `json:"datagrams_in"`
+	ParseErrors int64 `json:"parse_errors"`
+	Rejected    int64 `json:"rejected"`
+	// Deprecated: nothing queues between the socket and a shard, so
+	// nothing is dropped there; IngressDropped reads 0. A submission lost
+	// at a full receive buffer counts in KernelDrops.
 	IngressDropped int64   `json:"ingress_dropped"`
 	DatagramsOut   int64   `json:"datagrams_out"`
 	RecordsOut     int64   `json:"records_out"`
@@ -490,14 +431,12 @@ func (d *Daemon) Metrics() Metrics {
 		State:         stateName(d.state.Load()),
 		UptimeSeconds: time.Since(d.started).Seconds(),
 		Socket: SocketMetrics{
-			DatagramsIn:    d.datagramsIn.Load(),
-			ParseErrors:    d.parseErrors.Load(),
-			Rejected:       d.rejected.Load(),
-			IngressDropped: d.ingressDropped.Load(),
-			DatagramsOut:   d.out.datagrams.Load(),
-			RecordsOut:     d.out.records.Load(),
-			RcvBufBytes:    d.rcvbuf,
-			KernelDrops:    kernelDrops(d.conn),
+			DatagramsIn:  d.datagramsIn.Load(),
+			ParseErrors:  d.parseErrors.Load(),
+			Rejected:     d.rejected.Load(),
+			DatagramsOut: d.datagramsOut.Load(),
+			RecordsOut:   d.recordsOut.Load(),
+			RcvBufBytes:  d.rcvbuf,
 		},
 		Pool: PoolMetrics{Shards: len(d.shards)},
 	}
@@ -509,6 +448,7 @@ func (d *Daemon) Metrics() Metrics {
 		m.Pool.DecodersBuilt += sh.sess.PoolStats().DecodersBuilt
 		sm := sh.metrics()
 		m.Shards = append(m.Shards, sm)
+		m.Socket.KernelDrops += sm.KernelDrops
 		m.Flows.Admitted += sm.Admitted
 		m.Flows.Active += sm.Active
 		m.Flows.Delivered += sm.Delivered

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -272,18 +274,17 @@ func TestDaemonGoodputMonotone(t *testing.T) {
 	}
 }
 
-// TestDaemonSchedulerConfig pins the scheduler/queue config plumbing: an
+// TestDaemonSchedulerConfig pins the scheduler config plumbing: an
 // unknown scheduler name is rejected at New, a dwfq daemon serves
-// weighted submissions and exports nonzero scheduler counters plus the
-// configured ingress queue capacity, and a tiny done-cache (far below
-// the flow count) still serves every flow — eviction costs replay
-// efficiency, never correctness.
+// weighted submissions and exports nonzero scheduler counters, and a
+// tiny done-cache (far below the flow count) still serves every flow —
+// eviction costs replay efficiency, never correctness.
 func TestDaemonSchedulerConfig(t *testing.T) {
 	if _, err := New(Config{Scheduler: "wfq2"}); err == nil {
 		t.Fatal("unknown scheduler accepted")
 	}
 	d, _ := startDaemon(t, Config{Shards: 1, SNRdB: 10, Seed: 13,
-		Scheduler: "dwfq", QueueDepth: 64, DoneCache: 4})
+		Scheduler: "dwfq", DoneCache: 4})
 	res, err := RunLoad(LoadConfig{
 		Addr: d.Addr().String(), Flows: 8, Size: 48, Seed: 3, Weight: 4,
 	})
@@ -294,9 +295,6 @@ func TestDaemonSchedulerConfig(t *testing.T) {
 		t.Fatalf("weighted load: %v", res)
 	}
 	sm := d.Metrics().Shards[0]
-	if sm.QueueCap != 64 {
-		t.Fatalf("queue cap %d, want the configured 64", sm.QueueCap)
-	}
 	if sm.SchedQuanta == 0 || sm.SchedAdmitted == 0 {
 		t.Fatalf("dwfq scheduler counters silent: %+v", sm)
 	}
@@ -350,7 +348,7 @@ func TestDaemonRejectsWhileDraining(t *testing.T) {
 	defer client.Close()
 
 	// Flip the state by hand (Shutdown would close the socket before the
-	// probe lands); the recv loop must now answer with a rejection.
+	// probe lands); the shard must now answer with a rejection.
 	d.state.Store(stateDraining)
 	client.Write(appendSubmit(nil, 77, 0, 0, []byte("late")))
 	rec := readOneRecord(t, client)
@@ -405,7 +403,7 @@ func TestDaemonLadderCounters(t *testing.T) {
 }
 
 // TestDaemonAbsorbsSubmitBurst: 1 000 submissions sent at once wait in
-// the socket's receive buffer while the receive loop catches up, so
+// the shard sockets' receive buffers while the shards catch up, so
 // every one is answered without a client resubmit. The kernel's default
 // buffer (208 KiB on Linux) held about 560 of them. Where the kernel
 // grants too small a buffer for 1 000 datagrams (net.core.rmem_max left
@@ -432,7 +430,133 @@ func TestDaemonAbsorbsSubmitBurst(t *testing.T) {
 	if res.Delivered != flows || res.Retries != 0 || res.Corrupted != 0 {
 		t.Fatalf("burst of %d submissions: %v", flows, res)
 	}
-	if m := d.Metrics(); m.Socket.DatagramsIn != flows || m.Socket.IngressDropped != 0 || m.Socket.KernelDrops != 0 {
+	if m := d.Metrics(); m.Socket.DatagramsIn != flows || m.Socket.KernelDrops != 0 {
 		t.Fatalf("socket counters: %+v", m.Socket)
+	}
+}
+
+// TestDaemonSteersByConn: every connection ID is served by shard
+// conn mod N, although all of them arrive from one client socket (whose
+// 4-tuple alone would put them all on one shard). 2 and 4 shards run
+// the power-of-two steering program, 3 and 11 the general one; at 11
+// each byte of the ID carries a different weight mod 11, so a program
+// that assembled the bytes out of order would fail.
+func TestDaemonSteersByConn(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("steering a socket group needs Linux")
+	}
+	for _, n := range []int{2, 3, 4, 11} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			d, _ := startDaemon(t, Config{Shards: n, SNRdB: 10, Seed: 19})
+			client, err := net.DialUDP("udp", nil, d.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+			// High conn bytes exercise the general program's assembly of
+			// the whole little-endian ID.
+			conns := map[uint32]bool{}
+			for i := range uint32(2 * n) {
+				conns[i] = true
+				conns[i|0x5a3c0100] = true
+			}
+			for conn := range conns {
+				client.Write(appendSubmit(nil, conn, 1, 0, []byte("steer")))
+			}
+			buf := make([]byte, 64<<10)
+			for len(conns) > 0 {
+				client.SetReadDeadline(time.Now().Add(10 * time.Second))
+				nr, err := client.Read(buf)
+				if err != nil {
+					t.Fatalf("%d records missing: %v", len(conns), err)
+				}
+				recs, err := parseBatch(buf[:nr])
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range recs {
+					if r.status != StatusDelivered || int(r.shard) != int(r.conn%uint32(n)) {
+						t.Fatalf("conn %#x: status %d from shard %d, want shard %d", r.conn, r.status, r.shard, r.conn%uint32(n))
+					}
+					delete(conns, r.conn)
+				}
+			}
+		})
+	}
+}
+
+// TestDaemonLeavesNoGoroutines: a daemon's only goroutines are its
+// shards (and the telemetry server, off here); after Shutdown none is
+// left.
+func TestDaemonLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	d, err := New(Config{Shards: 2, Params: quickParams(), SNRdB: 10, Seed: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Start()
+	if got := runtime.NumGoroutine(); got > before+2 {
+		t.Errorf("a running 2-shard daemon has %d goroutines beyond the test's, want 2", got-before)
+	}
+	res, err := RunLoad(LoadConfig{Addr: d.Addr().String(), Flows: 8, Size: 32, Seed: 2})
+	if err != nil || res.Delivered != 8 {
+		t.Fatalf("load: %v %v", res, err)
+	}
+	if err := d.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// A joined shard goroutine may not have returned yet, and earlier
+	// tests' idle HTTP connections may still be closing (the count can
+	// fall below the starting one).
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > before && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if n > before {
+		t.Fatalf("%d goroutines after Shutdown, %d before New", n, before)
+	}
+}
+
+// TestDaemonDrainTimeoutStopsShards: a drain whose deadline has passed
+// reports the flows it abandoned, and its shards stop after their
+// current round instead of serving on.
+func TestDaemonDrainTimeoutStopsShards(t *testing.T) {
+	before := runtime.NumGoroutine()
+	d, err := New(Config{Shards: 2, SNRdB: 10, Seed: 29, Params: spinal.DefaultParams()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Start()
+	client, err := net.DialUDP("udp", nil, d.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	// 16 KiB of B=256 decoding keeps both shards busy for far longer
+	// than the test takes to cancel the drain.
+	const flows = 16
+	for i := range uint32(flows) {
+		client.Write(appendSubmit(nil, i, 0, 0, bytes.Repeat([]byte{byte(i)}, 1024)))
+	}
+	for deadline := time.Now().Add(10 * time.Second); d.Metrics().Flows.Admitted < flows; {
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon admitted %d/%d flows", d.Metrics().Flows.Admitted, flows)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := d.Shutdown(ctx); err == nil || !strings.Contains(err.Error(), "drain timed out") {
+		t.Fatalf("expired drain: %v", err)
+	}
+	if m := d.Metrics(); m.State != "stopped" || m.Flows.Delivered == flows {
+		t.Fatalf("expired drain finished every flow: %+v", m.Flows)
+	}
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > before && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if n > before {
+		t.Fatalf("%d goroutines after an expired drain, %d before New", n, before)
 	}
 }

@@ -3,23 +3,25 @@ package daemon
 import (
 	"context"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"net"
+	"net/netip"
+	"os"
 	"sync/atomic"
+	"syscall"
+	"time"
 
 	"spinal/channel"
 	"spinal/link"
 )
 
-// ingressMsg is one admitted submission on its way to a shard.
-type ingressMsg struct {
-	conn    uint32
-	seq     uint32
-	weight  uint8
-	payload []byte
-	from    *net.UDPAddr
-}
+// batchRecords caps the result records in one datagram (32 records are
+// 867 bytes, inside any path MTU).
+const batchRecords = 32
+
+// maxBurst bounds the submissions a shard admits between two rounds, so
+// a steady stream of arrivals cannot starve the flows in flight.
+const maxBurst = 1024
 
 // pendingFlow tracks one in-flight flow's identity so its engine result
 // can be turned back into a wire record.
@@ -27,19 +29,24 @@ type pendingFlow struct {
 	key  uint64
 	conn uint32
 	seq  uint32
-	from *net.UDPAddr
+	from netip.AddrPort
 }
 
-// shard is one per-core worker: an independent link.Session fed by its
-// own ingress queue. Exactly one goroutine (loop) touches the session's
-// flow state; everything the metrics endpoint reads is atomic.
+// shard is one per-core worker: a socket and an independent
+// link.Session, both owned by one goroutine (loop). Everything the
+// metrics endpoint reads is atomic.
 type shard struct {
 	d    *Daemon
 	id   int
-	in   chan ingressMsg
+	conn *net.UDPConn
+	rc   syscall.RawConn
 	sess *link.Session
 
 	// Owned by loop.
+	buf      []byte                      // the datagram being read
+	out      map[netip.AddrPort][]record // the round's records by destination
+	wbuf     []byte                      // one batch datagram
+	flushed  bool                        // the drain signal has been sent
 	inflight map[link.FlowID]*pendingFlow
 	pending  map[uint64]struct{} // flowKey → in flight (dedup)
 	done     map[uint64]doneRec  // flowKey → resolved record (replay)
@@ -76,7 +83,11 @@ type doneRec struct {
 	checksum   uint32
 }
 
-func newShard(d *Daemon, id int) (*shard, error) {
+func newShard(d *Daemon, id int, conn *net.UDPConn) (*shard, error) {
+	rc, err := conn.SyscallConn()
+	if err != nil {
+		return nil, err
+	}
 	opts := []link.Option{
 		// Codec work runs on the shard's own goroutine: the shards'
 		// sessions share no work, so one shard's decode never delays
@@ -104,72 +115,128 @@ func newShard(d *Daemon, id int) (*shard, error) {
 	}
 	sess, err := link.NewSession(d.cfg.Params, opts...)
 	if err != nil {
-		return nil, fmt.Errorf("daemon: shard %d: %w", id, err)
+		return nil, err
 	}
 	return &shard{
 		d:        d,
 		id:       id,
-		in:       make(chan ingressMsg, d.cfg.QueueDepth),
+		conn:     conn,
+		rc:       rc,
 		sess:     sess,
+		buf:      make([]byte, 64<<10),
+		out:      make(map[netip.AddrPort][]record),
 		inflight: make(map[link.FlowID]*pendingFlow),
 		pending:  make(map[uint64]struct{}),
 		done:     make(map[uint64]doneRec),
 	}, nil
 }
 
-// loop is the shard's single serving goroutine: soak the ingress queue,
-// step the session while flows are live, block when idle, exit once the
-// daemon drains and the shard is empty.
+// loop is the shard's one goroutine. Each pass admits what the shard's
+// socket holds, steps the session while flows are live and writes the
+// round's records; an idle shard parks in the runtime poller until a
+// submission arrives. Once the daemon drains and the shard's flows have
+// resolved it tells Shutdown, and it answers late submissions with
+// StatusRejected until Shutdown stops it. A drain that times out stops
+// the shard after its current round.
 func (sh *shard) loop() {
-	defer sh.d.shardWG.Done()
+	d := sh.d
+	defer d.shardWG.Done()
 	defer sh.sess.Close()
+	defer sh.signalFlushed()
 	ctx := context.Background()
 	for {
-		sh.soak()
-		if sh.sess.Active() > 0 {
+		ok := sh.read(sh.sess.Active() == 0)
+		if ok && sh.sess.Active() > 0 {
 			res, err := sh.sess.Step(ctx)
-			if err != nil {
-				return
-			}
+			ok = err == nil
 			sh.finish(res)
-			continue
 		}
-		select {
-		case msg := <-sh.in:
-			sh.admit(msg)
-		case <-sh.d.drainCh:
-			// Draining and idle. One last soak catches submissions that
-			// slipped in before the state flipped; if that admitted work,
-			// keep stepping, otherwise the shard is done.
-			sh.soak()
-			if sh.sess.Active() == 0 {
-				return
-			}
+		sh.flush()
+		switch state := d.state.Load(); {
+		case !ok || state == stateStopped:
+			return
+		case state == stateDraining && sh.sess.Active() == 0:
+			sh.signalFlushed()
 		}
 	}
 }
 
-// soak admits everything queued without blocking.
-func (sh *shard) soak() {
-	for {
-		select {
-		case msg := <-sh.in:
-			sh.admit(msg)
+// signalFlushed tells Shutdown, once, that the shard has no flow left.
+func (sh *shard) signalFlushed() {
+	if !sh.flushed {
+		sh.flushed = true
+		sh.d.flushed <- struct{}{}
+	}
+}
+
+// read handles the datagrams waiting on the shard's socket, at most
+// maxBurst of them; with block set (the shard is idle) it first parks
+// until one arrives. It reports false once the daemon has stopped or
+// the socket has failed.
+func (sh *shard) read(block bool) bool {
+	d := sh.d
+	for range maxBurst {
+		n, from, err := recvFrom(sh.rc, sh.buf, block)
+		switch {
+		case errors.Is(err, os.ErrDeadlineExceeded):
+			// Shutdown's wake. Clear it before looking at the state, so a
+			// wake that lands after the look is not lost.
+			sh.conn.SetReadDeadline(time.Time{})
+			return d.state.Load() != stateStopped
+		case err != nil:
+			return false
+		case n < 0:
+			return true // the socket is empty
+		}
+		block = false
+		d.datagramsIn.Add(1)
+		sub, err := parseSubmit(sh.buf[:n])
+		switch {
+		case err != nil:
+			d.parseErrors.Add(1)
+		case d.state.Load() != stateRunning:
+			// Draining: stop accepting, but answer — the client learns
+			// immediately instead of burning its retry budget.
+			d.rejected.Add(1)
+			sh.send(from, record{conn: sub.conn, seq: sub.seq, shard: uint16(sh.id), status: StatusRejected})
 		default:
-			return
+			sh.admit(sub, from)
 		}
 	}
+	return true
+}
+
+// send queues a record for the end of the round.
+func (sh *shard) send(to netip.AddrPort, rec record) {
+	sh.out[to] = append(sh.out[to], rec)
+}
+
+// flush writes the round's records from the shard's socket, at most
+// batchRecords of them to a datagram.
+func (sh *shard) flush() {
+	for to, recs := range sh.out {
+		for len(recs) > 0 {
+			n := min(len(recs), batchRecords)
+			sh.wbuf = appendBatch(sh.wbuf[:0], recs[:n])
+			if _, err := sh.conn.WriteToUDPAddrPort(sh.wbuf, to); err == nil {
+				sh.d.datagramsOut.Add(1)
+				sh.d.recordsOut.Add(int64(n))
+			}
+			recs = recs[n:]
+		}
+	}
+	clear(sh.out)
 }
 
 // admit turns a submission into a link flow — or, for a retry of a flow
 // already seen, into a dedup hit: in-flight duplicates are dropped (the
 // original will answer), resolved duplicates get their cached record
 // replayed. This is what makes the client's bounded-retry loop safe.
-func (sh *shard) admit(msg ingressMsg) {
+func (sh *shard) admit(msg submission, from netip.AddrPort) {
 	key := flowKey(msg.conn, msg.seq)
 	if dr, ok := sh.done[key]; ok {
 		sh.replays.Add(1)
-		sh.d.out.send(msg.from, record{
+		sh.send(from, record{
 			conn: msg.conn, seq: msg.seq, shard: uint16(sh.id),
 			status: dr.status, bytes: uint32(dr.bytes), symbols: dr.symbols,
 			ackSymbols: dr.ackSymbols, checksum: dr.checksum,
@@ -181,7 +248,7 @@ func (sh *shard) admit(msg ingressMsg) {
 		return
 	}
 	if len(msg.payload) == 0 {
-		sh.d.out.send(msg.from, record{
+		sh.send(from, record{
 			conn: msg.conn, seq: msg.seq, shard: uint16(sh.id),
 			status: StatusRejected,
 		})
@@ -199,22 +266,24 @@ func (sh *shard) admit(msg ingressMsg) {
 		// daemon the engine ignores the option entirely.
 		sendOpts = append(sendOpts, link.WithWeight(w))
 	}
-	id, err := sh.sess.Send(msg.payload, sendOpts...)
+	// The payload aliases the read buffer, and the session keeps it until
+	// the flow resolves.
+	id, err := sh.sess.Send(append([]byte(nil), msg.payload...), sendOpts...)
 	if err != nil {
-		sh.d.out.send(msg.from, record{
+		sh.send(from, record{
 			conn: msg.conn, seq: msg.seq, shard: uint16(sh.id),
 			status: StatusError,
 		})
 		return
 	}
 	sh.pending[key] = struct{}{}
-	sh.inflight[id] = &pendingFlow{key: key, conn: msg.conn, seq: msg.seq, from: msg.from}
+	sh.inflight[id] = &pendingFlow{key: key, conn: msg.conn, seq: msg.seq, from: from}
 	sh.admitted.Add(1)
 }
 
 // finish converts resolved flows into wire records, updates the shard's
-// accounting, caches the record for retry replay, and hands it to the
-// egress batcher.
+// accounting, caches the record for retry replay, and queues it for the
+// end of the round.
 func (sh *shard) finish(results []link.Result) {
 	for i := range results {
 		r := &results[i]
@@ -260,7 +329,7 @@ func (sh *shard) finish(results []link.Result) {
 			f.AcksTruncated + f.AcksCorrupted))
 
 		sh.remember(pf.key, rec)
-		sh.d.out.send(pf.from, rec)
+		sh.send(pf.from, rec)
 	}
 }
 
@@ -305,8 +374,7 @@ func (sh *shard) metrics() ShardMetrics {
 		DecodeAttempts:  sh.attempts.Load(),
 		NarrowAttempts:  sh.narrow.Load(),
 		Escalations:     sh.escalated.Load(),
-		QueueLen:        len(sh.in),
-		QueueCap:        cap(sh.in),
+		KernelDrops:     kernelDrops(sh.conn),
 	}
 	if sh.d.cfg.Scheduler == "dwfq" {
 		// Session methods are mutex-guarded, so reading the scheduler's

@@ -1,11 +1,12 @@
 // Daemon wire protocol: the datagram grammar between spinald and its
 // clients (spinalcat -loadgen, or anything speaking it). One UDP
 // datagram carries either one submission (client → daemon) or a batch of
-// result records (daemon → client) — the egress side aggregates records
-// per destination so a busy daemon amortizes socket writes, the
-// recvmmsg/sendmmsg idea expressed with portable building blocks.
+// result records (daemon → client): each shard groups a round's records
+// per destination, so a busy daemon amortizes socket writes.
 //
-// All integers are little-endian. The parser is strict and bounded:
+// All integers are little-endian. The connection ID sits at offset 1 of
+// a submission because the kernel's steering program (steer_linux.go)
+// reads it there. The parser is strict and bounded:
 // structurally hostile bytes yield ErrBadDatagram, never a panic or an
 // unbounded allocation — the same stance as the link wire codec.
 package daemon

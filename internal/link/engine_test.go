@@ -89,16 +89,15 @@ func TestEngineStressManyFlows(t *testing.T) {
 		}
 	}
 
-	// Decoder reuse: one block size in play, so the engine needs at most one
-	// decoder per slot no matter how many flows ran.
 	st := e.PoolStats()
-	shards := int64(cfg.Shards)
-	if st.DecodersBuilt > shards {
-		t.Errorf("built %d decoders for %d slots — blocks are not sharing them", st.DecodersBuilt, shards)
+	if st.DecodersBuilt == 0 {
+		t.Fatal("the first wave built no decoder")
 	}
 
-	// Steady state (the AllocsPerRun analogue for cached decoders): a second
-	// wave of flows must construct nothing new.
+	// Steady state: a second wave of the same block size reuses the slots'
+	// decoders. Which slot claims a block depends on goroutine timing, so a
+	// slot idle in the first wave may build its first decoder now; the
+	// bound is one decoder per slot over both waves.
 	for i := 0; i < 8; i++ {
 		e.AddFlow(flowPayload(rng, 44), FlowConfig{Channel: channel.NewAWGN(15, int64(2000+i))})
 	}
@@ -107,9 +106,8 @@ func TestEngineStressManyFlows(t *testing.T) {
 			t.Fatalf("second wave flow %d: %v", r.ID, r.Err)
 		}
 	}
-	st2 := e.PoolStats()
-	if st2 != st {
-		t.Errorf("second wave built decoders: %+v -> %+v", st, st2)
+	if built, slots := e.PoolStats().DecodersBuilt, int64(cfg.Shards); built > slots {
+		t.Errorf("built %d decoders for %d slots and one block size — blocks are not sharing them", built, slots)
 	}
 }
 
