@@ -253,6 +253,11 @@ func BenchmarkDecodeNoisyPaper(b *testing.B) { benchNoisyDecode(b, 528, 256) }
 // a 144-bit block (16-byte flow) at B=16 and 10 dB.
 func BenchmarkDecodeNoisySmall(b *testing.B) { benchNoisyDecode(b, 144, 16) }
 
+// BenchmarkDecodeNoisyFetch is the fetch-delay4 workload's block shape:
+// a 1024-bit block at B=16 and 10 dB, eight of which (plus one 144-bit
+// block) make up each transport segment.
+func BenchmarkDecodeNoisyFetch(b *testing.B) { benchNoisyDecode(b, 1024, 16) }
+
 // BenchmarkHWModel regenerates the Appendix B throughput/area model.
 func BenchmarkHWModel(b *testing.B) { runExperiment(b, "hw-model") }
 

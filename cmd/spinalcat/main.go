@@ -147,8 +147,9 @@ func main() {
 // ackcorrupt, seed — and chaos[=scale], the golden chaos-feedback mix
 // scaled by the given factor, which later keys may then override.
 // depth, bits and blackoutlen are whole numbers in [0, maxFaultCount]
-// (0 keeps the injector's default); NaN, infinities and out-of-range
-// values are rejected.
+// (0 keeps the injector's default). seed is a decimal int64, taken
+// exactly, or a whole number of magnitude at most 2⁵³ in float form
+// (seed=1e3). NaN, infinities and out-of-range values are rejected.
 func parseFaults(spec string) (*link.FaultConfig, error) {
 	if spec == "" {
 		return nil, nil
@@ -222,10 +223,16 @@ func parseFaults(spec string) (*link.FaultConfig, error) {
 		case "ackcorrupt":
 			fc.AckCorrupt, err = prob()
 		case "seed":
-			if math.Abs(num) >= 1<<63 {
-				return nil, fmt.Errorf("-faults %s: seed outside int64", field)
+			// Read as an integer first: a float64 holds every integer
+			// only up to 2⁵³, and rounds larger seeds onto their
+			// neighbours.
+			if s, perr := strconv.ParseInt(val, 10, 64); perr == nil {
+				fc.Seed = s
+			} else if math.Abs(num) > 1<<53 || num != math.Trunc(num) {
+				return nil, fmt.Errorf("-faults %s: want an int64, or a whole number of magnitude at most 2^53", field)
+			} else {
+				fc.Seed = int64(num)
 			}
-			fc.Seed = int64(num)
 		default:
 			return nil, fmt.Errorf("-faults: unknown key %q (want chaos, reorder, depth, dup, trunc, corrupt, bits, blackout, blackoutlen, ackreorder, ackdup, acktrunc, ackcorrupt, seed)", key)
 		}

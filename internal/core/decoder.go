@@ -192,7 +192,7 @@ func (d *Decoder) DecodeWidth(w int) (msg []byte, cost float64, ok bool) {
 	if !d.quantEligible() {
 		return nil, 0, false
 	}
-	msg, cost, ok = d.decodeQuantized(d.msgBuf, w)
+	msg, cost, ok = d.decodeQuantized(d.msgBuf, w, quantBlockCand(w, d.p.K))
 	if !ok {
 		return nil, 0, false
 	}

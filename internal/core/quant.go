@@ -21,11 +21,17 @@ import (
 // costs one hashfn.FinishWords + hw.AccumulateCompact pass over the
 // block's survivors. The best B are kept via in-place hw.SelectKeys:
 // quickselect over a branchless Lomuto partition. Selection runs
-// whenever the survivor pool doubles past 2B and once at the end of the
-// step; each select trims back to B and re-tightens the pruning bound to
-// the exact running B-th-best (the select pivot). The float path in
-// search.go selects the same way over (score, origin) pairs and remains
-// the reference implementation.
+// whenever the survivor pool reaches 2B after a block and once at the
+// end of the step; each select trims back to B and re-tightens the
+// pruning bound to the exact running B-th-best (the select pivot), so
+// every later block of the step is filtered by it. The block size
+// follows the decode width (quantBlockCand), so that a step of B ≥ 2
+// parents spans at least two blocks: 256 candidates once a step holds
+// 512 or more (B ≥ 32 at K=4), half the step below that. At K ≥ 2 the
+// bound therefore tightens inside every such step; at K=1 half a step
+// is only B candidates, short of the 2B that triggers a select. The
+// float path in search.go selects the same way over (score, origin)
+// pairs and remains the reference implementation.
 //
 // Beam order is an invariant: each step emits its survivors sorted by
 // packed key (cost, then origin; hw.SortKeys, a quicksort over the same
@@ -33,7 +39,11 @@ import (
 // and stops at the first parent the running threshold dominates.
 // Selection over unique packed keys makes the survivor set — and
 // therefore the decode — fully deterministic, independent of block
-// boundaries and of the selection algorithm.
+// boundaries and of the selection algorithm: the survivors are the B
+// smallest keys of the step, tau is the cost of the B-th smallest key
+// seen so far, and a later block only holds larger origins, so a
+// candidate it drops at cost ≥ tau has at least B smaller keys ahead of
+// it (TestQuantDecodeBlockIndependent checks every block size).
 
 // quantMaxStates bounds B·2^K on the quantized path: child states are
 // stashed densely by origin (parentRank<<kb | branchBits), so the stash
@@ -41,6 +51,21 @@ import (
 // operating range while keeping a pathological Params from allocating
 // gigabytes.
 const quantMaxStates = 1 << 22
+
+// quantBlockCand is the expansion block size, in candidates, of a
+// quantized decode at beam width B with fan-out 2^k: half a step's B·2^k
+// candidates, at least one parent's children and at most 256. Blocks of
+// 256 are enough parents to amortize the batched loops; below that, a
+// step of B·2^k ≤ 256 candidates would be a single block scored against
+// an infinite threshold, so it is split in two and the second half is
+// pruned by the first half's B-th best. 128-candidate blocks measured
+// neutral or slower at B ≥ 32, where a step already spans two or more
+// 256-candidate blocks (EXPERIMENTS.md, "Kernel v4: two blocks per
+// step").
+func quantBlockCand(B, k int) int {
+	fan := 1 << uint(k)
+	return min(256, max(fan, B*fan/2))
+}
 
 // quantAbsYLimit is the largest |y| a stored symbol may contribute to
 // the quantization range. Larger (or non-finite) values get no say in
@@ -118,13 +143,15 @@ func (d *Decoder) quantRange() float64 {
 }
 
 // decodeQuantized runs the fixed-point beam search over all stored
-// symbols, keeping the best B of every step (1 ≤ B ≤ Params.B). ok is
+// symbols, keeping the best B of every step (1 ≤ B ≤ Params.B) and
+// expanding blockCand ≥ 2^K candidates per block (quantBlockCand(B, K)
+// outside tests; the result does not depend on it). ok is
 // false when no feasible quantization exists (the caller then uses the
 // float path); otherwise the message is written into dst (grown if
 // needed) and returned with its dequantized path cost. Scratch is sized
-// for Params.B whatever B is, so a narrow decode followed by a full one
-// on a warmed decoder allocates nothing.
-func (d *Decoder) decodeQuantized(dst []byte, B int) ([]byte, float64, bool) {
+// for Params.B and its block size whatever B is, so a narrow decode
+// followed by a full one on a warmed decoder allocates nothing.
+func (d *Decoder) decodeQuantized(dst []byte, B, blockCand int) ([]byte, float64, bool) {
 	qz, ok := hw.NewQuantizer(d.quantRange(), d.nsyms)
 	if !ok {
 		return nil, 0, false
@@ -138,14 +165,7 @@ func (d *Decoder) decodeQuantized(dst []byte, B int) ([]byte, float64, bool) {
 	ns := d.ns
 	L := len(d.table)
 	cshift := uint(d.p.C)
-	maxFan := 1 << uint(k)
-	// Blocks hold up to max(256, fan) candidates: enough parents to
-	// amortize the batched loops, few enough that the pruning threshold
-	// tightens several times per step.
-	blockCand := 256
-	if maxFan > blockCand {
-		blockCand = maxFan
-	}
+	maxBlock := max(blockCand, quantBlockCand(maxB, k))
 	q.bState = ensureU32(q.bState, maxB)
 	q.bCost = ensureI32(q.bCost, maxB)
 	q.bBack = ensureI32(q.bBack, maxB)
@@ -153,10 +173,10 @@ func (d *Decoder) decodeQuantized(dst []byte, B int) ([]byte, float64, bool) {
 	q.b2Cost = ensureI32(q.b2Cost, maxB)
 	q.b2Back = ensureI32(q.b2Back, maxB)
 	q.sByOrg = ensureU32(q.sByOrg, maxB<<uint(k))
-	q.pre = ensureU32(q.pre, blockCand)
-	q.wbuf = ensureU32(q.wbuf, blockCand)
-	if cap(q.keys) < 2*maxB+blockCand {
-		q.keys = make([]uint64, 0, 2*maxB+blockCand)
+	q.pre = ensureU32(q.pre, maxBlock)
+	q.wbuf = ensureU32(q.wbuf, maxBlock)
+	if cap(q.keys) < 2*maxB+maxBlock {
+		q.keys = make([]uint64, 0, 2*maxB+maxBlock)
 	}
 
 	bState, bCost, bBack := q.bState, q.bCost, q.bBack

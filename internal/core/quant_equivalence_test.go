@@ -228,6 +228,62 @@ func TestQuantDecodeDeterministic(t *testing.T) {
 	}
 }
 
+// TestQuantDecodeBlockIndependent: the decode does not depend on how a
+// step is cut into expansion blocks. Every multiple of one parent's
+// 2^K children up to 512 candidates, as block size, returns the message,
+// cost and QuantTolerance of the block size Decode uses, for every width and
+// fan-out, on noisy symbols, on early attempts whose punctured steps
+// hold no symbols, and with saturating received values. It holds because
+// the survivors are the B smallest unique keys: the threshold is the
+// B-th smallest key's cost so far, and a later block only holds larger
+// origins, so no key it drops at or above that cost can be among them.
+func TestQuantDecodeBlockIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(505))
+	const nBits = 60 // K=8 leaves a 4-bit last chunk
+	for _, k := range []int{1, 4, 8} {
+		for _, B := range []int{1, 4, 16, 32, 64, 256} {
+			p := Params{K: k, B: B, D: 1, C: 6, Tail: 2, Ways: 8, Kernel: KernelQuantized}
+			msg := randomMessage(rng, nBits)
+			enc := NewEncoder(msg, nBits, p)
+			dec := NewDecoder(nBits, p)
+			sched := enc.NewSchedule()
+			ch := channel.NewAWGN(6, int64(k*1000+B))
+			fan := 1 << uint(k)
+			punctured := false
+			for sub := 0; sub < 2*p.Ways; sub++ {
+				ids := sched.NextSubpass()
+				y := ch.Transmit(enc.Symbols(ids))
+				if sub == 3 {
+					y[0] = complex(math.Inf(1), math.NaN())
+					y[len(y)/2] = complex(1e300, -1e300)
+				}
+				dec.Add(ids, y)
+				if sub > 3 && sub != 2*p.Ways-1 {
+					continue
+				}
+				for _, ts := range dec.ts {
+					punctured = punctured || len(ts) == 0
+				}
+				ref, refCost, ok := dec.decodeQuantized(nil, B, quantBlockCand(B, k))
+				if !ok {
+					t.Fatalf("K=%d B=%d subpass %d: no quantization", k, B, sub)
+				}
+				refTol := dec.q.tol
+				for bc := fan; bc <= 512; bc += fan {
+					got, cost, ok := dec.decodeQuantized(nil, B, bc)
+					if !ok || !bytes.Equal(got, ref) || cost != refCost || dec.q.tol != refTol {
+						t.Fatalf("K=%d B=%d subpass %d: %d-candidate blocks decode %x/%g/%g, %d-candidate blocks %x/%g/%g",
+							k, B, sub, bc, got, cost, dec.q.tol, quantBlockCand(B, k), ref, refCost, refTol)
+					}
+				}
+			}
+			if !punctured {
+				t.Fatalf("K=%d B=%d: no checked attempt had a step without symbols", k, B)
+			}
+		}
+	}
+}
+
 // TestQuantDecodeSteadyStateAllocs: the quantized path owns all its
 // scratch; after warmup a decode performs zero allocations (the float
 // analogue is TestDecodeSteadyStateAllocs).
@@ -252,6 +308,17 @@ func TestQuantDecodeSteadyStateAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(20, func() { dec.Decode() }); avg != 0 {
 		t.Fatalf("steady-state quantized Decode allocates: %g allocs/op", avg)
+	}
+	// Narrow decodes cut steps into smaller blocks; the scratch stays
+	// sized for the full width, so a full decode after one allocates
+	// nothing.
+	for _, w := range []int{1, 4, 16} {
+		if avg := testing.AllocsPerRun(20, func() {
+			dec.DecodeWidth(w)
+			dec.Decode()
+		}); avg != 0 {
+			t.Fatalf("steady-state DecodeWidth(%d) then Decode allocates: %g allocs/op", w, avg)
+		}
 	}
 }
 

@@ -24,7 +24,7 @@ func TestDecodeWidthMatchesNarrowDecoder(t *testing.T) {
 		wide := NewDecoder(nBits, p)
 		fresh := NewDecoder(nBits, p)
 		narrow := make(map[int]*Decoder)
-		for _, w := range []int{1, 16, 64} {
+		for _, w := range []int{1, 4, 8, 16, 64} {
 			pw := p
 			pw.B = w
 			narrow[w] = NewDecoder(nBits, pw)
@@ -40,7 +40,7 @@ func TestDecodeWidthMatchesNarrowDecoder(t *testing.T) {
 				d.Add(ids, y)
 			}
 		}
-		for _, w := range []int{1, 16, 64} {
+		for _, w := range []int{1, 4, 8, 16, 64} {
 			got, gotCost, ok := wide.DecodeWidth(w)
 			if !ok || wide.KernelUsed() != KernelQuantized {
 				t.Fatalf("trial %d: DecodeWidth(%d) did not run the quantized kernel", trial, w)

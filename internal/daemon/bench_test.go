@@ -23,6 +23,12 @@ import (
 // shows whether both shards keep a core busy: a shard that waits for
 // another shard's codec work lowers both numbers, where the engine
 // benchmarks, which run one engine, cannot see it.
+//
+// The client runs in the daemon's process: its goroutine shares the two
+// Ps with the two shards, so flows/s mixes the Go scheduling of the
+// client with the daemon's own cost, and a change that keeps the shards
+// busier can read slower here. bench/'s workloads drive spinald from a
+// separate client process; they are the daemon-only measure.
 func BenchmarkDaemonSaturated(b *testing.B) {
 	const outstanding = 16
 	d, err := New(Config{Shards: 2, SNRdB: 10, Seed: 1, Params: spinal.DefaultParams()})

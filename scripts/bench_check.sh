@@ -1,16 +1,23 @@
 #!/usr/bin/env sh
 # Bench-regression gate for CI: re-runs the guarded benchmarks
 # (BenchmarkDecode, BenchmarkDecodeQuantized, the float path at D=1 and
-# D=2, the noisy decodes at spinald's two operating points,
-# BenchmarkLinkEngine, BenchmarkLinkEnginePaper — one engine at B=256
-# with 16 flows and a two-way codec fan-out, the decoder's beam ladder —
-# BenchmarkFetchDelayed, the delayed-ack fetch
-# whose allocs/op would grow by a third if segments were resubmitted
-# again, and BenchmarkDaemonSaturated, a 2-shard B=256 daemon over
-# loopback, the only guarded run where one shard can stall another)
-# and compares
-# them against the newest checked-in BENCH_*.json snapshot
-# (scripts/bench.sh writes it).
+# D=2, the noisy decodes at the benchmark workloads' three block shapes
+# — daemon-paper's 528 bits at B=256, daemon-small's 144 bits at B=16
+# and fetch-delay4's 1024 bits at B=16 — BenchmarkLinkEngine,
+# BenchmarkLinkEnginePaper — one engine at B=256 with 16 flows and a
+# two-way codec fan-out, the decoder's beam ladder —
+# BenchmarkFetchDelayed, the delayed-ack fetch whose allocs/op would
+# grow by a third if segments were resubmitted again, and
+# BenchmarkDaemonSaturated, a 2-shard B=256 daemon over loopback, the
+# only guarded run where one shard can stall another) and compares them
+# against the newest checked-in BENCH_*.json snapshot (scripts/bench.sh
+# writes it).
+#
+# BenchmarkDaemonSaturated's client runs in the daemon's process and
+# shares its two Ps with the shards, so its flows/s mixes the Go
+# scheduling of that client with the daemon's own cost. It guards
+# against gross regressions only; bench/'s workloads, whose client is a
+# separate process, are the daemon-only measure.
 #
 # Thresholds and their rationale:
 #   - A benchmark fails when it exceeds its baseline by more than 20%.
@@ -41,7 +48,7 @@ tmp="$(mktemp)"
 best="$(mktemp)"
 trap 'rm -f "$tmp" "$best"' EXIT
 
-go test -run '^$' -bench 'BenchmarkDecode$|BenchmarkDecodeQuantized$|BenchmarkDecodeFloat256$|BenchmarkDecodeLookahead$|BenchmarkDecodeNoisyPaper$|BenchmarkDecodeNoisySmall$' \
+go test -run '^$' -bench 'BenchmarkDecode$|BenchmarkDecodeQuantized$|BenchmarkDecodeFloat256$|BenchmarkDecodeLookahead$|BenchmarkDecodeNoisyPaper$|BenchmarkDecodeNoisySmall$|BenchmarkDecodeNoisyFetch$' \
     -benchtime "$benchtime" -benchmem -count 3 . >"$tmp"
 go test -run '^$' -bench 'BenchmarkLinkEngine$|BenchmarkLinkEnginePaper$' -benchtime "$benchtime" -benchmem -count 3 ./internal/link/ >>"$tmp"
 go test -run '^$' -bench 'BenchmarkFetchDelayed$' -benchtime "$benchtime" -benchmem -count 3 ./internal/transport/ >>"$tmp"
@@ -93,21 +100,25 @@ while read -r name ns allocs; do
     fi
 done <"$best"
 
-# Line-rate gate for the quantized kernel's operating point (256-bit
-# message, one puncturing pass, B=32). Only the allocation half is
+# Zero-allocation gate for the quantized kernel at two operating points:
+# BenchmarkDecodeQuantized (256-bit message, one puncturing pass, B=32)
+# and BenchmarkDecodeNoisyFetch (1024-bit noisy block at B=16, whose
+# steps are cut into two expansion blocks). Only the allocation half is
 # absolute: zero steady-state allocs/op is deterministic on every
 # machine. Latency is gated relatively — best-of-3 ns/op against the
 # newest BENCH_*.json through the same 20% threshold as the loop above,
 # CPU-matched runs only. (This replaces the old absolute "<1 ms" line,
 # which measured the CI runner rather than the code and flaked on slow
 # shared machines; on foreign CPUs the ratio below is informational.)
-if ! awk -v gate="$gate" '$1 == "BenchmarkDecodeQuantized" {
-    found = 1
-    printf "bench_check: %-22s ns/op %.0f  allocs/op %d  [gate: 0 allocs absolute; ns relative (%s)]\n", $1, $2, $3, gate
-    if ($3 + 0 != 0) exit 1
-}
-END { if (!found) exit 1 }' "$best"; then
-    echo "bench_check: BenchmarkDecodeQuantized missing or allocating on the hot path" >&2
-    status=1
-fi
+for zero in BenchmarkDecodeQuantized BenchmarkDecodeNoisyFetch; do
+    if ! awk -v n="$zero" -v gate="$gate" '$1 == n {
+        found = 1
+        printf "bench_check: %-22s ns/op %.0f  allocs/op %d  [gate: 0 allocs absolute; ns relative (%s)]\n", $1, $2, $3, gate
+        if ($3 + 0 != 0) exit 1
+    }
+    END { if (!found) exit 1 }' "$best"; then
+        echo "bench_check: $zero missing or allocating on the hot path" >&2
+        status=1
+    fi
+done
 exit $status
