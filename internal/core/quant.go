@@ -10,40 +10,47 @@ import (
 // The quantized decode path: the bubble decoder of §4 run on the
 // Appendix B fixed-point datapath (internal/hw) instead of float64
 // branch metrics. Per spine step it quantizes the per-symbol squared
-// distances into saturating int32 tables and expands the beam in blocks
-// of contiguous parents. A candidate is its packed cost<<32 | origin key
-// from expansion on, written straight into the step's key pool with
-// only its RNG prefix alongside. One hashfn.OneAtATime.ExpandScore call
-// per block derives every child, scores it against the step's first
-// stored symbol and drops the ones the pruning bound dominates — one
-// fused SSE2 pass on amd64, as Appendix B's workers hash and score a
-// child before streaming it to selection. Each further stored symbol
-// costs one hashfn.FinishWords + hw.AccumulateCompact pass over the
-// block's survivors. The best B are kept via in-place hw.SelectKeys:
-// quickselect over a branchless Lomuto partition. Selection runs
-// whenever the survivor pool reaches 2B after a block and once at the
-// end of the step; each select trims back to B and re-tightens the
-// pruning bound to the exact running B-th-best (the select pivot), so
-// every later block of the step is filtered by it. The block size
-// follows the decode width (quantBlockCand), so that a step of B ≥ 2
-// parents spans at least two blocks: 256 candidates once a step holds
-// 512 or more (B ≥ 32 at K=4), half the step below that. At K ≥ 2 the
-// bound therefore tightens inside every such step; at K=1 half a step
-// is only B candidates, short of the 2B that triggers a select. The
-// float path in search.go selects the same way over (score, origin)
-// pairs and remains the reference implementation.
+// distances into saturating int32 tables (hw.Quantizer.BuildDistTables,
+// two branch-free entries per SSE2 instruction on amd64) and expands
+// the beam in blocks of contiguous parents. A candidate is its packed
+// cost<<32 | origin key from expansion on, written straight into the
+// step's key pool with only its RNG prefix alongside. One
+// hashfn.OneAtATime.ExpandScore call per block derives every child,
+// scores it against the step's first stored symbol and drops the ones
+// the pruning bound dominates — one fused SSE2 pass on amd64, as
+// Appendix B's workers hash and score a child before streaming it to
+// selection. Each further stored symbol costs one hashfn.FinishScore
+// pass over the block's survivors: FinishWords and hw.AccumulateCompact
+// fused, so on amd64 the RNG words go from SSE2 lanes to the table
+// lookups without a buffer in between. The best B are kept via
+// in-place hw.SelectKeys: quickselect over a branchless Lomuto
+// partition, whose last range is finished by a 16-key sorting network
+// of conditional moves (by insertion sort under 8 keys).
+// Selection runs whenever the survivor pool reaches 2B after a block,
+// the first time it reaches B while the bound is still open and
+// parents remain, and once at the end of the step; each select trims
+// back to B and re-tightens the pruning bound to the exact running
+// B-th best (the select pivot), so every later block of the step is
+// filtered by it. The block size follows the decode width
+// (quantBlockCand), so that a step of B ≥ 2 parents spans at least two
+// blocks: 256 candidates once a step holds 512 or more (B ≥ 32 at
+// K=4), half the step below that. The bound therefore tightens inside
+// every such step at every K. The float path in search.go selects the
+// same way over (score, origin) pairs and remains the reference
+// implementation.
 //
 // Beam order is an invariant: each step emits its survivors sorted by
 // packed key (cost, then origin; hw.SortKeys, a quicksort over the same
-// partition), so the next step expands parents in ascending cost order
-// and stops at the first parent the running threshold dominates.
-// Selection over unique packed keys makes the survivor set — and
-// therefore the decode — fully deterministic, independent of block
-// boundaries and of the selection algorithm: the survivors are the B
-// smallest keys of the step, tau is the cost of the B-th smallest key
-// seen so far, and a later block only holds larger origins, so a
-// candidate it drops at cost ≥ tau has at least B smaller keys ahead of
-// it (TestQuantDecodeBlockIndependent checks every block size).
+// partition and finish), so the next step expands parents in
+// ascending cost order and stops at the first parent the running
+// threshold dominates. Selection over unique packed keys makes the
+// survivor set — and therefore the decode — fully deterministic,
+// independent of block boundaries and of the selection algorithm: the
+// survivors are the B smallest keys of the step, tau is the cost of the
+// B-th smallest key seen so far, and a later block only holds larger
+// origins, so a candidate it drops at cost ≥ tau has at least B smaller
+// keys ahead of it (TestQuantDecodeBlockIndependent checks every block
+// size).
 
 // quantMaxStates bounds B·2^K on the quantized path: child states are
 // stashed densely by origin (parentRank<<kb | branchBits), so the stash
@@ -65,6 +72,21 @@ const quantMaxStates = 1 << 22
 func quantBlockCand(B, k int) int {
 	fan := 1 << uint(k)
 	return min(256, max(fan, B*fan/2))
+}
+
+// quantSelectDue reports whether a step selects its best B after a
+// block, leaving a pool of the given size, the pruning bound tau and
+// more parents still to expand or not. It re-selects once the pool
+// doubles: trimming back to B re-tightens tau to the exact running B-th
+// best (the select's pivot cost). Selecting at 2B rather than every
+// block halves the number of partitions while each still costs O(2B) —
+// tau is at most one pool-doubling stale, which only admits extra
+// candidates, never loses one. The first time the pool holds B keys, tau
+// is closed at once if parents remain, so the rest of the step is never
+// scored against an open threshold; at K=1 a first block of half a step
+// is exactly B keys and would otherwise leave tau open.
+func quantSelectDue(pool, B int, tau int32, more bool) bool {
+	return pool >= 2*B || pool >= B && tau == math.MaxInt32 && more
 }
 
 // quantAbsYLimit is the largest |y| a stored symbol may contribute to
@@ -96,8 +118,7 @@ type quantSearch struct {
 	// pre holds the RNG prefixes of the current block's candidates,
 	// parallel to the block's window of keys.
 	pre  []uint32
-	wbuf []uint32 // per-symbol RNG words for the block being scored
-	tabs []int32  // one step's distance tables: n symbols × 2 dims × 2^C
+	tabs []int32 // one step's distance tables: n symbols × 2 dims × 2^C
 }
 
 func ensureU32(s []uint32, n int) []uint32 {
@@ -174,7 +195,6 @@ func (d *Decoder) decodeQuantized(dst []byte, B, blockCand int) ([]byte, float64
 	q.b2Back = ensureI32(q.b2Back, maxB)
 	q.sByOrg = ensureU32(q.sByOrg, maxB<<uint(k))
 	q.pre = ensureU32(q.pre, maxBlock)
-	q.wbuf = ensureU32(q.wbuf, maxBlock)
 	if cap(q.keys) < 2*maxB+maxBlock {
 		q.keys = make([]uint64, 0, 2*maxB+maxBlock)
 	}
@@ -234,20 +254,13 @@ func (d *Decoder) decodeQuantized(dst []byte, B, blockCand int) ([]byte, float64
 			bn := d.oaat.ExpandScore(bState[bi:bend], bCost[bi:bend], uint32(bi)<<uint(kb), kb, t0, tau,
 				dI0, dQ0, d.cmask, cshift, q.sByOrg[bi<<uint(kb):bend<<uint(kb)], blk, q.pre)
 			for i := 1; i < n && bn > 0; i++ {
-				hashfn.FinishWords(q.pre[:bn], ts[i], q.wbuf[:bn])
 				o := i * 2 * L
-				bn = hw.AccumulateCompact(tau, blk, q.pre, q.wbuf[:bn],
+				bn = hashfn.FinishScore(tau, blk, q.pre[:bn], ts[i],
 					tabs[o:o+L], tabs[o+L:o+2*L], d.cmask, cshift)
 			}
 			keys = keys[:nk+bn]
 			bi = bend
-			// Re-select once the survivor pool doubles: trimming back to B
-			// re-tightens tau to the exact running B-th best (the select's
-			// pivot cost). Selecting at 2B rather than every block halves
-			// the number of partitions while each still costs O(2B) — tau
-			// is at most one pool-doubling stale, which only admits extra
-			// candidates, never loses one.
-			if len(keys) >= 2*B {
+			if quantSelectDue(len(keys), B, tau, bi < nbeam) {
 				pivot := hw.SelectKeys(keys, B)
 				keys = keys[:B]
 				tau = int32(pivot >> 32)

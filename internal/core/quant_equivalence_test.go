@@ -284,6 +284,48 @@ func TestQuantDecodeBlockIndependent(t *testing.T) {
 	}
 }
 
+// TestQuantK1TightensWithinStep: at K=1 a block of half a step holds
+// only B candidates, short of the 2B that triggers a select, so the
+// decode also selects the first time the pool reaches B while tau is
+// open and parents remain. The first block of a K=1 step therefore
+// closes tau, a closed tau is only re-tightened at 2B, and the half-step
+// blocks decode the same message at the same cost as one open block per
+// step.
+func TestQuantK1TightensWithinStep(t *testing.T) {
+	for _, B := range []int{2, 4, 16, 64, 256} {
+		first := quantBlockCand(B, 1) // no candidate of it is pruned: tau is open
+		parents := first >> 1
+		if !quantSelectDue(first, B, math.MaxInt32, parents < B) {
+			t.Errorf("B=%d: a first block of %d candidates leaves tau open", B, first)
+		}
+		if quantSelectDue(2*B-1, B, 100, true) || !quantSelectDue(2*B, B, 100, true) {
+			t.Errorf("B=%d: a closed tau is not re-selected exactly at a pool of 2B", B)
+		}
+		if quantSelectDue(B, B, math.MaxInt32, false) {
+			t.Errorf("B=%d: a select is due after the step's last block", B)
+		}
+	}
+	rng := rand.New(rand.NewSource(506))
+	const nBits = 96
+	for _, B := range []int{4, 16, 64} {
+		p := Params{K: 1, B: B, D: 1, C: 6, Tail: 2, Ways: 8, Kernel: KernelQuantized}
+		msg := randomMessage(rng, nBits)
+		enc := NewEncoder(msg, nBits, p)
+		dec := NewDecoder(nBits, p)
+		sched := enc.NewSchedule()
+		ch := channel.NewAWGN(6, int64(B))
+		for sub := 0; sub < 2*p.Ways; sub++ {
+			ids := sched.NextSubpass()
+			dec.Add(ids, ch.Transmit(enc.Symbols(ids)))
+		}
+		got, cost, ok := dec.decodeQuantized(nil, B, quantBlockCand(B, 1))
+		want, wantCost, wantOK := dec.decodeQuantized(nil, B, 2*B)
+		if !ok || !wantOK || !bytes.Equal(got, want) || cost != wantCost {
+			t.Fatalf("B=%d: half-step blocks decode %x/%g, whole-step blocks %x/%g", B, got, cost, want, wantCost)
+		}
+	}
+}
+
 // TestQuantDecodeSteadyStateAllocs: the quantized path owns all its
 // scratch; after warmup a decode performs zero allocations (the float
 // analogue is TestDecodeSteadyStateAllocs).

@@ -19,3 +19,10 @@ func childrenPrefixes(h0, seed uint32, cs, pre []uint32)
 //
 //go:noescape
 func expandScore(o OneAtATime, states []uint32, costs []int32, org0 uint32, kb int, t uint32, tau int32, dI, dQ []int32, cmask, cshift uint32, cs []uint32, keys []uint64, pre []uint32) int
+
+// finishScore is FinishScore after its bounds are settled: one SSE2
+// pass over the block (hash_amd64.s). finishScoreGo states what it
+// computes.
+//
+//go:noescape
+func finishScore(tau int32, keys []uint64, pre []uint32, t uint32, dI, dQ []int32, cmask, cshift uint32) int

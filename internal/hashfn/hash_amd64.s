@@ -1,16 +1,16 @@
 #include "textflag.h"
 
-// SSE2 forms of FinishWords, ChildrenPrefixes and ExpandScore: four
-// one-at-a-time chains per 128-bit register, one lane per candidate.
-// SSE2 is in the amd64 baseline, so there is no feature probe. The
-// loops stay on legacy-SSE encodings throughout; mixing them with VEX
-// (AVX) ops would pay an SSE/AVX state transition per call.
+// SSE2 forms of FinishWords, ChildrenPrefixes, ExpandScore and
+// FinishScore: four one-at-a-time chains per 128-bit register, one lane
+// per candidate. SSE2 is in the amd64 baseline, so there is no feature
+// probe. The loops stay on legacy-SSE encodings throughout; mixing them
+// with VEX (AVX) ops would pay an SSE/AVX state transition per call.
 //
-// Each kernel runs four lanes per iteration (ExpandScore: eight, in two
-// chains), then finishes the remaining elements one at a time through
-// the same vector code, using lane 0 only, so every length is handled
-// here and the output is bit-identical to the scalar WordFinish /
-// Sum+Prefix.
+// Each kernel runs four lanes per iteration (ExpandScore and
+// FinishScore: eight, in two chains), then finishes the remaining
+// elements one at a time through the same vector code, using lane 0
+// only, so every length is handled here and the output is bit-identical
+// to the scalar WordFinish / Sum+Prefix.
 
 // OAAT absorbs byte vector b into hash vector h (oaatByte per lane):
 // h += b; h += h<<10; h ^= h>>6. t is clobbered.
@@ -443,6 +443,106 @@ esnext:
 
 esdone:
 	MOVQ R10, ret+208(FP)
+	RET
+
+// LANEK is LANE for a candidate already in the key pool: its key is
+// keys[R12+l] (keys at R8, R12 the read index), and the survivor is
+// written back in place at R10, which never passes the read index.
+#define LANEK(w, p, l) \
+	MOVL w(SP), AX; \
+	MOVL AX, BX; \
+	ANDL R13, AX; \
+	SHRL CX, BX; \
+	ANDL R13, BX; \
+	MOVL (SI)(AX*4), AX; \
+	ADDL (DI)(BX*4), AX; \
+	SHLQ $32, AX; \
+	ADDQ (l*8)(R8)(R12*8), AX; \
+	MOVQ AX, (R8)(R10*8); \
+	MOVL p(SP), BX; \
+	MOVL BX, (R9)(R10*4); \
+	CMPQ AX, R11; \
+	ADCQ $0, R10
+
+// func finishScore(tau int32, keys []uint64, pre []uint32, t uint32, dI, dQ []int32, cmask, cshift uint32) int
+//
+// Stack: RNG words at 0–31(SP) and prefixes at 32–63(SP), chain A's
+// four lanes then chain B's, as in expandScore. The prefixes are read
+// from pre before any lane of the iteration writes back.
+TEXT ·finishScore(SB), NOSPLIT, $64-128
+	MOVL   t+56(FP), AX
+	MOVL   AX, BX
+	ANDL   $0xff, BX
+	MOVL   BX, X11
+	PSHUFD $0, X11, X11
+	MOVL   AX, BX
+	SHRL   $8, BX
+	ANDL   $0xff, BX
+	MOVL   BX, X12
+	PSHUFD $0, X12, X12
+	MOVL   AX, BX
+	SHRL   $16, BX
+	ANDL   $0xff, BX
+	MOVL   BX, X13
+	PSHUFD $0, X13, X13
+	SHRL   $24, AX
+	MOVL   AX, X14
+	PSHUFD $0, X14, X14
+
+	MOVL tau+0(FP), R11
+	SHLQ $32, R11
+	MOVQ keys_base+8(FP), R8
+	MOVQ pre_base+32(FP), R9
+	MOVQ pre_len+40(FP), DX
+	MOVQ dI_base+64(FP), SI
+	MOVQ dQ_base+88(FP), DI
+	MOVL cmask+112(FP), R13
+	MOVL cshift+116(FP), CX
+	XORQ R10, R10
+	XORQ R12, R12
+	MOVQ DX, R14
+	ANDQ $-8, R14
+
+fs8:
+	CMPQ  R12, R14
+	JGE   fs1
+	MOVOU (R9)(R12*4), X2
+	MOVOU 16(R9)(R12*4), X6
+	MOVOU X2, 32(SP)
+	MOVOU X6, 48(SP)
+	FINISH2
+	MOVOU X2, 0(SP)
+	MOVOU X6, 16(SP)
+	LANEK(0, 32, 0)
+	LANEK(4, 36, 1)
+	LANEK(8, 40, 2)
+	LANEK(12, 44, 3)
+	LANEK(16, 48, 4)
+	LANEK(20, 52, 5)
+	LANEK(24, 56, 6)
+	LANEK(28, 60, 7)
+	ADDQ  $8, R12
+	JMP   fs8
+
+	// The 0–7 remaining candidates go one at a time through lane 0 of
+	// chain A.
+fs1:
+	CMPQ R12, DX
+	JGE  fsdone
+	MOVL (R9)(R12*4), X2
+	MOVL X2, 32(SP)
+	OAAT(X2, X11, X1)
+	OAAT(X2, X12, X1)
+	OAAT(X2, X13, X1)
+	OAAT(X2, X14, X1)
+	AVALANCHE(X2, X1)
+	MOVL X2, 0(SP)
+	LANEK(0, 32, 0)
+	INCQ R12
+	JMP  fs1
+
+fsdone:
+	MOVQ R10, ret+120(FP)
 	RET
 
 DATA lanes<>+0(SB)/4, $0

@@ -41,3 +41,9 @@ func childrenPrefixes(h0, seed uint32, cs, pre []uint32) {
 func expandScore(o OneAtATime, states []uint32, costs []int32, org0 uint32, kb int, t uint32, tau int32, dI, dQ []int32, cmask, cshift uint32, cs []uint32, keys []uint64, pre []uint32) int {
 	return expandScoreGo(o, states, costs, org0, kb, t, tau, dI, dQ, cmask, cshift, cs, keys, pre)
 }
+
+// finishScore is FinishScore after its bounds are settled: the portable
+// composition.
+func finishScore(tau int32, keys []uint64, pre []uint32, t uint32, dI, dQ []int32, cmask, cshift uint32) int {
+	return finishScoreGo(tau, keys, pre, t, dI, dQ, cmask, cshift)
+}

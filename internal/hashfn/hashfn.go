@@ -366,3 +366,40 @@ func expandScoreGo(o OneAtATime, states []uint32, costs []int32, org0 uint32, kb
 	}
 	return n
 }
+
+// FinishScore scores one further stored symbol of a step for a block of
+// candidates and compacts the survivors, in one pass: candidate j's RNG
+// word WordFinish(pre[j], t) indexes dI and dQ, the table sum is added
+// to the cost half of its packed key keys[j], and candidates whose cost
+// reaches tau (≥ 0) are dropped, exactly as FinishWords followed by
+// hw.AccumulateCompact. Survivors keep encounter order in the front of
+// (keys, pre), in place; their count is returned. keys must be at least
+// as long as pre, and cshift < 32.
+//
+// On amd64 one SSE2 pass finishes eight words per iteration in two
+// four-lane chains and scores them straight from the stack, so the
+// words never make the round trip through a buffer that the two
+// separate passes need.
+func FinishScore(tau int32, keys []uint64, pre []uint32, t uint32, dI, dQ []int32, cmask uint32, cshift uint) int {
+	return finishScore(tau, keys[:len(pre)], pre, t, dI[:cmask+1], dQ[:cmask+1], cmask, uint32(cshift))
+}
+
+// finishScoreGo is FinishScore after its bounds are settled, composed
+// from FinishWords and hw.AccumulateCompact over chunks of at most 256
+// candidates, each chunk's survivors moved down to the write index: the
+// portable kernel on every other GOARCH and the oracle the SSE2 one is
+// tested against.
+func finishScoreGo(tau int32, keys []uint64, pre []uint32, t uint32, dI, dQ []int32, cmask, cshift uint32) int {
+	var words [256]uint32
+	n := 0
+	for j := 0; j < len(pre); j += len(words) {
+		end := min(j+len(words), len(pre))
+		w := words[:end-j]
+		FinishWords(pre[j:end], t, w)
+		m := hw.AccumulateCompact(tau, keys[j:end], pre[j:end], w, dI, dQ, cmask, uint(cshift))
+		copy(keys[n:], keys[j:j+m])
+		copy(pre[n:], pre[j:j+m])
+		n += m
+	}
+	return n
+}

@@ -202,6 +202,104 @@ func FuzzExpandScore(f *testing.F) {
 	})
 }
 
+// checkFinishScore requires FinishScore (the fused SSE2 pass on amd64)
+// and finishScoreGo (its composition from FinishWords and
+// hw.AccumulateCompact) to equal a per-candidate scalar reference:
+// WordFinish, the table sum added to the key, and the candidate kept
+// exactly when its cost is below tau, in encounter order. Nothing may be
+// written past the block.
+func checkFinishScore(t *testing.T, costs []int32, pre []uint32, tv uint32, tau int32, dI, dQ []int32, cbits uint) {
+	t.Helper()
+	const guard = 0xdeadbeef
+	n := len(pre)
+	cmask := uint32(1)<<cbits - 1
+	var wkeys []uint64
+	var wpre []uint32
+	keys := make([]uint64, n+1)
+	for j, c := range costs {
+		keys[j] = uint64(c)<<32 | uint64(j*7919)
+		w := WordFinish(pre[j], tv)
+		key := keys[j] + uint64(dI[w&cmask]+dQ[w>>cbits&cmask])<<32
+		if int64(key>>32) < int64(tau) {
+			wkeys, wpre = append(wkeys, key), append(wpre, pre[j])
+		}
+	}
+	for _, f := range []struct {
+		name string
+		run  func(keys []uint64, pre []uint32) int
+	}{
+		{"FinishScore", func(keys []uint64, pre []uint32) int {
+			return FinishScore(tau, keys, pre, tv, dI, dQ, cmask, cbits)
+		}},
+		{"finishScoreGo", func(keys []uint64, pre []uint32) int {
+			return finishScoreGo(tau, keys, pre, tv, dI, dQ, cmask, uint32(cbits))
+		}},
+	} {
+		k, p := append([]uint64(nil), keys...), append(append([]uint32(nil), pre...), guard)
+		k[n] = guard
+		got := f.run(k, p[:n])
+		where := fmt.Sprintf("%s n=%d t=%#x tau=%d C=%d", f.name, n, tv, tau, cbits)
+		if got != len(wkeys) {
+			t.Fatalf("%s: %d survivors, reference keeps %d", where, got, len(wkeys))
+		}
+		for j := range wkeys {
+			if k[j] != wkeys[j] || p[j] != wpre[j] {
+				t.Fatalf("%s: survivor %d = (%#x, %#x), reference (%#x, %#x)", where, j, k[j], p[j], wkeys[j], wpre[j])
+			}
+		}
+		if k[n] != guard || p[n] != guard {
+			t.Fatalf("%s: wrote past the block", where)
+		}
+	}
+}
+
+// finishBlock draws n candidates with random prefixes and costs below
+// 2^29.
+func finishBlock(rng *rand.Rand, n int) (costs []int32, pre []uint32) {
+	costs, pre = make([]int32, n), make([]uint32, n)
+	for j := range costs {
+		costs[j] = rng.Int31n(1 << 29)
+		pre[j] = rng.Uint32()
+	}
+	return costs, pre
+}
+
+// TestFinishScoreMatchesScalar holds the fused kernel and its
+// composition to the scalar reference on every block length mod 8 from
+// 0 to 24 and around the composition's 256-candidate chunk, tau at
+// MaxInt32, 0 and mid-range, and random, saturated and all-zero tables.
+func TestFinishScoreMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for _, cbits := range []uint{1, 6, 10} {
+		for mode := 0; mode < 3; mode++ {
+			dI, dQ := expandTables(rng, cbits, mode)
+			for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 24, 255, 256, 257, 263, 520} {
+				costs, pre := finishBlock(rng, n)
+				for _, tau := range []int32{math.MaxInt32, 0, 1 << 28, 1<<29 + hw.DimCapMax} {
+					checkFinishScore(t, costs, pre, rng.Uint32(), tau, dI, dQ, cbits)
+				}
+			}
+		}
+	}
+}
+
+// FuzzFinishScore: for any block of candidates, symbol index, tau and
+// tables, the fused kernel and its composition equal the scalar
+// reference.
+func FuzzFinishScore(f *testing.F) {
+	f.Add(int64(0), uint16(13), uint32(0), int32(math.MaxInt32), int64(1), uint8(4))
+	f.Add(int64(7), uint16(300), uint32(7), int32(1<<28), int64(2), uint8(1))
+	f.Fuzz(func(t *testing.T, block int64, n uint16, tv uint32, tau int32, tables int64, mode uint8) {
+		costs, pre := finishBlock(rand.New(rand.NewSource(block)), int(n%600))
+		cbits := uint(1 + mode/3%10)
+		dI, dQ := expandTables(rand.New(rand.NewSource(tables)), cbits, int(mode%3))
+		if tau < 0 {
+			tau = -(tau + 1)
+		}
+		checkFinishScore(t, costs, pre, tv, tau, dI, dQ, cbits)
+	})
+}
+
 func BenchmarkFinishWords(b *testing.B) {
 	prefixes := make([]uint32, 256)
 	for i := range prefixes {
@@ -235,5 +333,20 @@ func BenchmarkExpandScore(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		states[0] = uint32(i)
 		o.ExpandScore(states, costs, 0, 4, 3, math.MaxInt32, dI, dQ, 63, 6, cs, keys, pre)
+	}
+}
+
+// BenchmarkFinishScore scores one further stored symbol for a block of
+// 128 candidates (half a B=16 step at k=4) with every candidate
+// surviving.
+func BenchmarkFinishScore(b *testing.B) {
+	dI, dQ := expandTables(rand.New(rand.NewSource(1)), 6, 0)
+	costs, pre := finishBlock(rand.New(rand.NewSource(2)), 128)
+	keys := make([]uint64, len(pre))
+	for i := 0; i < b.N; i++ {
+		for j, c := range costs {
+			keys[j] = uint64(c) << 32
+		}
+		FinishScore(math.MaxInt32, keys, pre, uint32(i), dI, dQ, 63, 6)
 	}
 }

@@ -1,12 +1,16 @@
 // Package hw is the Appendix B hardware bubble decoder, in two layers.
 //
 // kernel.go is the datapath, realized in software: the saturating
-// fixed-point quantizer, per-symbol distance tables, batched int32
+// fixed-point quantizer, per-symbol distance tables (built by SSE2 on
+// amd64, kernel_amd64.s, and by a Go loop elsewhere), batched int32
 // branch-cost accumulation, in-place compaction of dominated
 // candidates, and the partial-select unit that keeps the best B of a
-// step's candidates. internal/core drives these primitives as its
-// default decode kernel; the equivalence suite there pins the quantized
-// results to the float reference path within a documented tolerance.
+// step's candidates, ending in a 16-key sorting network (insertion sort
+// for ranges under 8 keys) as the hardware's selection unit ends in a
+// bitonic one. internal/core drives
+// these primitives as its default decode kernel; the equivalence suite
+// there pins the quantized results to the float reference path within
+// a documented tolerance.
 //
 // hw.go is the performance/area model of the same microarchitecture: a
 // dispatcher feeding M worker units (each with several hash engines), a

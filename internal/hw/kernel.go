@@ -3,6 +3,7 @@ package hw
 import (
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // This file is the software realization of the Appendix B datapath: the
@@ -15,7 +16,13 @@ import (
 // dominated candidates in place, and keep the best B by an in-place
 // partial select — so the inner loops are branch-light passes over
 // dense slices, like the hardware's worker array streaming scored
-// candidates into the selection unit.
+// candidates into the selection unit. The table build, compaction and
+// partitioning never branch on a candidate's value: the tables are
+// built two entries per SSE2 instruction on amd64 (kernel_amd64.s), and
+// compaction and partitioning advance a write index by a borrow. A
+// select's or sort's last range of 8 to 16 keys is finished by a
+// sorting network of conditional moves, a shorter one by insertion
+// sort.
 //
 // Arithmetic contract (asserted by the equivalence suite in
 // internal/core): per-dimension squared distances are quantized to at
@@ -80,9 +87,12 @@ func NewQuantizer(maxDim2 float64, nsyms int) (Quantizer, bool) {
 }
 
 // Quantize converts one squared distance to fixed point, saturating at
-// the cap. The !(< cap) comparison routes NaN to the cap as well.
+// the cap. The !(< cap) comparison routes NaN to the cap as well. The
+// conversion rounds v·scale before the half is added, so no platform
+// fuses the two into one multiply-add and every build quantizes as the
+// SSE2 table kernel does.
 func (q Quantizer) Quantize(v float64) int32 {
-	s := v*q.scale + 0.5
+	s := float64(v*q.scale) + 0.5
 	if !(s < float64(q.cap)) {
 		return q.cap
 	}
@@ -113,13 +123,12 @@ func (q Quantizer) Tolerance(n int) float64 { return float64(n) * q.Step() }
 // the cap through the saturating Quantize — the symbol still participates
 // but cannot dominate a finite one, which is the saturation behaviour
 // the fuzz target asserts.
+//
+// On amd64 an SSE2 kernel (kernel_amd64.s) computes two entries per
+// instruction without a branch; elsewhere a Go loop over Quantize does.
+// FuzzBuildDistTables holds the kernel to Quantize entry by entry.
 func (q Quantizer) BuildDistTables(yI, yQ float64, x []float64, dI, dQ []int32) {
-	for v, xv := range x {
-		di := yI - xv
-		dq := yQ - xv
-		dI[v] = q.Quantize(di * di)
-		dQ[v] = q.Quantize(dq * dq)
-	}
+	buildDistTables(q, yI, yQ, x, dI[:len(x)], dQ[:len(x)])
 }
 
 // AccumulateCompact scores one stored symbol for a block of candidates
@@ -135,8 +144,10 @@ func (q Quantizer) BuildDistTables(yI, yQ float64, x []float64, dI, dQ []int32) 
 // returned. In-place safe: the write index never passes the read index.
 // Requires tau ≥ 0; overflow-free by the NewQuantizer cap invariant,
 // which keeps every cost, and so every carry into the key's top half,
-// below 2^31. hashfn.OneAtATime.ExpandScore runs the same pass for a
-// step's first stored symbol, fused with the expansion.
+// below 2^31. The decoder runs this pass fused with the hashing that
+// feeds it: hashfn.OneAtATime.ExpandScore for a step's first stored
+// symbol, hashfn.FinishScore for the rest. It stays the reference both
+// are tested against and their portable form.
 func AccumulateCompact(tau int32, keys []uint64, pre, words []uint32, dI, dQ []int32, cmask uint32, cshift uint) int {
 	dI = dI[: cmask+1 : cmask+1]
 	dQ = dQ[: cmask+1 : cmask+1]
@@ -167,9 +178,14 @@ func AccumulateCompact(tau int32, keys []uint64, pre, words []uint32, dI, dQ []i
 // cost-tied candidates that survive are those with the smallest origins
 // (§4.3 permits any tie-breaking). Requires 1 ≤ k ≤ len(keys). This is
 // the software form of the Appendix B selection unit: an in-place
-// quickselect over partitionKeys, which the float decode path mirrors
-// over (score, origin) pairs.
+// quickselect over partitionKeys whose last range of at most
+// sortCutoff keys sortShortKeys sorts. The float decode path mirrors
+// the quickselect over (score, origin) pairs.
 func SelectKeys(keys []uint64, k int) uint64 {
+	if k == len(keys) {
+		// Every key is selected: the k-th smallest is the largest.
+		return slices.Max(keys)
+	}
 	lo, hi := 0, len(keys)
 	for hi-lo > sortCutoff {
 		m := lo + partitionKeys(keys[lo:hi])
@@ -182,12 +198,13 @@ func SelectKeys(keys []uint64, k int) uint64 {
 			return keys[m]
 		}
 	}
-	insertionSortKeys(keys[lo:hi])
+	sortShortKeys(keys[lo:hi])
 	return keys[k-1]
 }
 
 // SortKeys sorts keys ascending: quicksort over partitionKeys, the
-// selection's own partition, recursing into the shorter side. The
+// selection's own partition, recursing into the shorter side, with
+// every range of at most sortCutoff keys left to sortShortKeys. The
 // decoder sorts each step's B survivors with it to fix their order.
 func SortKeys(keys []uint64) {
 	for len(keys) > sortCutoff {
@@ -200,10 +217,10 @@ func SortKeys(keys []uint64) {
 			keys = keys[:m]
 		}
 	}
-	insertionSortKeys(keys)
+	sortShortKeys(keys)
 }
 
-// sortCutoff is the range length at and below which insertion sort
+// sortCutoff is the range length at and below which sortShortKeys
 // finishes a select or sort.
 const sortCutoff = 16
 
@@ -242,15 +259,125 @@ func partitionKeys(keys []uint64) int {
 	return n
 }
 
-// insertionSortKeys sorts a short keys ascending.
-func insertionSortKeys(keys []uint64) {
-	for a := 1; a < len(keys); a++ {
-		v := keys[a]
-		b := a - 1
-		for b >= 0 && keys[b] > v {
-			keys[b+1] = keys[b]
-			b--
+// sortShortKeys sorts at most sortCutoff keys ascending, choosing by
+// length: a full range in place with the sortKeys16 network, one of
+// netMin to 15 keys with the network over a copy padded with
+// math.MaxUint64 (the largest key, so the range's keys come out first
+// and in order), and a shorter one with insertion sort, where the
+// network's fixed 63 compare-exchanges cost more than a few branches.
+func sortShortKeys(keys []uint64) {
+	switch {
+	case len(keys) == sortCutoff:
+		sortKeys16((*[sortCutoff]uint64)(keys))
+	case len(keys) >= netMin:
+		pad := pad16
+		copy(pad[:], keys)
+		sortKeys16(&pad)
+		copy(keys, pad[:])
+	default:
+		for a := 1; a < len(keys); a++ {
+			v := keys[a]
+			b := a - 1
+			for b >= 0 && keys[b] > v {
+				keys[b+1] = keys[b]
+				b--
+			}
+			keys[b+1] = v
 		}
-		keys[b+1] = v
 	}
+}
+
+// netMin is the shortest range sortShortKeys sorts with the network.
+// Inside decodes, switching at 8 reads the same as padding every range
+// of 2 or more keys, and 4–6% faster than keeping insertion sort for
+// every range under 16 keys at the 1024-bit B=16 and 528-bit B=64 and
+// B=256 shapes (EXPERIMENTS.md, "Kernel v5").
+const netMin = 8
+
+// pad16 is the padded network input before a range is copied in.
+var pad16 = [sortCutoff]uint64{
+	math.MaxUint64, math.MaxUint64, math.MaxUint64, math.MaxUint64,
+	math.MaxUint64, math.MaxUint64, math.MaxUint64, math.MaxUint64,
+	math.MaxUint64, math.MaxUint64, math.MaxUint64, math.MaxUint64,
+	math.MaxUint64, math.MaxUint64, math.MaxUint64, math.MaxUint64,
+}
+
+// sortKeys16 sorts 16 keys ascending with Batcher's odd-even merge sort
+// network: 63 compare-exchanges in 10 layers, each a min and a max,
+// which compile to conditional moves. A comparison sort such as
+// insertion sort branches on outcomes that are near-random for beam
+// keys, about one mispredicted branch per key; the network has no
+// data-dependent branch.
+func sortKeys16(a *[sortCutoff]uint64) {
+	k0, k1, k2, k3, k4, k5, k6, k7 := a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7]
+	k8, k9, k10, k11, k12, k13, k14, k15 := a[8], a[9], a[10], a[11], a[12], a[13], a[14], a[15]
+	// Sort pairs, then merge them into sorted runs of 4, 8 and 16.
+	k0, k1 = min(k0, k1), max(k0, k1)
+	k2, k3 = min(k2, k3), max(k2, k3)
+	k4, k5 = min(k4, k5), max(k4, k5)
+	k6, k7 = min(k6, k7), max(k6, k7)
+	k8, k9 = min(k8, k9), max(k8, k9)
+	k10, k11 = min(k10, k11), max(k10, k11)
+	k12, k13 = min(k12, k13), max(k12, k13)
+	k14, k15 = min(k14, k15), max(k14, k15)
+
+	k0, k2 = min(k0, k2), max(k0, k2)
+	k1, k3 = min(k1, k3), max(k1, k3)
+	k4, k6 = min(k4, k6), max(k4, k6)
+	k5, k7 = min(k5, k7), max(k5, k7)
+	k8, k10 = min(k8, k10), max(k8, k10)
+	k9, k11 = min(k9, k11), max(k9, k11)
+	k12, k14 = min(k12, k14), max(k12, k14)
+	k13, k15 = min(k13, k15), max(k13, k15)
+	k1, k2 = min(k1, k2), max(k1, k2)
+	k5, k6 = min(k5, k6), max(k5, k6)
+	k9, k10 = min(k9, k10), max(k9, k10)
+	k13, k14 = min(k13, k14), max(k13, k14)
+
+	k0, k4 = min(k0, k4), max(k0, k4)
+	k1, k5 = min(k1, k5), max(k1, k5)
+	k2, k6 = min(k2, k6), max(k2, k6)
+	k3, k7 = min(k3, k7), max(k3, k7)
+	k8, k12 = min(k8, k12), max(k8, k12)
+	k9, k13 = min(k9, k13), max(k9, k13)
+	k10, k14 = min(k10, k14), max(k10, k14)
+	k11, k15 = min(k11, k15), max(k11, k15)
+	k2, k4 = min(k2, k4), max(k2, k4)
+	k3, k5 = min(k3, k5), max(k3, k5)
+	k10, k12 = min(k10, k12), max(k10, k12)
+	k11, k13 = min(k11, k13), max(k11, k13)
+	k1, k2 = min(k1, k2), max(k1, k2)
+	k3, k4 = min(k3, k4), max(k3, k4)
+	k5, k6 = min(k5, k6), max(k5, k6)
+	k9, k10 = min(k9, k10), max(k9, k10)
+	k11, k12 = min(k11, k12), max(k11, k12)
+	k13, k14 = min(k13, k14), max(k13, k14)
+
+	k0, k8 = min(k0, k8), max(k0, k8)
+	k1, k9 = min(k1, k9), max(k1, k9)
+	k2, k10 = min(k2, k10), max(k2, k10)
+	k3, k11 = min(k3, k11), max(k3, k11)
+	k4, k12 = min(k4, k12), max(k4, k12)
+	k5, k13 = min(k5, k13), max(k5, k13)
+	k6, k14 = min(k6, k14), max(k6, k14)
+	k7, k15 = min(k7, k15), max(k7, k15)
+	k4, k8 = min(k4, k8), max(k4, k8)
+	k5, k9 = min(k5, k9), max(k5, k9)
+	k6, k10 = min(k6, k10), max(k6, k10)
+	k7, k11 = min(k7, k11), max(k7, k11)
+	k2, k4 = min(k2, k4), max(k2, k4)
+	k3, k5 = min(k3, k5), max(k3, k5)
+	k6, k8 = min(k6, k8), max(k6, k8)
+	k7, k9 = min(k7, k9), max(k7, k9)
+	k10, k12 = min(k10, k12), max(k10, k12)
+	k11, k13 = min(k11, k13), max(k11, k13)
+	k1, k2 = min(k1, k2), max(k1, k2)
+	k3, k4 = min(k3, k4), max(k3, k4)
+	k5, k6 = min(k5, k6), max(k5, k6)
+	k7, k8 = min(k7, k8), max(k7, k8)
+	k9, k10 = min(k9, k10), max(k9, k10)
+	k11, k12 = min(k11, k12), max(k11, k12)
+	k13, k14 = min(k13, k14), max(k13, k14)
+
+	*a = [sortCutoff]uint64{k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15}
 }

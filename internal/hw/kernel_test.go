@@ -136,6 +136,56 @@ func TestBuildDistTables(t *testing.T) {
 	}
 }
 
+// FuzzBuildDistTables holds the table kernel (SSE2 on amd64) to
+// Quantize entry by entry: received values that are ±Inf, NaN, huge or
+// subnormal, quantizers sized for no symbols, one symbol or enough
+// symbols to pull the cap to DimCapMin, and every table length from 1
+// to 65, odd lengths included. A slot past the table must stay untouched.
+func FuzzBuildDistTables(f *testing.F) {
+	const big = accumBudget / (2 * DimCapMin) // the most symbols NewQuantizer accepts
+	for _, y := range []float64{0.7, -2, math.Inf(1), math.Inf(-1), math.NaN(), 1e300, -1e300, 5e-324, -2.2e-308} {
+		for _, nsyms := range []uint32{0, 1, big} {
+			for _, n := range []uint8{0, 5, 63, 64} {
+				f.Add(y, 0.3, 25.0, nsyms, n, int64(n))
+			}
+			f.Add(-0.3, y, 1e-300, nsyms, uint8(2), int64(2))
+			f.Add(y, 1.0, 5e-324, nsyms, uint8(3), int64(3))
+		}
+	}
+	f.Fuzz(func(t *testing.T, yI, yQ, maxDim2 float64, nsyms uint32, n uint8, seed int64) {
+		q, ok := NewQuantizer(maxDim2, int(nsyms))
+		if !ok {
+			return
+		}
+		L := int(n)%65 + 1
+		rng := rand.New(rand.NewSource(seed))
+		x := make([]float64, L)
+		for v := range x {
+			switch rng.Intn(8) {
+			case 0:
+				x[v] = []float64{0, 1e300, -1e300, 5e-324, math.Inf(1), math.NaN()}[rng.Intn(6)]
+			default:
+				x[v] = rng.NormFloat64() * 4
+			}
+		}
+		const sentinel = -7
+		dI := make([]int32, L+1)
+		dQ := make([]int32, L+1)
+		dI[L], dQ[L] = sentinel, sentinel
+		q.BuildDistTables(yI, yQ, x, dI, dQ)
+		for v, xv := range x {
+			di, dq := yI-xv, yQ-xv
+			if wi, wq := q.Quantize(di*di), q.Quantize(dq*dq); dI[v] != wi || dQ[v] != wq {
+				t.Fatalf("y=(%v,%v) x[%d]=%v of %d, scale %v cap %d: got (%d,%d), want (%d,%d)",
+					yI, yQ, v, xv, L, q.scale, q.cap, dI[v], dQ[v], wi, wq)
+			}
+		}
+		if dI[L] != sentinel || dQ[L] != sentinel {
+			t.Fatalf("%d-entry tables wrote past their end: (%d,%d)", L, dI[L], dQ[L])
+		}
+	})
+}
+
 func TestAccumulateCompact(t *testing.T) {
 	const cbits = 3
 	const L = 1 << cbits
@@ -205,6 +255,13 @@ func TestSelectKeys(t *testing.T) {
 			t.Fatalf("prefix is not the k smallest keys (n=%d k=%d)", n, k)
 		}
 	}
+	// k = len(keys) selects every key; the pivot is the largest.
+	for n := 1; n <= 40; n++ {
+		keys := benchKeys(n)
+		if pivot := SelectKeys(keys, n); pivot != slices.Max(keys) {
+			t.Fatalf("n=k=%d: pivot = %#x, want the largest key %#x", n, pivot, slices.Max(keys))
+		}
+	}
 }
 
 // TestSortKeys: SortKeys equals slices.Sort on decoder-packed keys, on
@@ -244,6 +301,76 @@ func TestSortKeys(t *testing.T) {
 			t.Fatalf("trial %d: SortKeys differs from slices.Sort (n=%d)", trial, n)
 		}
 	}
+}
+
+// TestSortKeysNetwork: the 16-key network sorts every 0-1 input, which
+// by the 0-1 principle makes it a sorting network for any keys;
+// sortShortKeys, which runs it in place, over a padded copy or not at
+// all depending on the length, sorts every 0-1 input at every length
+// from 0 to 16; and it matches slices.Sort on random decoder-packed
+// keys, on duplicates and on keys equal to or just below its
+// math.MaxUint64 pad.
+func TestSortKeysNetwork(t *testing.T) {
+	buf := make([]uint64, sortCutoff)
+	for n := 0; n <= sortCutoff; n++ {
+		for bitsIn := 0; bitsIn < 1<<n; bitsIn++ {
+			ones := 0
+			for i := range buf {
+				buf[i] = uint64(bitsIn >> i & 1)
+				ones += int(buf[i])
+			}
+			if n == sortCutoff {
+				net := [sortCutoff]uint64(buf)
+				sortKeys16(&net)
+				if !isZeroOne(net[:], ones) {
+					t.Fatalf("network, input %#x: output %v", bitsIn, net)
+				}
+			}
+			keys := buf[:n]
+			sortShortKeys(keys)
+			if !isZeroOne(keys, ones) {
+				t.Fatalf("n=%d input %#x: output %v", n, bitsIn, keys)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 20000; trial++ {
+		n := rng.Intn(sortCutoff + 1)
+		if trial%2 == 0 {
+			n = sortCutoff
+		}
+		keys := make([]uint64, n)
+		for i := range keys {
+			switch trial % 3 {
+			case 0:
+				keys[i] = uint64(rng.Int31n(64))<<32 | uint64(rng.Uint32())
+			case 1:
+				keys[i] = uint64(rng.Intn(4)) // heavy duplicates
+			default:
+				keys[i] = math.MaxUint64 - uint64(rng.Intn(3))
+			}
+		}
+		want := slices.Clone(keys)
+		slices.Sort(want)
+		sortShortKeys(keys)
+		if !slices.Equal(keys, want) {
+			t.Fatalf("trial %d: %d keys sorted to %v, want %v", trial, n, keys, want)
+		}
+	}
+}
+
+// isZeroOne reports whether keys is len(keys)-ones zeros then ones ones.
+func isZeroOne(keys []uint64, ones int) bool {
+	for i, k := range keys {
+		want := uint64(0)
+		if i >= len(keys)-ones {
+			want = 1
+		}
+		if k != want {
+			return false
+		}
+	}
+	return true
 }
 
 // The selected set is a pure function of the key multiset — block
@@ -296,5 +423,33 @@ func BenchmarkSortKeys(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		copy(keys, src)
 		SortKeys(keys)
+	}
+}
+
+// BenchmarkSortKeys16 sorts full 16-key ranges, the tail of every
+// SelectKeys and SortKeys and the whole survivor sort of a B=16 step.
+func BenchmarkSortKeys16(b *testing.B) {
+	src := benchKeys(1024)
+	keys := make([]uint64, len(src))
+	for b.Loop() {
+		copy(keys, src)
+		for i := 0; i < len(keys); i += sortCutoff {
+			sortKeys16((*[sortCutoff]uint64)(keys[i : i+sortCutoff]))
+		}
+	}
+}
+
+// BenchmarkBuildDistTables builds one symbol's pair of 64-entry tables
+// (C=6), as a decode does for every stored symbol of every spine step.
+func BenchmarkBuildDistTables(b *testing.B) {
+	q, _ := NewQuantizer(40, 400)
+	x := make([]float64, 64)
+	for v := range x {
+		x[v] = float64(v)/16 - 2
+	}
+	dI := make([]int32, len(x))
+	dQ := make([]int32, len(x))
+	for b.Loop() {
+		q.BuildDistTables(0.7, -1.3, x, dI, dQ)
 	}
 }

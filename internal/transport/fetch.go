@@ -226,6 +226,7 @@ func (f *Fetcher) Fetch(ctx context.Context, payload []byte) (*Result, error) {
 		}
 	}
 
+	res.Payload = make([]byte, 0, len(payload))
 	for _, p := range parts {
 		res.Payload = append(res.Payload, p...)
 	}

@@ -64,6 +64,10 @@ func TestFetchPipelineDelivers(t *testing.T) {
 	if !bytes.Equal(res.Payload, payload) {
 		t.Fatal("payload corrupted")
 	}
+	// The reassembly buffer is sized once, from the input length.
+	if len(res.Payload) != cap(res.Payload) {
+		t.Fatalf("payload len %d, cap %d: reassembly grew its buffer", len(res.Payload), cap(res.Payload))
+	}
 	if res.Segments != 16 {
 		t.Fatalf("segments = %d, want 16", res.Segments)
 	}

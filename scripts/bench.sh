@@ -13,8 +13,10 @@ trap 'rm -f "$tmp"' EXIT
 go test -run '^$' \
     -bench 'BenchmarkDecode$|BenchmarkEncoder$|BenchmarkDecodeQuantized$|BenchmarkDecodeQuantized256$|BenchmarkDecodeFloat256$|BenchmarkDecodeLookahead$|BenchmarkDecodeNoisyPaper$|BenchmarkDecodeNoisySmall$|BenchmarkDecodeNoisyFetch$' \
     -benchtime "$benchtime" -benchmem . >"$tmp"
-go test -run '^$' -bench 'BenchmarkFinishWords$|BenchmarkChildrenPrefixes$|BenchmarkExpandScore$' \
+go test -run '^$' -bench 'BenchmarkFinishWords$|BenchmarkChildrenPrefixes$|BenchmarkExpandScore$|BenchmarkFinishScore$' \
     -benchtime "$benchtime" -benchmem ./internal/hashfn/ >>"$tmp"
+go test -run '^$' -bench 'BenchmarkBuildDistTables$|BenchmarkSortKeys16$' \
+    -benchtime "$benchtime" -benchmem ./internal/hw/ >>"$tmp"
 go test -run '^$' -bench 'BenchmarkLinkEngine$|BenchmarkLinkEnginePaper$' \
     -benchtime "$benchtime" -benchmem ./internal/link/ >>"$tmp"
 go test -run '^$' -bench 'BenchmarkFetchPipeline$|BenchmarkFetchDelayed$' \

@@ -11,7 +11,9 @@
 # BenchmarkDaemonSaturated, a 2-shard B=256 daemon over loopback, the
 # only guarded run where one shard can stall another) and compares them
 # against the newest checked-in BENCH_*.json snapshot (scripts/bench.sh
-# writes it).
+# writes it). Two hw kernel microbenchmarks, BenchmarkBuildDistTables
+# and BenchmarkSortKeys16, run as well but are held to zero allocs/op
+# only: their run-to-run spread on a shared machine is wider than 20%.
 #
 # BenchmarkDaemonSaturated's client runs in the daemon's process and
 # shares its two Ps with the shards, so its flows/s mixes the Go
@@ -50,6 +52,7 @@ trap 'rm -f "$tmp" "$best"' EXIT
 
 go test -run '^$' -bench 'BenchmarkDecode$|BenchmarkDecodeQuantized$|BenchmarkDecodeFloat256$|BenchmarkDecodeLookahead$|BenchmarkDecodeNoisyPaper$|BenchmarkDecodeNoisySmall$|BenchmarkDecodeNoisyFetch$' \
     -benchtime "$benchtime" -benchmem -count 3 . >"$tmp"
+go test -run '^$' -bench 'BenchmarkBuildDistTables$|BenchmarkSortKeys16$' -benchtime "$benchtime" -benchmem -count 3 ./internal/hw/ >>"$tmp"
 go test -run '^$' -bench 'BenchmarkLinkEngine$|BenchmarkLinkEnginePaper$' -benchtime "$benchtime" -benchmem -count 3 ./internal/link/ >>"$tmp"
 go test -run '^$' -bench 'BenchmarkFetchDelayed$' -benchtime "$benchtime" -benchmem -count 3 ./internal/transport/ >>"$tmp"
 go test -run '^$' -bench 'BenchmarkDaemonSaturated$' -benchtime "$benchtime" -benchmem -count 3 ./internal/daemon/ >>"$tmp"
@@ -74,8 +77,12 @@ awk '/^Benchmark/ {
 }
 END { for (n in minNs) printf "%s %s %s\n", n, minNs[n], (n in minAl ? minAl[n] : -1) }' "$tmp" >"$best"
 
+# Benchmarks held to the zero-allocs gate below and not to ns/op.
+allocs_only="BenchmarkBuildDistTables BenchmarkSortKeys16"
+
 status=0
 while read -r name ns allocs; do
+    case " $allocs_only " in *" $name "*) continue ;; esac
     base_ns="$(sed -n 's/.*"name": "'"$name"'".*"ns_per_op": \([0-9.eE+]*\).*/\1/p' "$baseline" | head -1)"
     base_allocs="$(sed -n 's/.*"name": "'"$name"'".*"allocs_per_op": \([0-9]*\).*/\1/p' "$baseline" | head -1)"
     if [ -z "$base_ns" ]; then
@@ -103,17 +110,24 @@ done <"$best"
 # Zero-allocation gate for the quantized kernel at two operating points:
 # BenchmarkDecodeQuantized (256-bit message, one puncturing pass, B=32)
 # and BenchmarkDecodeNoisyFetch (1024-bit noisy block at B=16, whose
-# steps are cut into two expansion blocks). Only the allocation half is
-# absolute: zero steady-state allocs/op is deterministic on every
-# machine. Latency is gated relatively — best-of-3 ns/op against the
+# steps are cut into two expansion blocks), and for two of its kernels,
+# BenchmarkBuildDistTables (SSE2 on amd64) and BenchmarkSortKeys16 (the
+# 16-key sorting network). Only the allocation half is absolute: zero
+# steady-state allocs/op is deterministic on every machine. The two
+# decodes' latency is gated relatively — best-of-3 ns/op against the
 # newest BENCH_*.json through the same 20% threshold as the loop above,
-# CPU-matched runs only. (This replaces the old absolute "<1 ms" line,
-# which measured the CI runner rather than the code and flaked on slow
-# shared machines; on foreign CPUs the ratio below is informational.)
-for zero in BenchmarkDecodeQuantized BenchmarkDecodeNoisyFetch; do
-    if ! awk -v n="$zero" -v gate="$gate" '$1 == n {
+# CPU-matched runs only; the two kernels' ns/op is printed only. (This
+# replaces the old absolute "<1 ms" line, which measured the CI runner
+# rather than the code and flaked on slow shared machines; on foreign
+# CPUs the ratio above is informational.)
+for zero in BenchmarkDecodeQuantized BenchmarkDecodeNoisyFetch BenchmarkBuildDistTables BenchmarkSortKeys16; do
+    case " $allocs_only " in
+    *" $zero "*) ns_gate="ns not gated" ;;
+    *) ns_gate="ns relative ($gate)" ;;
+    esac
+    if ! awk -v n="$zero" -v ns_gate="$ns_gate" '$1 == n {
         found = 1
-        printf "bench_check: %-22s ns/op %.0f  allocs/op %d  [gate: 0 allocs absolute; ns relative (%s)]\n", $1, $2, $3, gate
+        printf "bench_check: %-22s ns/op %.0f  allocs/op %d  [gate: 0 allocs absolute; %s]\n", $1, $2, $3, ns_gate
         if ($3 + 0 != 0) exit 1
     }
     END { if (!found) exit 1 }' "$best"; then
