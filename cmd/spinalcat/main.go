@@ -408,25 +408,15 @@ func runFlows(data []byte, p spinal.Params, codeSpec string, snrDB float64, seed
 	if err != nil {
 		log.Fatal(err)
 	}
-	totalSymbols := 0
-	blocks := 0
 	rounds := 0
-	frameFaults, ackFaults, rejected := 0, 0, 0
 	for _, r := range results {
 		if r.Err != nil {
 			log.Fatalf("flow %d failed: %v", r.ID, r.Err)
 		}
 		parts[order[r.ID]] = r.Datagram
-		totalSymbols += r.Stats.SymbolsSent
-		blocks += r.Stats.Blocks
-		if r.Stats.Frames > rounds {
-			rounds = r.Stats.Frames
-		}
-		fs := r.Stats.Faults
-		frameFaults += fs.FramesReordered + fs.FramesDuplicated + fs.FramesTruncated + fs.FramesCorrupted + fs.FramesBlackedOut
-		ackFaults += fs.AcksReordered + fs.AcksDuplicated + fs.AcksTruncated + fs.AcksCorrupted
-		rejected += r.Stats.BatchesRejected
+		rounds = max(rounds, r.Stats.Frames)
 	}
+	t := s.Metrics().Totals
 	for _, part := range parts {
 		if _, err := os.Stdout.Write(part); err != nil {
 			log.Fatal(err)
@@ -434,15 +424,15 @@ func runFlows(data []byte, p spinal.Params, codeSpec string, snrDB float64, seed
 	}
 	if n == 1 {
 		fmt.Fprintf(os.Stderr, "spinalcat: %d bytes, %d blocks, %d symbols (%.2f bits/symbol) at %.1f dB\n",
-			len(data), blocks, totalSymbols,
-			float64(len(data)*8)/float64(totalSymbols), snrDB)
+			len(data), t.Blocks, t.SymbolsSent,
+			float64(len(data)*8)/float64(t.SymbolsSent), snrDB)
 	} else {
 		fmt.Fprintf(os.Stderr, "spinalcat: %d bytes over %d flows in %d shared frames, %d symbols (%.2f bits/symbol aggregate) at %.1f dB\n",
-			len(data), n, rounds, totalSymbols,
-			float64(len(data)*8)/float64(totalSymbols), snrDB)
+			len(data), n, rounds, t.SymbolsSent,
+			float64(len(data)*8)/float64(t.SymbolsSent), snrDB)
 	}
 	if fc != nil {
 		fmt.Fprintf(os.Stderr, "spinalcat: faults injected: %d frame, %d ack; %d corrupt batches rejected\n",
-			frameFaults, ackFaults, rejected)
+			t.Faults.Frames(), t.Faults.Acks(), t.BatchesRejected)
 	}
 }

@@ -6,7 +6,7 @@
 // shard runs on one goroutine that reads its own socket, runs its link
 // engine's codec work and writes its own results; on Linux the kernel
 // steers each connection ID to its shard's socket. An optional HTTP endpoint
-// exports engine, pool and socket counters as JSON at /metrics.
+// exports per-shard engine counters and socket counters as JSON at /metrics.
 //
 // SIGTERM or SIGINT drains gracefully: new submissions are rejected
 // with a typed status, in-flight flows flush to completion (bounded by

@@ -43,10 +43,6 @@ type FlowMetrics = idaemon.FlowMetrics
 // ShardMetrics is one shard's engine accounting.
 type ShardMetrics = idaemon.ShardMetrics
 
-// PoolMetrics is the shards' decoder-reuse telemetry, summed over the
-// shards.
-type PoolMetrics = idaemon.PoolMetrics
-
 // SocketMetrics counts the shard sockets' traffic, summed over the
 // shards.
 type SocketMetrics = idaemon.SocketMetrics

@@ -334,14 +334,13 @@ func stateName(s int32) string {
 }
 
 // Metrics is the telemetry snapshot the /metrics endpoint serves as
-// JSON: per-shard engine accounting, the shards' decoder-construction
-// counters, and socket counters.
+// JSON: per-shard engine accounting, each shard read from its session's
+// link.Metrics, their sum over the shards, and socket counters.
 type Metrics struct {
 	State         string         `json:"state"`
 	UptimeSeconds float64        `json:"uptime_seconds"`
 	Flows         FlowMetrics    `json:"flows"`
 	Shards        []ShardMetrics `json:"shards"`
-	Pool          PoolMetrics    `json:"pool"`
 	Socket        SocketMetrics  `json:"socket"`
 }
 
@@ -382,7 +381,10 @@ type ShardMetrics struct {
 	DecodeAttempts int64 `json:"decode_attempts"`
 	NarrowAttempts int64 `json:"narrow_attempts"`
 	Escalations    int64 `json:"escalations"`
-	KernelDrops    int64 `json:"kernel_drops"`
+	// DecodersBuilt counts the decoders the shard's session built: one
+	// per block size its one codec goroutine has decoded.
+	DecodersBuilt int64 `json:"decoders_built"`
+	KernelDrops   int64 `json:"kernel_drops"`
 	// Deprecated: shards have no ingress queue; they read their own
 	// sockets. QueueLen and QueueCap read 0.
 	QueueLen int `json:"queue_len"`
@@ -393,14 +395,6 @@ type ShardMetrics struct {
 	SchedAckCharged int64 `json:"sched_ack_symbols_charged,omitempty"`
 	SchedDeadlines  int64 `json:"sched_deadline_misses,omitempty"`
 	SchedDeficit    int64 `json:"sched_deficit_outstanding,omitempty"`
-}
-
-// PoolMetrics is the shards' decoder-reuse telemetry, summed over the
-// shards: Shards counts the goroutines codec work runs on (one per
-// shard), and DecodersBuilt the decoders the shards built.
-type PoolMetrics struct {
-	Shards        int   `json:"shards"`
-	DecodersBuilt int64 `json:"decoders_built"`
 }
 
 // SocketMetrics counts the shard sockets' traffic, summed over the
@@ -438,14 +432,12 @@ func (d *Daemon) Metrics() Metrics {
 			RecordsOut:   d.recordsOut.Load(),
 			RcvBufBytes:  d.rcvbuf,
 		},
-		Pool: PoolMetrics{Shards: len(d.shards)},
 	}
 	if m.Socket.DatagramsOut > 0 {
 		m.Socket.BatchingFactor =
 			float64(m.Socket.RecordsOut) / float64(m.Socket.DatagramsOut)
 	}
 	for _, sh := range d.shards {
-		m.Pool.DecodersBuilt += sh.sess.PoolStats().DecodersBuilt
 		sm := sh.metrics()
 		m.Shards = append(m.Shards, sm)
 		m.Socket.KernelDrops += sm.KernelDrops

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/netip"
 	"os"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -33,8 +34,9 @@ type pendingFlow struct {
 }
 
 // shard is one per-core worker: a socket and an independent
-// link.Session, both owned by one goroutine (loop). Everything the
-// metrics endpoint reads is atomic.
+// link.Session, both owned by one goroutine (loop). The metrics endpoint
+// reads the session snapshot the loop last published and the shard's
+// two atomic dedup counters.
 type shard struct {
 	d    *Daemon
 	id   int
@@ -55,21 +57,14 @@ type shard struct {
 	doneRing []uint64
 	doneHead int
 
-	admitted   atomic.Int64
-	delivered  atomic.Int64
-	outaged    atomic.Int64
-	dupes      atomic.Int64
-	replays    atomic.Int64
-	bytes      atomic.Int64
-	symbols    atomic.Int64
-	ackSymbols atomic.Int64
-	retrans    atomic.Int64
-	batchesRej atomic.Int64
-	frameFault atomic.Int64
-	ackFault   atomic.Int64
-	attempts   atomic.Int64
-	narrow     atomic.Int64
-	escalated  atomic.Int64
+	dupes   atomic.Int64
+	replays atomic.Int64
+
+	// snap is the session's Metrics as of the loop's last admission
+	// burst or round, so a telemetry read never waits out a round in
+	// progress (a B=256 round of multi-block flows takes tens of ms).
+	snapMu sync.Mutex
+	snap   link.Metrics
 }
 
 // doneRec is a resolved flow's record as the done cache keeps it, in 16
@@ -146,10 +141,12 @@ func (sh *shard) loop() {
 	ctx := context.Background()
 	for {
 		ok := sh.read(sh.sess.Active() == 0)
+		sh.publish()
 		if ok && sh.sess.Active() > 0 {
 			res, err := sh.sess.Step(ctx)
 			ok = err == nil
 			sh.finish(res)
+			sh.publish()
 		}
 		sh.flush()
 		switch state := d.state.Load(); {
@@ -159,6 +156,14 @@ func (sh *shard) loop() {
 			sh.signalFlushed()
 		}
 	}
+}
+
+// publish takes the session's snapshot for the telemetry endpoint.
+func (sh *shard) publish() {
+	m := sh.sess.Metrics()
+	sh.snapMu.Lock()
+	sh.snap = m
+	sh.snapMu.Unlock()
 }
 
 // signalFlushed tells Shutdown, once, that the shard has no flow left.
@@ -278,12 +283,10 @@ func (sh *shard) admit(msg submission, from netip.AddrPort) {
 	}
 	sh.pending[key] = struct{}{}
 	sh.inflight[id] = &pendingFlow{key: key, conn: msg.conn, seq: msg.seq, from: from}
-	sh.admitted.Add(1)
 }
 
-// finish converts resolved flows into wire records, updates the shard's
-// accounting, caches the record for retry replay, and queues it for the
-// end of the round.
+// finish converts resolved flows into wire records, caches each record
+// for retry replay, and queues it for the end of the round.
 func (sh *shard) finish(results []link.Result) {
 	for i := range results {
 		r := &results[i]
@@ -306,28 +309,11 @@ func (sh *shard) finish(results []link.Result) {
 			rec.status = StatusDelivered
 			rec.bytes = uint32(len(r.Datagram))
 			rec.checksum = crc32.ChecksumIEEE(r.Datagram)
-			sh.delivered.Add(1)
-			sh.bytes.Add(int64(len(r.Datagram)))
 		case errors.Is(r.Err, link.ErrFlowBudget):
 			rec.status = StatusOutage
-			sh.outaged.Add(1)
 		default:
 			rec.status = StatusError
-			sh.outaged.Add(1)
 		}
-		sh.symbols.Add(int64(r.Stats.SymbolsSent))
-		sh.ackSymbols.Add(int64(r.Stats.AckSymbols))
-		sh.retrans.Add(int64(r.Stats.Retransmissions))
-		sh.batchesRej.Add(int64(r.Stats.BatchesRejected))
-		sh.attempts.Add(int64(r.Stats.DecodeAttempts))
-		sh.narrow.Add(int64(r.Stats.NarrowAttempts))
-		sh.escalated.Add(int64(r.Stats.Escalations))
-		f := r.Stats.Faults
-		sh.frameFault.Add(int64(f.FramesReordered + f.FramesDuplicated +
-			f.FramesTruncated + f.FramesCorrupted + f.FramesBlackedOut))
-		sh.ackFault.Add(int64(f.AcksReordered + f.AcksDuplicated +
-			f.AcksTruncated + f.AcksCorrupted))
-
 		sh.remember(pf.key, rec)
 		sh.send(pf.from, rec)
 	}
@@ -354,37 +340,38 @@ func (sh *shard) remember(key uint64, rec record) {
 		ackSymbols: rec.ackSymbols, checksum: rec.checksum}
 }
 
-// metrics snapshots the shard for the telemetry endpoint.
+// metrics reports the shard for the telemetry endpoint. The session
+// snapshot was taken between rounds, so its counts agree with each
+// other, and it stays readable after the shard has stopped.
 func (sh *shard) metrics() ShardMetrics {
-	m := ShardMetrics{
+	sh.snapMu.Lock()
+	sm := sh.snap
+	sh.snapMu.Unlock()
+	t, s := sm.Totals, sm.Scheduler
+	return ShardMetrics{
 		Shard:           sh.id,
-		Active:          int(sh.admitted.Load() - sh.delivered.Load() - sh.outaged.Load()),
-		Admitted:        sh.admitted.Load(),
-		Delivered:       sh.delivered.Load(),
-		Outaged:         sh.outaged.Load(),
+		Active:          sm.Active,
+		Admitted:        int64(sm.Admitted),
+		Delivered:       int64(sm.Delivered),
+		Outaged:         int64(sm.Failed),
 		DupSubmits:      sh.dupes.Load(),
 		Replays:         sh.replays.Load(),
-		Bytes:           sh.bytes.Load(),
-		Symbols:         sh.symbols.Load(),
-		AckSymbols:      sh.ackSymbols.Load(),
-		Retransmissions: sh.retrans.Load(),
-		BatchesRejected: sh.batchesRej.Load(),
-		FrameFaults:     sh.frameFault.Load(),
-		AckFaults:       sh.ackFault.Load(),
-		DecodeAttempts:  sh.attempts.Load(),
-		NarrowAttempts:  sh.narrow.Load(),
-		Escalations:     sh.escalated.Load(),
+		Bytes:           int64(sm.BytesDelivered),
+		Symbols:         int64(t.SymbolsSent),
+		AckSymbols:      int64(t.AckSymbols),
+		Retransmissions: int64(t.Retransmissions),
+		BatchesRejected: int64(t.BatchesRejected),
+		FrameFaults:     int64(t.Faults.Frames()),
+		AckFaults:       int64(t.Faults.Acks()),
+		DecodeAttempts:  int64(t.DecodeAttempts),
+		NarrowAttempts:  int64(t.NarrowAttempts),
+		Escalations:     int64(t.Escalations),
+		DecodersBuilt:   sm.DecodersBuilt,
 		KernelDrops:     kernelDrops(sh.conn),
+		SchedQuanta:     s.QuantaGranted,
+		SchedAdmitted:   s.SymbolsAdmitted,
+		SchedAckCharged: s.AckSymbolsCharged,
+		SchedDeadlines:  s.DeadlineMisses,
+		SchedDeficit:    s.DeficitOutstanding,
 	}
-	if sh.d.cfg.Scheduler == "dwfq" {
-		// Session methods are mutex-guarded, so reading the scheduler's
-		// counters here is safe against the shard's serving loop.
-		ss := sh.sess.SchedulerStats()
-		m.SchedQuanta = ss.QuantaGranted
-		m.SchedAdmitted = ss.SymbolsAdmitted
-		m.SchedAckCharged = ss.AckSymbolsCharged
-		m.SchedDeadlines = ss.DeadlineMisses
-		m.SchedDeficit = ss.DeficitOutstanding
-	}
-	return m
 }

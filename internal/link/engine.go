@@ -234,7 +234,7 @@ type engineFlow struct {
 	// DWFQ state (EngineConfig.Scheduler): the flow's weight, strict
 	// priority class, optional deadline in rounds, and its symbol-credit
 	// balance. Unused under round-robin admission (weight is still
-	// defaulted so SchedStats stays meaningful).
+	// defaulted).
 	weight   int
 	prio     int
 	deadline int
@@ -273,18 +273,18 @@ type Engine struct {
 	groups []rxGroup // the round's decode work, one group per (flow, block)
 
 	// Fan-out state (fanOut): one decoder cache per goroutine a fan-out
-	// may use, the decoders they built, the stage being run, the indexes
-	// of its items, and the claim counter over them.
+	// may use, the stage being run, the indexes of its items, and the
+	// claim counter over them.
 	slots []worker
-	built atomic.Int64
 	stage stage
 	work  []int
 	claim atomic.Int64
 	wg    sync.WaitGroup
 
-	// Flow-conservation counters for the invariant checker: flows
-	// admitted, resolved successfully, and resolved with an error.
-	added, delivered, outaged int
+	// tot is the running total Metrics reports: the flow counts the
+	// invariant checker also reads, the bytes delivered, the sum of
+	// every resolved flow's Stats and the DWFQ counters.
+	tot Metrics
 }
 
 // txItem is one scheduled batch's journey through a round: IDs assigned
@@ -320,7 +320,7 @@ func NewEngine(cfg EngineConfig) *Engine {
 	}
 	e := &Engine{cfg: cfg, code: code, slots: make([]worker, shards)}
 	for i := range e.slots {
-		e.slots[i] = worker{code: code, built: &e.built}
+		e.slots[i] = worker{code: code}
 	}
 	if cfg.Scheduler != nil {
 		e.sched = &dwfq{cfg: *cfg.Scheduler}
@@ -379,7 +379,7 @@ func (e *Engine) AddFlow(datagram []byte, fc FlowConfig) FlowID {
 		panic(err)
 	}
 	e.next++
-	e.added++
+	e.tot.Admitted++
 	e.flows = append(e.flows, fl)
 	return fl.id
 }
@@ -402,19 +402,41 @@ func (e *Engine) SetChannel(id FlowID, ch channel.Model) bool {
 	return false
 }
 
-// PoolStats counts decoder constructions since an engine started — the
-// observable that proves decodes reuse warmed decoders instead of
-// rebuilding them per attempt: each of the Shards decoder caches builds
-// at most one decoder per distinct block size, no matter how many blocks
-// it decodes.
-type PoolStats struct {
+// Metrics is an engine's running totals since it started.
+type Metrics struct {
+	// Admitted counts the flows added, Active those not yet resolved,
+	// and Delivered and Failed the resolved ones, by whether they
+	// returned their datagram or an error, so
+	// Admitted == Active + Delivered + Failed.
+	Admitted, Active, Delivered, Failed int
+	// BytesDelivered is the delivered flows' payload bytes.
+	BytesDelivered int
+	// Totals sums the Stats of every resolved flow, counter by counter
+	// (Rate, not a counter, stays zero).
+	Totals Stats
+	// DecodersBuilt counts decoder constructions: each of the Shards
+	// decoder caches builds one decoder per distinct block size, however
+	// many blocks it decodes.
 	DecodersBuilt int64
+	// Scheduler is the DWFQ scheduler's accounting, zero under
+	// round-robin admission.
+	Scheduler SchedulerStats
 }
 
-// PoolStats reports the construction counter (reuse telemetry for tests
-// and monitoring).
-func (e *Engine) PoolStats() PoolStats {
-	return PoolStats{DecodersBuilt: e.built.Load()}
+// Metrics snapshots the engine's running totals. Like every Engine
+// method it must not run concurrently with Step.
+func (e *Engine) Metrics() Metrics {
+	m := e.tot
+	m.Active = len(e.flows)
+	for i := range e.slots {
+		m.DecodersBuilt += e.slots[i].built
+	}
+	if e.sched != nil {
+		for _, fl := range e.flows {
+			m.Scheduler.DeficitOutstanding += fl.deficit
+		}
+	}
+	return m
 }
 
 // observeDecode reports one decoded block's size and symbol spend to
@@ -595,7 +617,7 @@ func (e *Engine) admit(fl *engineFlow, round, symbols int) int {
 		batch := fl.snd.batchIDs(b, want)
 		if e.sched != nil {
 			fl.deficit -= int64(len(batch.IDs))
-			e.sched.stats.SymbolsAdmitted += int64(len(batch.IDs))
+			e.tot.Scheduler.SymbolsAdmitted += int64(len(batch.IDs))
 		}
 		symbols += len(batch.IDs)
 		inFrame = true
@@ -684,7 +706,7 @@ func (e *Engine) decode() {
 type worker struct {
 	code  icode.Code
 	decs  map[int]icode.Decoder
-	built *atomic.Int64 // counts constructions when non-nil
+	built int64 // decoders constructed
 }
 
 // decoder returns the cache's decoder for nBits-bit blocks, reset to an
@@ -699,9 +721,7 @@ func (w *worker) decoder(nBits int) icode.Decoder {
 	}
 	d := w.code.NewDecoder(nBits)
 	w.decs[nBits] = d
-	if w.built != nil {
-		w.built.Add(1)
-	}
+	w.built++
 	return d
 }
 
@@ -780,7 +800,7 @@ func (e *Engine) resolve() []FlowResult {
 		case fl.deadline > 0 && fl.rounds >= fl.deadline:
 			err = ErrDeadline
 			if e.sched != nil {
-				e.sched.stats.DeadlineMisses++
+				e.tot.Scheduler.DeadlineMisses++
 			}
 		case fl.rounds >= fl.maxRounds:
 			err = ErrFlowBudget
@@ -789,10 +809,12 @@ func (e *Engine) resolve() []FlowResult {
 			continue
 		}
 		r := e.result(fl, err)
+		e.tot.Totals.add(r.Stats)
 		if r.Err == nil {
-			e.delivered++
+			e.tot.Delivered++
+			e.tot.BytesDelivered += len(r.Datagram)
 		} else {
-			e.outaged++
+			e.tot.Failed++
 		}
 		results = append(results, r)
 	}
@@ -812,22 +834,8 @@ func (e *Engine) chargeAck(fl *engineFlow, wireBytes int) {
 	fl.ackSymbols += n
 	if e.sched != nil {
 		fl.deficit -= int64(n)
-		e.sched.stats.AckSymbolsCharged += int64(n)
+		e.tot.Scheduler.AckSymbolsCharged += int64(n)
 	}
-}
-
-// SchedStats snapshots the DWFQ scheduler's accounting. Zero-valued when
-// the engine runs round-robin admission.
-func (e *Engine) SchedStats() SchedulerStats {
-	if e.sched == nil {
-		return SchedulerStats{}
-	}
-	st := e.sched.stats
-	st.Flows = len(e.flows)
-	for _, fl := range e.flows {
-		st.DeficitOutstanding += fl.deficit
-	}
-	return st
 }
 
 // faultDeliver runs every flow's forward-path fault injector for one

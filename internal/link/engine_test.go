@@ -89,7 +89,7 @@ func TestEngineStressManyFlows(t *testing.T) {
 		}
 	}
 
-	st := e.PoolStats()
+	st := e.Metrics()
 	if st.DecodersBuilt == 0 {
 		t.Fatal("the first wave built no decoder")
 	}
@@ -106,7 +106,7 @@ func TestEngineStressManyFlows(t *testing.T) {
 			t.Fatalf("second wave flow %d: %v", r.ID, r.Err)
 		}
 	}
-	if built, slots := e.PoolStats().DecodersBuilt, int64(cfg.Shards); built > slots {
+	if built, slots := e.Metrics().DecodersBuilt, int64(cfg.Shards); built > slots {
 		t.Errorf("built %d decoders for %d slots and one block size — blocks are not sharing them", built, slots)
 	}
 }
@@ -139,7 +139,7 @@ func TestEngineSlotsRoundTrip(t *testing.T) {
 			}
 		}
 		maxDec := int64(slots * len(sizes))
-		if built := e.PoolStats().DecodersBuilt; built == 0 || built > maxDec {
+		if built := e.Metrics().DecodersBuilt; built == 0 || built > maxDec {
 			t.Errorf("%s: built %d decoders, want 1..%d (slots × block sizes)", c.Name(), built, maxDec)
 		}
 	}

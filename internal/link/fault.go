@@ -143,6 +143,33 @@ type FaultStats struct {
 	AcksCorrupted  int
 }
 
+// Frames totals the forward-path faults: the frame shares reordered,
+// duplicated, truncated, corrupted or blacked out.
+func (f FaultStats) Frames() int {
+	return f.FramesReordered + f.FramesDuplicated + f.FramesTruncated +
+		f.FramesCorrupted + f.FramesBlackedOut
+}
+
+// Acks totals the reverse-path faults: the acks reordered, duplicated,
+// truncated or corrupted.
+func (f FaultStats) Acks() int {
+	return f.AcksReordered + f.AcksDuplicated + f.AcksTruncated + f.AcksCorrupted
+}
+
+// add adds o into f, counter by counter.
+func (f *FaultStats) add(o FaultStats) {
+	f.FramesReordered += o.FramesReordered
+	f.FramesDuplicated += o.FramesDuplicated
+	f.FramesTruncated += o.FramesTruncated
+	f.FramesCorrupted += o.FramesCorrupted
+	f.FramesBlackedOut += o.FramesBlackedOut
+	f.Blackouts += o.Blackouts
+	f.AcksReordered += o.AcksReordered
+	f.AcksDuplicated += o.AcksDuplicated
+	f.AcksTruncated += o.AcksTruncated
+	f.AcksCorrupted += o.AcksCorrupted
+}
+
 // maxFaultQueue bounds the reorder hold-back queue per flow: a fault
 // schedule cannot grow memory without bound, and a share that would
 // overflow the queue is delivered immediately instead of held.

@@ -17,7 +17,7 @@ func violate(round int, format string, args ...any) {
 
 // checkInvariants asserts the engine's per-Step conservation laws:
 //
-//   - flow conservation: delivered + outaged + active == flows admitted;
+//   - flow conservation: delivered + failed + active == flows admitted;
 //   - ack monotonicity: a block once acked at the sender never un-acks;
 //   - ack honesty: an acked block's receiver copy has verified — except
 //     under reverse-path corruption/truncation faults, which can forge a
@@ -35,9 +35,10 @@ func violate(round int, format string, args ...any) {
 //   - round budget: an active flow is always within its budget (at the
 //     budget it must have resolved this Step).
 func (e *Engine) checkInvariants(round int) {
-	if got := e.delivered + e.outaged + len(e.flows); got != e.added {
-		violate(round, "flow conservation: delivered(%d)+outaged(%d)+active(%d)=%d, want %d admitted",
-			e.delivered, e.outaged, len(e.flows), got, e.added)
+	t := &e.tot
+	if got := t.Delivered + t.Failed + len(e.flows); got != t.Admitted {
+		violate(round, "flow conservation: delivered(%d)+failed(%d)+active(%d)=%d, want %d admitted",
+			t.Delivered, t.Failed, len(e.flows), got, t.Admitted)
 	}
 	// Mangled-but-parseable acks can claim blocks the receiver never
 	// decoded; with those faults off, sender belief must match receiver

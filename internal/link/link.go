@@ -521,6 +521,25 @@ type Stats struct {
 	Rate float64
 }
 
+// add adds o's counters into s, field by field (Engine.Metrics'
+// running total). Rate is not a counter and is left alone.
+func (s *Stats) add(o Stats) {
+	s.Frames += o.Frames
+	s.SymbolsSent += o.SymbolsSent
+	s.Blocks += o.Blocks
+	s.Retransmissions += o.Retransmissions
+	s.AcksSent += o.AcksSent
+	s.AcksLost += o.AcksLost
+	s.AckSymbols += o.AckSymbols
+	s.BatchesRejected += o.BatchesRejected
+	s.SymbolsDeduped += o.SymbolsDeduped
+	s.SymbolsOverflowed += o.SymbolsOverflowed
+	s.DecodeAttempts += o.DecodeAttempts
+	s.NarrowAttempts += o.NarrowAttempts
+	s.Escalations += o.Escalations
+	s.Faults.add(o.Faults)
+}
+
 func (s Stats) String() string {
 	return fmt.Sprintf("frames=%d symbols=%d blocks=%d rate=%.3f b/sym",
 		s.Frames, s.SymbolsSent, s.Blocks, s.Rate)

@@ -69,8 +69,6 @@ func (c SchedulerConfig) burst() int {
 // credit currently outstanding across active flows. Zero when the
 // engine runs round-robin admission.
 type SchedulerStats struct {
-	// Flows is the number of active flows under the scheduler.
-	Flows int
 	// QuantaGranted is the total symbol credit granted across all flows
 	// and rounds.
 	QuantaGranted int64
@@ -88,11 +86,10 @@ type SchedulerStats struct {
 	DeficitOutstanding int64
 }
 
-// dwfq is the engine-side scheduler state: configuration, counters, and
-// a reusable visit-order scratch slice.
+// dwfq is the engine-side scheduler state: configuration and a reusable
+// visit-order scratch slice (its counters are Engine.tot.Scheduler).
 type dwfq struct {
 	cfg   SchedulerConfig
-	stats SchedulerStats
 	order []*engineFlow
 }
 
@@ -170,7 +167,7 @@ func (e *Engine) scheduleDWFQ(round int) {
 		fl.rounds++
 		grant := quantum * int64(fl.weight)
 		fl.deficit += grant
-		s.stats.QuantaGranted += grant
+		e.tot.Scheduler.QuantaGranted += grant
 		if cap := burst * grant; fl.deficit > cap {
 			fl.deficit = cap
 		}

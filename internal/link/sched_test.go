@@ -188,7 +188,7 @@ func TestDWFQWeightShares(t *testing.T) {
 		t.Errorf("weight-4 flow finished at round %d, not before weight-1 at %d",
 			done[heavy], done[light])
 	}
-	st := eng.SchedStats()
+	st := eng.Metrics().Scheduler
 	if st.QuantaGranted <= 0 || st.SymbolsAdmitted <= 0 {
 		t.Errorf("scheduler stats not accounted: %+v", st)
 	}
@@ -278,7 +278,7 @@ func TestDWFQDeadline(t *testing.T) {
 	if !gotDoomed || !gotEasy {
 		t.Fatalf("flows unresolved: doomed=%v easy=%v", gotDoomed, gotEasy)
 	}
-	if n := eng.SchedStats().DeadlineMisses; n != 1 {
+	if n := eng.Metrics().Scheduler.DeadlineMisses; n != 1 {
 		t.Errorf("DeadlineMisses = %d, want 1", n)
 	}
 }
@@ -313,7 +313,7 @@ func TestDWFQHalfDuplexCharge(t *testing.T) {
 	if results[0].Stats.AckSymbols <= 0 {
 		t.Error("no ack airtime recorded under half-duplex")
 	}
-	if n := eng.SchedStats().AckSymbolsCharged; n <= 0 {
+	if n := eng.Metrics().Scheduler.AckSymbolsCharged; n <= 0 {
 		t.Errorf("AckSymbolsCharged = %d, want > 0", n)
 	}
 }

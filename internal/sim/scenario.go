@@ -527,18 +527,6 @@ func MeasureScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 			stateN++
 		}
 		for _, r := range finished {
-			res.Symbols += int64(r.Stats.SymbolsSent)
-			res.Retransmissions += int64(r.Stats.Retransmissions)
-			res.AcksSent += int64(r.Stats.AcksSent)
-			res.AcksLost += int64(r.Stats.AcksLost)
-			res.AckSymbols += int64(r.Stats.AckSymbols)
-			fs := r.Stats.Faults
-			res.FramesFaulted += int64(fs.FramesReordered + fs.FramesDuplicated +
-				fs.FramesTruncated + fs.FramesCorrupted + fs.FramesBlackedOut)
-			res.AcksFaulted += int64(fs.AcksReordered + fs.AcksDuplicated +
-				fs.AcksTruncated + fs.AcksCorrupted)
-			res.BatchesRejected += int64(r.Stats.BatchesRejected)
-			res.SymbolsDeduped += int64(r.Stats.SymbolsDeduped)
 			// Each resolved flow counts exactly once, as an outage or a
 			// delivery: a budget-exhausted flow (ErrFlowBudget) carries a
 			// nil datagram, so folding the error and corruption checks
@@ -579,6 +567,17 @@ func MeasureScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 			}
 		}
 	}
+	// The link counters are the session's totals over every resolved flow.
+	t := s.Metrics().Totals
+	res.Symbols = int64(t.SymbolsSent)
+	res.Retransmissions = int64(t.Retransmissions)
+	res.AcksSent = int64(t.AcksSent)
+	res.AcksLost = int64(t.AcksLost)
+	res.AckSymbols = int64(t.AckSymbols)
+	res.FramesFaulted = int64(t.Faults.Frames())
+	res.AcksFaulted = int64(t.Faults.Acks())
+	res.BatchesRejected = int64(t.BatchesRejected)
+	res.SymbolsDeduped = int64(t.SymbolsDeduped)
 	if air := res.Symbols + res.AckSymbols; air > 0 {
 		// Airtime-honest goodput: under half-duplex accounting the acks'
 		// symbols count against it too.

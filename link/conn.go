@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"os"
-	"reflect"
 	"sync"
 	"time"
 
@@ -41,8 +40,7 @@ type Conn struct {
 	cond      *sync.Cond // signals readers: bytes buffered, deadline moved, or closed
 	buf       []byte
 	off       int
-	stats     Stats
-	delivered int // payload bytes delivered across the Conn's lifetime
+	delivered int // payload bytes delivered to the reader across the Conn's lifetime
 	closed    bool
 
 	readDeadline  time.Time
@@ -99,13 +97,8 @@ func (c *Conn) Write(p []byte) (int, error) {
 	}
 	var mine *Result
 	for i := range results {
-		r := &results[i]
-		// Every resolved flow's counters add into Stats — including a
-		// prior canceled Write's flow resolving now — so Rate never
-		// overstates what the link spent.
-		addCounters(reflect.ValueOf(&c.stats).Elem(), reflect.ValueOf(r.Stats))
-		if r.ID == id {
-			mine = r
+		if results[i].ID == id {
+			mine = &results[i]
 		}
 	}
 	if mine == nil {
@@ -121,21 +114,6 @@ func (c *Conn) Write(p []byte) (int, error) {
 	c.buf = append(c.buf, mine.Datagram...)
 	c.cond.Broadcast() // wake readers blocked on a read deadline
 	return len(p), nil
-}
-
-// addCounters adds every integer counter of the struct src into dst,
-// recursing into nested counter structs (Stats.Faults), so a counter added
-// to Stats is summed without a matching line here. Non-integer fields
-// (Stats.Rate) are left for the caller to derive.
-func addCounters(dst, src reflect.Value) {
-	for i := range dst.NumField() {
-		switch f := dst.Field(i); f.Kind() {
-		case reflect.Int:
-			f.SetInt(f.Int() + src.Field(i).Int())
-		case reflect.Struct:
-			addCounters(f, src.Field(i))
-		}
-	}
 }
 
 // Read drains delivered bytes in write order. Without a read deadline it
@@ -229,7 +207,11 @@ func (c *Conn) SetWriteDeadline(t time.Time) error {
 func (c *Conn) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := c.stats
+	// The session's totals count every flow it resolved, a canceled
+	// Write's flow that resolved during a later Write included, so Rate
+	// never overstates what the link spent. Its numerator is the bytes
+	// delivered to the reader.
+	st := c.s.Metrics().Totals
 	if air := st.SymbolsSent + st.AckSymbols; air > 0 {
 		st.Rate = float64(8*c.delivered) / float64(air)
 	}

@@ -106,15 +106,14 @@ func NewTrackingRate(initialSNRdB float64) *TrackingRate { return ilink.NewTrack
 // rounds of credit an idle flow can bank.
 type SchedulerConfig = ilink.SchedulerConfig
 
-// SchedulerStats is the DWFQ scheduler's accounting (see
-// Session.SchedulerStats).
+// SchedulerStats is the DWFQ scheduler's accounting (Metrics.Scheduler).
 type SchedulerStats = ilink.SchedulerStats
 
-// PoolStats counts decoder constructions since a session started — the
-// observable that proves decodes reuse warmed decoders instead of
-// rebuilding them per attempt (spinald exports it on its telemetry
-// endpoint). See Session.PoolStats.
-type PoolStats = ilink.PoolStats
+// Metrics is a session's running totals since it started: flow counts
+// (Admitted == Active + Delivered + Failed), bytes delivered, every
+// resolved flow's Stats summed (Totals), decoders built and the DWFQ
+// scheduler's accounting. See Session.Metrics.
+type Metrics = ilink.Metrics
 
 // FeedbackConfig describes the reverse (ACK) path and the sender's ARQ
 // reaction to it: delivery delay and loss, retransmission timeouts

@@ -376,16 +376,12 @@ func (s *Session) Active() int {
 	return s.eng.Active()
 }
 
-// PoolStats reports the session's decoder-construction counter.
-func (s *Session) PoolStats() PoolStats { return s.eng.PoolStats() }
-
-// SchedulerStats snapshots the DWFQ scheduler's accounting — credit
-// granted and spent, ack airtime charged, deadline misses, outstanding
-// credit. Zero-valued unless the session was built WithScheduler.
-func (s *Session) SchedulerStats() SchedulerStats {
+// Metrics snapshots the session's running totals, consistently between
+// rounds. It stays readable after Close.
+func (s *Session) Metrics() Metrics {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.eng.SchedStats()
+	return s.eng.Metrics()
 }
 
 // SetChannel replaces an active flow's medium mid-flight (nil means

@@ -296,11 +296,12 @@ func TestSessionRatePolicyFactory(t *testing.T) {
 	}
 }
 
-// TestPoolStatsCountsEveryCode: a session's PoolStats counts the
+// TestMetricsCountsDecodersOfEveryCode: a session's Metrics counts the
 // decoders of whatever code it runs. A Raptor session and a spinal
 // session each deliver a byte-exact payload and count the decoder their
 // one worker built, and a second flow on a warmed session builds none.
-func TestPoolStatsCountsEveryCode(t *testing.T) {
+// The snapshot stays readable after Close.
+func TestMetricsCountsDecodersOfEveryCode(t *testing.T) {
 	payload := []byte("one datagram that every code must carry byte for byte")
 	for _, tc := range []struct {
 		name string
@@ -311,7 +312,7 @@ func TestPoolStatsCountsEveryCode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		send := func() link.PoolStats {
+		send := func() int64 {
 			t.Helper()
 			if _, err := s.Send(payload); err != nil {
 				t.Fatal(err)
@@ -323,17 +324,20 @@ func TestPoolStatsCountsEveryCode(t *testing.T) {
 			if len(res) != 1 || res[0].Err != nil || !bytes.Equal(res[0].Datagram, payload) {
 				t.Fatalf("flow did not deliver the payload: %+v", res)
 			}
-			return s.PoolStats()
+			return s.Metrics().DecodersBuilt
 		}
 		warm := send()
-		if warm.DecodersBuilt != 1 {
-			t.Fatalf("%s: one worker, one block size built %d decoders, want 1", tc.name, warm.DecodersBuilt)
+		if warm != 1 {
+			t.Fatalf("%s: one worker, one block size built %d decoders, want 1", tc.name, warm)
 		}
-		if st := send(); st != warm {
-			t.Fatalf("%s: a second flow on the warmed session built decoders: %+v -> %+v", tc.name, warm, st)
+		if built := send(); built != warm {
+			t.Fatalf("%s: a second flow on the warmed session built decoders: %d -> %d", tc.name, warm, built)
 		}
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
+		}
+		if m := s.Metrics(); m.Delivered != 2 || m.DecodersBuilt != warm {
+			t.Fatalf("%s: snapshot after Close: %+v", tc.name, m)
 		}
 	}
 }

@@ -1,7 +1,11 @@
 #!/usr/bin/env sh
 # Runs the core microbenchmarks and writes a machine-readable snapshot
 # (BENCH_<date>.json) so successive changes can be compared against a
-# recorded baseline. Usage: scripts/bench.sh [benchtime]
+# recorded baseline. Each benchmark runs three times and the snapshot
+# keeps the best (minimum) ns/op, B/op and allocs/op, which is what
+# scripts/bench_check.sh compares against it: one sample taken in a slow
+# phase of a shared machine would otherwise loosen the gate.
+# Usage: scripts/bench.sh [benchtime]
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -12,28 +16,36 @@ trap 'rm -f "$tmp"' EXIT
 
 go test -run '^$' \
     -bench 'BenchmarkDecode$|BenchmarkEncoder$|BenchmarkDecodeQuantized$|BenchmarkDecodeQuantized256$|BenchmarkDecodeFloat256$|BenchmarkDecodeLookahead$|BenchmarkDecodeNoisyPaper$|BenchmarkDecodeNoisySmall$|BenchmarkDecodeNoisyFetch$' \
-    -benchtime "$benchtime" -benchmem . >"$tmp"
+    -benchtime "$benchtime" -benchmem -count 3 . >"$tmp"
 go test -run '^$' -bench 'BenchmarkFinishWords$|BenchmarkChildrenPrefixes$|BenchmarkExpandScore$|BenchmarkFinishScore$' \
-    -benchtime "$benchtime" -benchmem ./internal/hashfn/ >>"$tmp"
+    -benchtime "$benchtime" -benchmem -count 3 ./internal/hashfn/ >>"$tmp"
 go test -run '^$' -bench 'BenchmarkBuildDistTables$|BenchmarkSortKeys16$' \
-    -benchtime "$benchtime" -benchmem ./internal/hw/ >>"$tmp"
+    -benchtime "$benchtime" -benchmem -count 3 ./internal/hw/ >>"$tmp"
 go test -run '^$' -bench 'BenchmarkLinkEngine$|BenchmarkLinkEnginePaper$' \
-    -benchtime "$benchtime" -benchmem ./internal/link/ >>"$tmp"
+    -benchtime "$benchtime" -benchmem -count 3 ./internal/link/ >>"$tmp"
 go test -run '^$' -bench 'BenchmarkFetchPipeline$|BenchmarkFetchDelayed$' \
-    -benchtime "$benchtime" -benchmem ./internal/transport/ >>"$tmp"
+    -benchtime "$benchtime" -benchmem -count 3 ./internal/transport/ >>"$tmp"
 go test -run '^$' -bench 'BenchmarkDaemonSaturated$' \
-    -benchtime "$benchtime" -benchmem ./internal/daemon/ >>"$tmp"
+    -benchtime "$benchtime" -benchmem -count 3 ./internal/daemon/ >>"$tmp"
 
 awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
 BEGIN { n = 0 }
 /^Benchmark/ {
     name = $1; sub(/-[0-9]+$/, "", name)
-    ns[n] = $3; bytes[n] = ""; allocs[n] = ""
+    b = ""; a = ""
     for (i = 4; i <= NF; i++) {
-        if ($(i+1) == "B/op") bytes[n] = $i
-        if ($(i+1) == "allocs/op") allocs[n] = $i
+        if ($(i+1) == "B/op") b = $i
+        if ($(i+1) == "allocs/op") a = $i
     }
-    names[n] = name; iters[n] = $2; n++
+    if (!(name in idx)) {
+        idx[name] = n; names[n] = name; ns[n] = $3; iters[n] = $2
+        bytes[n] = b; allocs[n] = a; n++
+        next
+    }
+    k = idx[name]
+    if ($3 + 0 < ns[k] + 0) { ns[k] = $3; iters[k] = $2 }
+    if (b != "" && b + 0 < bytes[k] + 0) bytes[k] = b
+    if (a != "" && a + 0 < allocs[k] + 0) allocs[k] = a
 }
 /^(goos|goarch|cpu):/ { meta[$1] = substr($0, index($0, " ") + 1) }
 END {
